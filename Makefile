@@ -18,8 +18,9 @@ BENCH_STAMP := $(shell date +%Y%m%d-%H%M%S)
 # the overload/degradation surface exposed to clients; route owns the
 # arena-pooled A* hot path whose scratch reuse must stay invisible;
 # stage/cas is the persistence layer whose corruption handling must
-# never regress to an error path.
-COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal/faults:85 internal/hypo:85 internal/serve:85 internal/route:80 internal/sim:85
+# never regress to an error path; mlfit grows the crosstalk forests
+# whose bits every design depends on.
+COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal/faults:85 internal/hypo:85 internal/serve:85 internal/route:80 internal/sim:85 internal/mlfit:85
 
 # sim-full knobs: the nightly long-form run replays the defect-storm
 # workload scaled into overload for SIMDURATION of virtual time.
@@ -72,6 +73,8 @@ fuzz:
 	$(GO) test ./internal/stage/cas -run NONE -fuzz FuzzCASHeader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hypo -run NONE -fuzz FuzzExperimentSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzForestDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzSortKeyed -fuzztime $(FUZZTIME)
 
 # The benchmark-regression trajectory: run the full suite with
 # allocation reporting, snapshot it as $(OUT)/BENCH_<stamp>.json, and

@@ -1,6 +1,7 @@
 package crosstalk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -119,15 +120,22 @@ func TestPredictorSymmetric(t *testing.T) {
 	}
 }
 
+// TestMatrixMatchesPredict pins what lets the tdm stage read ZZ
+// crosstalk from Matrix instead of calling Predict: every entry, in
+// either index order, equals Predict bit for bit on every topology.
+// It holds because d_equiv is exactly symmetric — the physical
+// distance squares its coordinate differences and the multi-path
+// topological distance is a path count times a length.
 func TestMatrixMatchesPredict(t *testing.T) {
-	c := chip.Square(3, 3)
-	m, _ := fitOn(t, c, 4)
-	p := m.On(c)
-	mat := p.Matrix()
-	for i := range mat {
-		for j := range mat[i] {
-			if mat[i][j] != p.Predict(i, j) {
-				t.Fatalf("matrix mismatch at (%d,%d)", i, j)
+	for _, c := range chip.Table2Chips() {
+		m, _ := fitOn(t, c, 4)
+		p := m.On(c)
+		mat := p.Matrix()
+		for i := range mat {
+			for j := range mat[i] {
+				if math.Float64bits(mat[i][j]) != math.Float64bits(p.Predict(i, j)) {
+					t.Fatalf("%s: matrix mismatch at (%d,%d)", c.Name, i, j)
+				}
 			}
 		}
 	}

@@ -235,7 +235,7 @@ func designStaged(ctx context.Context, store *stage.Store, p *Pipeline, root *ob
 
 	tdmK := tdmKey(faultsK, partK, zzK, opts)
 	span = root.Child(StageTDM)
-	td, err := runTDMStage(ctx, store, tdmK, c, p.Faults, part, p.PredZZ.Predict, opts)
+	td, err := runTDMStage(ctx, store, tdmK, c, p.Faults, part, p.PredZZ, opts)
 	span.End()
 	if err != nil {
 		return stageErr(StageTDM, err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/chip"
+	"repro/internal/crosstalk"
 	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/partition"
@@ -34,15 +35,21 @@ func tdmKey(faultsK, partK, zzK stage.Key, opts Options) stage.Key {
 // onto shared readout/Z lines, region by region. A fault plan drops
 // unusable gate sites from the parallelism analysis, removes
 // broken/dead couplers from the device sets and forces stuck-lossy
-// devices onto dedicated direct lines.
-func runTDMStage(ctx context.Context, store *stage.Store, key stage.Key, c *chip.Chip, plan *faults.Plan, part *partition.Partition, xt tdm.CrosstalkFunc, opts Options) (*tdmDesign, error) {
+// devices onto dedicated direct lines. The grouping reads ZZ crosstalk
+// from a dense matrix built once per execution: the greedy search asks
+// for the same few qubit pairs many times, and the matrix equals zz's
+// pairwise predictions bit for bit (d_equiv is symmetric). It is not
+// kept on the cached characterization, whose size the store already
+// charged.
+func runTDMStage(ctx context.Context, store *stage.Store, key stage.Key, c *chip.Chip, plan *faults.Plan, part *partition.Partition, zz *crosstalk.Predictor, opts Options) (*tdmDesign, error) {
 	td, _, err := stage.Do(ctx, store, StageTDM, key, parallel.Workers(opts.Workers), func(ctx context.Context) (*tdmDesign, error) {
 		var usableGate func(chip.TwoQubitGate) bool
 		if plan != nil {
 			usableGate = func(g chip.TwoQubitGate) bool { return plan.GateUsable(c, g) }
 		}
 		gates := tdm.AnalyzeGatesUsable(c, usableGate)
-		cfg := tdm.DefaultConfig(xt)
+		zzm := zz.Matrix()
+		cfg := tdm.DefaultConfig(func(i, j int) float64 { return zzm[i][j] })
 		cfg.Theta = opts.Theta
 		cfg.SparseQubitZ = opts.SparseQubitZ
 		if opts.TDMMinLossyFraction > 0 {

@@ -25,7 +25,7 @@ func DefaultForestConfig() ForestConfig {
 
 // Forest is a bagged ensemble of regression trees.
 type Forest struct {
-	trees []*Tree
+	trees []Tree
 }
 
 // FitForest trains a random forest on X, y with bootstrap sampling.
@@ -33,28 +33,25 @@ func FitForest(X [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
 	if cfg.NumTrees <= 0 {
 		return nil, fmt.Errorf("mlfit: NumTrees must be positive, got %d", cfg.NumTrees)
 	}
-	if len(X) == 0 {
-		return nil, fmt.Errorf("mlfit: empty training set")
+	if err := checkTrainingSet(X, y); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{trees: make([]*Tree, 0, cfg.NumTrees)}
+	f := &Forest{trees: make([]Tree, 0, cfg.NumTrees)}
 	n := len(X)
-	// One bootstrap buffer serves every tree: FitTree reads the rows
-	// during growth and retains nothing (trees store only split
-	// constants), so the next tree may overwrite them.
+	// One bootstrap buffer and one growth arena serve every tree: a
+	// tree reads the rows during growth and retains nothing but its
+	// own copy of its nodes, so the next tree may overwrite them.
 	bx := make([][]float64, n)
 	by := make([]float64, n)
+	c := newGrowCtx(n, len(X[0]), cfg.Tree, rng)
 	for t := 0; t < cfg.NumTrees; t++ {
 		for i := 0; i < n; i++ {
 			k := rng.Intn(n)
 			bx[i] = X[k]
 			by[i] = y[k]
 		}
-		tree, err := FitTree(bx, by, cfg.Tree, rng)
-		if err != nil {
-			return nil, fmt.Errorf("mlfit: tree %d: %w", t, err)
-		}
-		f.trees = append(f.trees, tree)
+		f.trees = append(f.trees, c.fit(bx, by))
 	}
 	return f, nil
 }
@@ -62,8 +59,8 @@ func FitForest(X [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
 // Predict returns the forest's mean prediction for x.
 func (f *Forest) Predict(x []float64) float64 {
 	var s float64
-	for _, t := range f.trees {
-		s += t.Predict(x)
+	for i := range f.trees {
+		s += f.trees[i].Predict(x)
 	}
 	return s / float64(len(f.trees))
 }

@@ -7,63 +7,92 @@ import (
 )
 
 // AppendBinary encodes a trained forest: tree count, then each tree's
-// feature arity and its nodes in preorder. A node is (feature,
-// threshold, value); children exist exactly when feature >= 0, so the
-// preorder stream needs no explicit pointers.
+// feature arity and its nodes in preorder. A node is a presence flag
+// (always true) and (feature, threshold, value); children exist
+// exactly when feature >= 0, so the preorder stream needs no explicit
+// links.
 func (f *Forest) AppendBinary(e *binpack.Enc) {
 	e.U32(uint32(len(f.trees)))
-	for _, t := range f.trees {
+	for i := range f.trees {
+		t := &f.trees[i]
 		e.Int(t.nFeature)
-		appendNode(e, t.root)
+		t.appendNode(e, 0)
 	}
 }
 
-func appendNode(e *binpack.Enc, n *treeNode) {
-	if n == nil {
-		e.Bool(false)
-		return
-	}
+func (t *Tree) appendNode(e *binpack.Enc, i int32) {
+	n := &t.nodes[i]
 	e.Bool(true)
 	e.Int(n.feature)
 	e.F64(n.threshold)
 	e.F64(n.value)
 	if n.feature >= 0 {
-		appendNode(e, n.left)
-		appendNode(e, n.right)
+		t.appendNode(e, n.left)
+		t.appendNode(e, n.right)
 	}
 }
 
 // DecodeBinary rebuilds a forest encoded by AppendBinary. The decoded
 // forest predicts bit-identically: node structure, split thresholds
-// and leaf values round-trip exactly.
+// and leaf values round-trip exactly. A record that decodes but could
+// not have been encoded from a trained forest — no trees, a feature
+// arity below one or differing between trees, a missing node, or a
+// split on a feature outside the arity — is rejected, so an accepted
+// forest predicts on any row of its arity.
 func DecodeBinary(d *binpack.Dec) (*Forest, error) {
 	n := int(d.U32())
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > d.Remaining() {
+	if n < 1 || n > d.Remaining() {
 		return nil, fmt.Errorf("mlfit: implausible tree count %d", n)
 	}
-	f := &Forest{trees: make([]*Tree, n)}
+	f := &Forest{trees: make([]Tree, n)}
+	// Trees decode into one growing scratch slice and each copies out
+	// an exact-size node slice, as FitForest's trees do.
+	var scratch []treeNode
 	for i := range f.trees {
-		t := &Tree{nFeature: d.Int()}
-		t.root = decodeNode(d)
+		t := &f.trees[i]
+		t.nFeature = d.Int()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		f.trees[i] = t
+		if t.nFeature < 1 || t.nFeature != f.trees[0].nFeature {
+			return nil, fmt.Errorf("mlfit: tree %d: feature arity %d", i, t.nFeature)
+		}
+		t.nodes = scratch[:0]
+		if err := t.decodeNode(d); err != nil {
+			return nil, fmt.Errorf("mlfit: tree %d: %w", i, err)
+		}
+		scratch = t.nodes
+		t.nodes = make([]treeNode, len(scratch))
+		copy(t.nodes, scratch)
 	}
 	return f, nil
 }
 
-func decodeNode(d *binpack.Dec) *treeNode {
-	if d.Err() != nil || !d.Bool() {
+// decodeNode appends one preorder-encoded subtree to t.nodes.
+func (t *Tree) decodeNode(d *binpack.Dec) error {
+	present := d.U8()
+	nd := treeNode{feature: d.Int(), threshold: d.F64(), value: d.F64()}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if present != 1 {
+		return fmt.Errorf("mlfit: node %d has presence flag %d", len(t.nodes), present)
+	}
+	if nd.feature < -1 || nd.feature >= t.nFeature {
+		return fmt.Errorf("mlfit: node %d splits on feature %d of %d", len(t.nodes), nd.feature, t.nFeature)
+	}
+	at := len(t.nodes)
+	t.nodes = append(t.nodes, nd)
+	if nd.feature < 0 {
 		return nil
 	}
-	n := &treeNode{feature: d.Int(), threshold: d.F64(), value: d.F64()}
-	if n.feature >= 0 {
-		n.left = decodeNode(d)
-		n.right = decodeNode(d)
+	t.nodes[at].left = int32(len(t.nodes))
+	if err := t.decodeNode(d); err != nil {
+		return err
 	}
-	return n
+	t.nodes[at].right = int32(len(t.nodes))
+	return t.decodeNode(d)
 }

@@ -390,3 +390,20 @@ func TestHistogramPanicsOnBadBins(t *testing.T) {
 	}()
 	Histogram([]float64{1}, 0, 1, 0)
 }
+
+// TestFitForestAllocs bounds FitForest's allocations: one growth arena
+// serves the whole forest, so past a fixed set of buffers each tree
+// costs exactly one allocation, its exact-size node slice.
+func TestFitForestAllocs(t *testing.T) {
+	X, y := tieHeavyData(300, 8)
+	cfg := ForestConfig{NumTrees: 20, Tree: TreeConfig{MaxDepth: 8, MinLeafSize: 2, MaxFeatures: 2}, Seed: 2}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := FitForest(X, y, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(cfg.NumTrees + 16); allocs > limit {
+		t.Errorf("FitForest made %.0f allocations, want <= %.0f (NumTrees + 16)", allocs, limit)
+	}
+	t.Logf("%.0f allocations for %d trees", allocs, cfg.NumTrees)
+}

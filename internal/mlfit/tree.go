@@ -12,21 +12,21 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // treeNode is one node of a regression tree. Leaves have feature == -1.
+// Nodes live in their tree's slice in preorder (root at 0) and link to
+// their children by index.
 type treeNode struct {
-	feature   int     // split feature index, -1 for leaf
-	threshold float64 // go left when x[feature] <= threshold
-	value     float64 // leaf prediction (mean of targets)
-	left      *treeNode
-	right     *treeNode
+	feature     int     // split feature index, -1 for leaf
+	threshold   float64 // go left when x[feature] <= threshold
+	value       float64 // leaf prediction (mean of targets)
+	left, right int32   // child indices; unused for leaves
 }
 
 // Tree is a CART regression tree.
 type Tree struct {
-	root     *treeNode
+	nodes    []treeNode // preorder, root at 0
 	nFeature int
 }
 
@@ -50,40 +50,32 @@ func (cfg TreeConfig) normalized() TreeConfig {
 }
 
 // FitTree grows a regression tree on rows X (features) and targets y.
-// rng is only used when cfg.MaxFeatures restricts the split search; a
-// nil rng is allowed in that case the full feature set is used.
+// rng draws the per-split feature subset when cfg.MaxFeatures restricts
+// the split search; with a nil rng every split considers the full
+// feature set.
 func FitTree(X [][]float64, y []float64, cfg TreeConfig, rng *rand.Rand) (*Tree, error) {
+	if err := checkTrainingSet(X, y); err != nil {
+		return nil, err
+	}
+	t := newGrowCtx(len(X), len(X[0]), cfg, rng).fit(X, y)
+	return &t, nil
+}
+
+// checkTrainingSet rejects an empty, mismatched or ragged training set.
+func checkTrainingSet(X [][]float64, y []float64) error {
 	if len(X) == 0 {
-		return nil, fmt.Errorf("mlfit: empty training set")
+		return fmt.Errorf("mlfit: empty training set")
 	}
 	if len(X) != len(y) {
-		return nil, fmt.Errorf("mlfit: %d rows but %d targets", len(X), len(y))
+		return fmt.Errorf("mlfit: %d rows but %d targets", len(X), len(y))
 	}
 	nf := len(X[0])
 	for i, row := range X {
 		if len(row) != nf {
-			return nil, fmt.Errorf("mlfit: row %d has %d features, want %d", i, len(row), nf)
+			return fmt.Errorf("mlfit: row %d has %d features, want %d", i, len(row), nf)
 		}
 	}
-	cfg = cfg.normalized()
-	n := len(X)
-	c := &growCtx{
-		X: X, y: y, cfg: cfg, rng: rng,
-		features: make([]int, nf),
-		order:    make([]int, n),
-		part:     make([]int, 0, n),
-		// Every leaf holds ≥1 distinct sample (splits require both
-		// sides non-empty), so a tree over n samples has ≤ n leaves
-		// and ≤ 2n-1 nodes: one arena allocation covers the tree.
-		nodes: make([]treeNode, 0, 2*n-1),
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	t := &Tree{nFeature: nf}
-	t.root = c.grow(idx, 0)
-	return t, nil
+	return nil
 }
 
 func mean(y []float64, idx []int) float64 {
@@ -105,38 +97,68 @@ func sse(y []float64, idx []int) float64 {
 	return s
 }
 
-// growCtx is the per-tree growth arena: node storage plus the feature,
-// sort-order and partition scratch shared by every node of one FitTree
-// call. A node uses the scratch only before recursing, so one buffer
-// of each kind serves the whole tree; the recursion itself allocates
-// nothing. Split search (sort.Slice over the same comparison) and RNG
-// consumption (Shuffle per candidate node) are unchanged, so grown
-// trees are bit-identical to the historical allocate-per-node code.
+// growCtx is the growth arena of one FitForest (or FitTree) call: the
+// feature, row-index, partition and split-search scratch plus the node
+// storage, shared by every node of every tree grown on at most n rows.
+// A node uses the scratch only before recursing, so one buffer of each
+// kind serves the whole forest; growth itself allocates nothing, and
+// each finished tree copies out only its used nodes.
 type growCtx struct {
 	X        [][]float64
 	y        []float64
 	cfg      TreeConfig
 	rng      *rand.Rand
 	features []int
-	order    []int
+	idx      []int
 	part     []int
+	keys     []keyed
 	nodes    []treeNode
 }
 
-// newNode appends to the arena and returns a pointer to the element.
-// The tree is held together only by these returned pointers (the slice
-// is never re-indexed), so the structure stays correct even if the
-// arena were ever to grow past its sized capacity.
-func (c *growCtx) newNode(n treeNode) *treeNode {
-	c.nodes = append(c.nodes, n)
-	return &c.nodes[len(c.nodes)-1]
+func newGrowCtx(n, nf int, cfg TreeConfig, rng *rand.Rand) *growCtx {
+	return &growCtx{
+		cfg:      cfg.normalized(),
+		rng:      rng,
+		features: make([]int, nf),
+		idx:      make([]int, n),
+		part:     make([]int, 0, n),
+		keys:     make([]keyed, n),
+		// Every leaf holds ≥1 distinct sample (splits require both
+		// sides non-empty), so a tree over n samples has ≤ n leaves
+		// and ≤ 2n-1 nodes.
+		nodes: make([]treeNode, 0, 2*n-1),
+	}
 }
 
-func (c *growCtx) grow(idx []int, depth int) *treeNode {
+// fit grows one tree on the validated training set X, y of at most
+// the arena's row count. The returned tree owns an exact-size copy of
+// its nodes, so the arena may grow the next tree at once.
+func (c *growCtx) fit(X [][]float64, y []float64) Tree {
+	c.X, c.y = X, y
+	idx := c.idx[:len(X)]
+	for i := range idx {
+		idx[i] = i
+	}
+	c.nodes = c.nodes[:0]
+	c.grow(idx, 0)
+	nodes := make([]treeNode, len(c.nodes))
+	copy(nodes, c.nodes)
+	return Tree{nodes: nodes, nFeature: len(X[0])}
+}
+
+// leaf appends a leaf node and returns its index.
+func (c *growCtx) leaf(val float64) int32 {
+	c.nodes = append(c.nodes, treeNode{feature: -1, value: val})
+	return int32(len(c.nodes) - 1)
+}
+
+// grow appends the subtree over idx to the arena in preorder and
+// returns its root's index.
+func (c *growCtx) grow(idx []int, depth int) int32 {
 	X, y, cfg := c.X, c.y, c.cfg
 	val := mean(y, idx)
 	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeafSize {
-		return c.newNode(treeNode{feature: -1, value: val})
+		return c.leaf(val)
 	}
 
 	nf := len(X[0])
@@ -154,29 +176,36 @@ func (c *growCtx) grow(idx []int, depth int) *treeNode {
 	bestThreshold := 0.0
 	parentSSE := sse(y, idx)
 
-	order := c.order[:len(idx)]
+	// Each candidate feature's values are read once into keys and
+	// sorted there; sortKeyed permutes exactly as sort.Slice over the
+	// same comparison, so equal keys keep the historical order and
+	// every prefix sum below is bit-identical.
+	keys := c.keys[:len(idx)]
 	for _, f := range features {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
+		for k, i := range idx {
+			keys[k] = keyed{x: X[i][f], i: i}
+		}
+		sortKeyed(keys)
 
 		// Prefix sums allow O(1) variance evaluation of every split.
 		var sumL, sumSqL float64
 		var sumR, sumSqR float64
-		for _, i := range order {
-			sumR += y[i]
-			sumSqR += y[i] * y[i]
+		for _, kv := range keys {
+			v := y[kv.i]
+			sumR += v
+			sumSqR += v * v
 		}
-		for k := 0; k < len(order)-1; k++ {
-			v := y[order[k]]
+		for k := 0; k < len(keys)-1; k++ {
+			v := y[keys[k].i]
 			sumL += v
 			sumSqL += v * v
 			sumR -= v
 			sumSqR -= v * v
 			// Only split between distinct feature values.
-			if X[order[k]][f] == X[order[k+1]][f] {
+			if keys[k].x == keys[k+1].x {
 				continue
 			}
-			nl, nr := k+1, len(order)-k-1
+			nl, nr := k+1, len(keys)-k-1
 			if nl < cfg.MinLeafSize || nr < cfg.MinLeafSize {
 				continue
 			}
@@ -186,13 +215,13 @@ func (c *growCtx) grow(idx []int, depth int) *treeNode {
 			if gain > bestGain {
 				bestGain = gain
 				bestFeature = f
-				bestThreshold = (X[order[k]][f] + X[order[k+1]][f]) / 2
+				bestThreshold = (keys[k].x + keys[k+1].x) / 2
 			}
 		}
 	}
 
 	if bestFeature < 0 || bestGain <= 1e-15 {
-		return c.newNode(treeNode{feature: -1, value: val})
+		return c.leaf(val)
 	}
 
 	// Stable in-place partition of idx: the left block keeps idx order
@@ -213,35 +242,39 @@ func (c *growCtx) grow(idx []int, depth int) *treeNode {
 	copy(idx[nl:], part)
 	c.part = part
 	if nl == 0 || nl == len(idx) {
-		return c.newNode(treeNode{feature: -1, value: val})
+		return c.leaf(val)
 	}
-	nd := c.newNode(treeNode{feature: bestFeature, threshold: bestThreshold, value: val})
-	nd.left = c.grow(idx[:nl], depth+1)
-	nd.right = c.grow(idx[nl:], depth+1)
-	return nd
+	at := len(c.nodes)
+	c.nodes = append(c.nodes, treeNode{feature: bestFeature, threshold: bestThreshold, value: val})
+	left := c.grow(idx[:nl], depth+1)
+	right := c.grow(idx[nl:], depth+1)
+	c.nodes[at].left, c.nodes[at].right = left, right
+	return int32(at)
 }
 
 // Predict returns the tree's prediction for feature vector x.
 func (t *Tree) Predict(x []float64) float64 {
-	n := t.root
+	nodes := t.nodes
+	n := &nodes[0]
 	for n.feature >= 0 {
 		if x[n.feature] <= n.threshold {
-			n = n.left
+			n = &nodes[n.left]
 		} else {
-			n = n.right
+			n = &nodes[n.right]
 		}
 	}
 	return n.value
 }
 
 // Depth returns the maximum depth of the tree (a single leaf has depth 0).
-func (t *Tree) Depth() int { return nodeDepth(t.root) }
+func (t *Tree) Depth() int { return t.depth(0) }
 
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.feature < 0 {
+func (t *Tree) depth(i int32) int {
+	n := &t.nodes[i]
+	if n.feature < 0 {
 		return 0
 	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
+	l, r := t.depth(n.left), t.depth(n.right)
 	if l > r {
 		return l + 1
 	}
