@@ -216,3 +216,29 @@ func TestDefectSweepCacheCounts(t *testing.T) {
 		t.Error("repeated rate produced a different design")
 	}
 }
+
+// TestRedesignAllHitAllocs bounds the per-build overhead of a redesign
+// that recalls every stage from memory: keying, scheduling and the
+// Pipeline assembly, with no stage executing. Warm serving traffic pays
+// this on every request.
+func TestRedesignAllHitAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		max     float64
+	}{{1, 166}, {2, 170}} {
+		d := NewDesigner(chip.Square(5, 5))
+		opts := Options{Seed: 1, Workers: tc.workers}
+		if _, err := d.Redesign(opts); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := d.Redesign(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("workers %d: %.0f allocs per all-hit redesign", tc.workers, allocs)
+		if allocs > tc.max {
+			t.Errorf("workers %d: %.0f allocs per all-hit redesign, want <= %.0f", tc.workers, allocs, tc.max)
+		}
+	}
+}
