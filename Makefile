@@ -19,8 +19,9 @@ BENCH_STAMP := $(shell date +%Y%m%d-%H%M%S)
 # arena-pooled A* hot path whose scratch reuse must stay invisible;
 # stage/cas is the persistence layer whose corruption handling must
 # never regress to an error path; mlfit grows the crosstalk forests
-# whose bits every design depends on.
-COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal/faults:85 internal/hypo:85 internal/serve:85 internal/route:80 internal/sim:85 internal/mlfit:85
+# whose bits every design depends on; experiments holds the pipeline's
+# node table, whose key, skip and run functions every design runs.
+COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal/faults:85 internal/hypo:85 internal/serve:85 internal/route:80 internal/sim:85 internal/mlfit:85 internal/experiments:85
 
 # sim-full knobs: the nightly long-form run replays the defect-storm
 # workload scaled into overload for SIMDURATION of virtual time.

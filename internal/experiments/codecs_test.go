@@ -49,9 +49,9 @@ func TestStageCodecsRoundTrip(t *testing.T) {
 		PartitionTargetSize: 9,
 	})
 	codecs := StageCodecs()
-	if len(codecs) != len(PipelineStageGraph.Stages()) {
+	if len(codecs) != PipelineStageGraph.Len() {
 		t.Errorf("%d codecs registered for %d pipeline stages — a stage would silently stay memory-only",
-			len(codecs), len(PipelineStageGraph.Stages()))
+			len(codecs), PipelineStageGraph.Len())
 	}
 	for name, codec := range codecs {
 		v, ok := artifacts[name]

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 
 	"repro/internal/chip"
-	"repro/internal/obs"
-	"repro/internal/parallel"
+	"repro/internal/faults"
+	"repro/internal/fdm"
+	"repro/internal/partition"
 	"repro/internal/stage"
 	"repro/internal/stage/cas"
 	"repro/internal/xmon"
@@ -29,23 +29,106 @@ const (
 	StageTDM            = "tdm"
 )
 
-// PipelineStageGraph is the declared dependency structure of the design
-// flow. Every stage's artifact key chains the keys of exactly the
-// inputs listed here, so the graph doubles as the invalidation contract:
-// changing an option that only the tdm stage reads (Theta, say) leaves
-// every artifact outside Downstream-closure-of-nothing — only the tdm
-// key moves, and a warm Redesign re-executes the tdm stage alone.
-var PipelineStageGraph = stage.MustGraph(
-	stage.Stage{Name: StageFabricate},
-	stage.Stage{Name: StageFaults, Inputs: []string{StageFabricate}},
-	stage.Stage{Name: StageCharacterizeXY, Inputs: []string{StageFabricate, StageFaults}},
-	stage.Stage{Name: StageCharacterizeZZ, Inputs: []string{StageFabricate, StageFaults}},
-	stage.Stage{Name: StagePartition, Inputs: []string{StageFaults, StageCharacterizeXY}},
-	stage.Stage{Name: StageFDMGroup, Inputs: []string{StagePartition, StageCharacterizeXY}},
-	stage.Stage{Name: StageAllocate, Inputs: []string{StageFDMGroup, StageCharacterizeXY}},
-	stage.Stage{Name: StageAnneal, Inputs: []string{StageAllocate}},
-	stage.Stage{Name: StageTDM, Inputs: []string{StageFaults, StagePartition, StageCharacterizeZZ}},
+// Node indices of PipelineStageGraph, in declaration order: a run's
+// artifact of stage StageX is in[nX].
+const (
+	nFabricate = iota
+	nFaults
+	nCharacterizeXY
+	nCharacterizeZZ
+	nPartition
+	nFDMGroup
+	nAllocate
+	nAnneal
+	nTDM
 )
+
+// PipelineStageGraph is the design flow: the table of stages the
+// engine runs for every build. Each stage's artifact key chains the
+// keys of exactly the inputs listed here, so the table doubles as the
+// invalidation contract: changing an option that only the tdm stage
+// reads (Theta, say) moves only the tdm key, and a warm Redesign
+// re-executes the tdm stage alone. The engine runs independent
+// neighbors as one wave: XY ∥ ZZ characterization, and tdm alongside
+// allocate (or anneal).
+var PipelineStageGraph = stage.MustGraph([]stage.Node[*build]{
+	nFabricate: {Name: StageFabricate, Params: fabricateParams, Run: runFabricate},
+	nFaults: {Name: StageFaults, Inputs: []string{StageFabricate},
+		Params: faultsParams, Run: runFaults},
+	nCharacterizeXY: characterizeNode(StageCharacterizeXY, xmon.XY, streamMeasureXY, streamSubsampleXY),
+	nCharacterizeZZ: characterizeNode(StageCharacterizeZZ, xmon.ZZ, streamMeasureZZ, streamSubsampleZZ),
+	nPartition: {Name: StagePartition, Inputs: []string{StageFaults, StageCharacterizeXY},
+		Params: partitionParams, Run: runPartition},
+	nFDMGroup: {Name: StageFDMGroup, Inputs: []string{StagePartition, StageCharacterizeXY}, Parallel: true,
+		Params: fdmGroupParams, Run: runFDMGroup},
+	nAllocate: {Name: StageAllocate, Inputs: []string{StageFDMGroup, StageCharacterizeXY},
+		Run: runAllocate},
+	nAnneal: {Name: StageAnneal, Inputs: []string{StageAllocate},
+		Skip: func(b *build) bool { return b.opts.AnnealSteps <= 0 }, Params: annealParams, Run: runAnneal},
+	nTDM: {Name: StageTDM, Inputs: []string{StageFaults, StagePartition, StageCharacterizeZZ}, Parallel: true,
+		Params: tdmParams, Run: runTDM},
+}...)
+
+// build is one run of PipelineStageGraph: normalized options, the
+// design seed every post-fabrication stage splits its own streams off
+// (so the result is invariant in opts.Workers, which is why Workers
+// appears in no key), and the chip fabricate starts from.
+type build struct {
+	opts    Options
+	seed    int64
+	chip    *chip.Chip
+	chipKey stage.Key
+	// clone fabricates into a copy, keeping a cached Designer's
+	// prototype pristine and per-seed frequency plans isolated.
+	clone bool
+}
+
+// get returns artifact i of a run, asserted to its stage's type.
+func get[T any](in []any, i int) T { return in[i].(T) }
+
+// runGraph executes PipelineStageGraph for b through store under a root
+// span named span, routing the store's cache counters into b's
+// registry. Every obs call is nil-safe, so the disabled path costs a
+// handful of nil checks.
+func runGraph(ctx context.Context, store *stage.Store, span string, b *build, given ...stage.Given) ([]any, error) {
+	store.Observe(b.opts.Obs)
+	root := b.opts.Obs.StartSpan(span)
+	defer root.End()
+	return PipelineStageGraph.Run(ctx, store, root, b, b.opts.Workers, given...)
+}
+
+// design runs the full flow for b and assembles its Pipeline.
+func design(ctx context.Context, store *stage.Store, b *build, given ...stage.Given) (*Pipeline, error) {
+	in, err := runGraph(ctx, store, "design", b, given...)
+	if err != nil {
+		return nil, err
+	}
+	dev := get[*xmon.Device](in, nFabricate)
+	xy, zz := get[*characterization](in, nCharacterizeXY), get[*characterization](in, nCharacterizeZZ)
+	p := &Pipeline{
+		Opts: b.opts, Chip: dev.Chip, Device: dev,
+		Faults:  get[*faults.Plan](in, nFaults),
+		ModelXY: xy.Model, ModelZZ: zz.Model,
+		PredXY: xy.Pred, PredZZ: zz.Pred,
+	}
+	p.Calib.Add(xy.Stats)
+	p.Calib.Add(zz.Stats)
+	p.setGroupings(in)
+	return p, nil
+}
+
+// setGroupings installs the partition, grouping and allocation
+// artifacts of a run.
+func (p *Pipeline) setGroupings(in []any) {
+	p.Partition = get[*partition.Partition](in, nPartition)
+	p.FDM = get[*fdm.Grouping](in, nFDMGroup)
+	p.FreqPlan = get[*fdm.FrequencyPlan](in, nAllocate)
+	if in[nAnneal] != nil {
+		p.FreqPlan = get[*fdm.FrequencyPlan](in, nAnneal)
+	}
+	td := get[*tdmDesign](in, nTDM)
+	p.Gates, p.TDM = td.Gates, td.Grouping
+}
 
 // chipFingerprint digests everything the pipeline reads off a chip:
 // identity, topology, geometry and per-qubit physics. Two chips with
@@ -82,167 +165,22 @@ func deviceFingerprint(dev *xmon.Device) stage.Key {
 		Done()
 }
 
-// fabricateKey keys device fabrication: the chip fingerprint and the
+// fabricateParams keys device fabrication: the chip fingerprint and the
 // raw seed (fabrication keeps its own sequential stream at the raw seed
 // so a given (chip, seed) always yields the same device).
-func fabricateKey(chipK stage.Key, seed int64) stage.Key {
-	return stage.NewKey(StageFabricate).Key(chipK).Int64(seed).Done()
+func fabricateParams(b *build, k *stage.KeyBuilder) {
+	k.Key(b.chipKey).Int64(b.opts.Seed)
 }
 
-// buildTarget tells buildStaged what to design on: a chip to fabricate
-// (in place for one-shot builds, into a clone for cached Designers) or
-// an already-fabricated device.
-type buildTarget struct {
-	chip    *chip.Chip
-	chipKey stage.Key
-	clone   bool
-
-	dev    *xmon.Device
-	devKey stage.Key
-}
-
-// buildStaged runs the full design flow through the artifact store:
-// fabricate → faults → characterize (XY ∥ ZZ) → designStaged. opts must
-// already be normalized. designSeed is the master seed of every
-// post-fabrication stage; each stage splits its own stream off it, so
-// the XY and ZZ campaigns are independent tasks and the result is
-// invariant in opts.Workers — which is also why Workers appears in no
-// artifact key.
-func buildStaged(ctx context.Context, store *stage.Store, tgt buildTarget, opts Options, designSeed int64) (*Pipeline, error) {
-	// Per-build instrumentation: route the store's cache counters into
-	// the registry and open the design span tree. Every obs call below
-	// is nil-safe, so the disabled path costs a handful of nil checks.
-	store.Observe(opts.Obs)
-	root := opts.Obs.StartSpan("design")
-	defer root.End()
-
-	dev, devKey := tgt.dev, tgt.devKey
-	if dev == nil {
-		devKey = fabricateKey(tgt.chipKey, opts.Seed)
-		fabSpan := root.Child(StageFabricate)
-		var err error
-		dev, _, err = stage.Do(ctx, store, StageFabricate, devKey, 1, func(context.Context) (*xmon.Device, error) {
-			target := tgt.chip
-			if tgt.clone {
-				// Fabrication writes base frequencies into the chip;
-				// a cached Designer keeps the caller's prototype
-				// pristine and isolates per-seed frequency plans.
-				target = target.Clone()
-			}
-			rng := rand.New(rand.NewSource(opts.Seed))
-			return xmon.NewDevice(target, xmon.DefaultParams(), rng), nil
-		})
-		fabSpan.End()
-		if err != nil {
-			return nil, stageErr(StageFabricate, err)
-		}
+// runFabricate fabricates the device. It writes base frequencies into
+// the chip it fabricates on.
+func runFabricate(_ context.Context, b *build, _ []any) (any, error) {
+	target := b.chip
+	if b.clone {
+		target = target.Clone()
 	}
-	c := dev.Chip
-	p := &Pipeline{Opts: opts, Chip: c, Device: dev}
-
-	faultsK := faultsStageKey(devKey, opts.Faults, designSeed)
-	faultSpan := root.Child(StageFaults)
-	plan, err := runFaultsStage(ctx, store, faultsK, c, opts, designSeed)
-	faultSpan.End()
-	if err != nil {
-		return nil, stageErr(StageFaults, err)
-	}
-	p.Faults = plan
-
-	// The two channels are measured and fitted concurrently; inside
-	// each fit the weight grid fans out again over the same Workers
-	// budget.
-	xyK := characterizeKey(StageCharacterizeXY, devKey, faultsK, opts, designSeed, streamMeasureXY, streamSubsampleXY)
-	zzK := characterizeKey(StageCharacterizeZZ, devKey, faultsK, opts, designSeed, streamMeasureZZ, streamSubsampleZZ)
-	specs := []struct {
-		name                     string
-		key                      stage.Key
-		kind                     xmon.CrosstalkKind
-		measureStream, subStream uint64
-	}{
-		{StageCharacterizeXY, xyK, xmon.XY, streamMeasureXY, streamSubsampleXY},
-		{StageCharacterizeZZ, zzK, xmon.ZZ, streamMeasureZZ, streamSubsampleZZ},
-	}
-	chars := make([]*characterization, len(specs))
-	err = parallel.ForEachCtx(ctx, min2(opts.Workers), len(specs), func(i int) error {
-		sp := specs[i]
-		span := root.Child(sp.name)
-		defer span.End()
-		ch, err := runCharacterize(ctx, store, sp.name, sp.key, dev, sp.kind, opts, designSeed, sp.measureStream, sp.subStream, plan)
-		if err != nil {
-			return fmt.Errorf("%v model: %w", sp.kind, err)
-		}
-		chars[i] = ch
-		return nil
-	})
-	if err != nil {
-		return nil, stageErr("characterize", err)
-	}
-	p.ModelXY, p.ModelZZ = chars[0].Model, chars[1].Model
-	p.Calib.Add(chars[0].Stats)
-	p.Calib.Add(chars[1].Stats)
-	p.PredXY, p.PredZZ = chars[0].Pred, chars[1].Pred
-	return p, designStaged(ctx, store, p, root, faultsK, xyK, zzK, parallel.TaskSeed(designSeed, streamPartition))
-}
-
-// designStaged runs partition → FDM → allocation → TDM through the
-// store with the pipeline's current predictors. partSeed drives the
-// generative partition only; the grouping stages are deterministic
-// searches. Dead qubits and broken couplers of the fault plan are
-// excluded from every stage: the design covers exactly the devices the
-// chip can still operate.
-func designStaged(ctx context.Context, store *stage.Store, p *Pipeline, root *obs.Span, faultsK, xyK, zzK stage.Key, partSeed int64) error {
-	c := p.Chip
-	opts := p.Opts
-	dist := p.PredXY.EquivDistance
-
-	partK := partitionKey(faultsK, xyK, opts.PartitionTargetSize, partSeed)
-	span := root.Child(StagePartition)
-	part, err := runPartitionStage(ctx, store, partK, c, p.Faults, dist, opts.PartitionTargetSize, partSeed, 1)
-	span.End()
-	if err != nil {
-		return stageErr(StagePartition, err)
-	}
-	p.Partition = part
-
-	regions := regionsOf(part, p.aliveQubits())
-	fdmK := fdmGroupKey(partK, xyK, opts.FDMCapacity)
-	span = root.Child(StageFDMGroup)
-	grouping, err := runFDMGroupStage(ctx, store, fdmK, regions, opts.FDMCapacity, dist, opts.Workers)
-	span.End()
-	if err != nil {
-		return stageErr("fdm", err)
-	}
-	p.FDM = grouping
-
-	allocK := allocateKey(fdmK, xyK)
-	span = root.Child(StageAllocate)
-	plan, err := runAllocateStage(ctx, store, allocK, grouping, p.PredXY.Predict)
-	span.End()
-	if err != nil {
-		return stageErr(StageAllocate, err)
-	}
-	if opts.AnnealSteps > 0 {
-		annealK := annealKey(allocK, opts.AnnealSteps, opts.Seed)
-		span = root.Child(StageAnneal)
-		plan, err = runAnnealStage(ctx, store, annealK, plan, grouping, p.PredXY.Predict, opts.AnnealSteps, opts.Seed)
-		span.End()
-		if err != nil {
-			return stageErr(StageAnneal, err)
-		}
-	}
-	p.FreqPlan = plan
-
-	tdmK := tdmKey(faultsK, partK, zzK, opts)
-	span = root.Child(StageTDM)
-	td, err := runTDMStage(ctx, store, tdmK, c, p.Faults, part, p.PredZZ, opts)
-	span.End()
-	if err != nil {
-		return stageErr(StageTDM, err)
-	}
-	p.Gates = td.Gates
-	p.TDM = td.Grouping
-	return nil
+	rng := rand.New(rand.NewSource(b.opts.Seed))
+	return xmon.NewDevice(target, xmon.DefaultParams(), rng), nil
 }
 
 // Designer owns an artifact store over one chip (or one pre-fabricated
@@ -294,11 +232,12 @@ func (d *Designer) Redesign(opts Options) (*Pipeline, error) {
 func (d *Designer) RedesignCtx(ctx context.Context, opts Options) (*Pipeline, error) {
 	opts = opts.normalized()
 	if d.dev != nil {
-		// Mirror BuildPipelineOnDevice's seed offset so device designs
-		// stay bit-identical to the one-shot path.
-		return buildStaged(ctx, d.store, buildTarget{dev: d.dev, devKey: d.devFP}, opts, opts.Seed+7)
+		// Device designs split their streams off Seed+7; the offset is
+		// part of every pinned device-mode key and design.
+		return design(ctx, d.store, &build{opts: opts, seed: opts.Seed + 7},
+			stage.Given{Name: StageFabricate, Key: d.devFP, Val: d.dev})
 	}
-	return buildStaged(ctx, d.store, buildTarget{chip: d.chip, chipKey: d.chipFP, clone: true}, opts, opts.Seed)
+	return design(ctx, d.store, &build{opts: opts, seed: opts.Seed, chip: d.chip, chipKey: d.chipFP, clone: true})
 }
 
 // Store exposes the Designer's artifact store (for stats assertions and

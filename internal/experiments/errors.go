@@ -1,39 +1,16 @@
 package experiments
 
-import (
-	"errors"
-	"fmt"
-)
+import "repro/internal/stage"
 
 // DesignError reports which pipeline stage failed, so callers (and
 // operators reading logs) see where a degraded design gave up instead
 // of a bare cause. It wraps the stage's underlying error; errors.Is /
 // errors.As see through it, so context cancellation and sentinel
 // checks keep working.
-type DesignError struct {
-	// Stage names the failing pipeline stage: "faults", "characterize",
-	// "partition", "fdm", "allocate", "anneal", "tdm" or "validate".
-	Stage string
-	Err   error
-}
-
-// Error implements error.
-func (e *DesignError) Error() string {
-	return fmt.Sprintf("youtiao design: stage %s: %v", e.Stage, e.Err)
-}
-
-// Unwrap exposes the underlying cause to errors.Is / errors.As.
-func (e *DesignError) Unwrap() error { return e.Err }
-
-// stageErr wraps err in a DesignError unless it is nil or already one
-// (an inner stage keeps its more precise stage name).
-func stageErr(stage string, err error) error {
-	if err == nil {
-		return nil
-	}
-	var de *DesignError
-	if errors.As(err, &de) {
-		return err
-	}
-	return &DesignError{Stage: stage, Err: err}
-}
+//
+// Stage is the failing node of PipelineStageGraph — "fabricate",
+// "faults", "characterize-xy", "characterize-zz", "partition",
+// "fdm-group", "allocate", "anneal" or "tdm" — or, from
+// Pipeline.Validate, the check that failed: "validate", "partition",
+// "fdm-group", "allocate" or "tdm".
+type DesignError = stage.Error

@@ -46,7 +46,7 @@ func TestDiskWarmColdProcessBitIdentical(t *testing.T) {
 	if _, err := warm.Designer(chip.Square(5, 5)).RedesignCtx(ctx, opts); err != nil {
 		t.Fatal(err)
 	}
-	stages := len(PipelineStageGraph.Stages())
+	stages := PipelineStageGraph.Len()
 	if rep := warm.Report(); rep.Misses != stages || rep.DiskHits != 0 {
 		t.Fatalf("first persistent run: %d misses, %d disk hits; want %d, 0",
 			rep.Misses, rep.DiskHits, stages)
@@ -154,7 +154,7 @@ func TestPartialCodecsDegradeGracefully(t *testing.T) {
 	if rep.DiskHits != 1 {
 		t.Fatalf("fabricate-only codec map took %d disk hits, want 1", rep.DiskHits)
 	}
-	if rep.Misses != len(PipelineStageGraph.Stages())-1 {
-		t.Fatalf("uncovered stages: %d misses, want %d", rep.Misses, len(PipelineStageGraph.Stages())-1)
+	if rep.Misses != PipelineStageGraph.Len()-1 {
+		t.Fatalf("uncovered stages: %d misses, want %d", rep.Misses, PipelineStageGraph.Len()-1)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/fdm"
 	"repro/internal/mlfit"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/schedule"
 	"repro/internal/stage"
@@ -214,8 +213,7 @@ func BuildPipeline(c *chip.Chip, opts Options) (*Pipeline, error) {
 // the chip pristine and to reuse artifacts across builds.
 func BuildPipelineCtx(ctx context.Context, c *chip.Chip, opts Options) (*Pipeline, error) {
 	opts = opts.normalized()
-	return buildStaged(ctx, stage.NewStore(),
-		buildTarget{chip: c, chipKey: chipFingerprint(c)}, opts, opts.Seed)
+	return design(ctx, stage.NewStore(), &build{opts: opts, seed: opts.Seed, chip: c, chipKey: chipFingerprint(c)})
 }
 
 // BuildPipelineOnDevice designs the system for an already-fabricated
@@ -227,38 +225,33 @@ func BuildPipelineOnDevice(dev *xmon.Device, opts Options) (*Pipeline, error) {
 // BuildPipelineOnDeviceCtx is BuildPipelineOnDevice with cooperative
 // cancellation, mirroring BuildPipelineCtx.
 func BuildPipelineOnDeviceCtx(ctx context.Context, dev *xmon.Device, opts Options) (*Pipeline, error) {
-	opts = opts.normalized()
-	return buildStaged(ctx, stage.NewStore(),
-		buildTarget{dev: dev, devKey: deviceFingerprint(dev)}, opts, opts.Seed+7)
-}
-
-// min2 caps the two-task characterization fan-out so a sequential
-// request (Workers == 1) stays strictly sequential.
-func min2(workers int) int {
-	if w := parallel.Workers(workers); w < 2 {
-		return w
-	}
-	return 2
+	return NewDesignerOnDevice(dev).RedesignCtx(ctx, opts)
 }
 
 // AttachModels installs externally-trained crosstalk models (the
 // Figure 12 transfer scenario) and redesigns the groupings with them.
-// The redesign runs through a private store whose model keys digest the
-// attached models' fitted weights rather than a measurement lineage.
+// The redesign runs through a private store with the device, fault plan
+// and models given, so only the partition and grouping stages execute;
+// the model keys digest the attached models' fitted weights rather than
+// a measurement lineage.
 func (p *Pipeline) AttachModels(xy, zz *crosstalk.Model) error {
 	p.ModelXY, p.ModelZZ = xy, zz
 	p.PredXY = xy.On(p.Chip)
 	p.PredZZ = zz.On(p.Chip)
 	base := chipFingerprint(p.Chip)
-	faultsK := faultsStageKey(base, p.Opts.Faults, p.Opts.Seed)
-	xyK := attachedModelKey(base, "xy", xy)
-	zzK := attachedModelKey(base, "zz", zz)
-	store := stage.NewStore()
-	store.Observe(p.Opts.Obs)
-	root := p.Opts.Obs.StartSpan("attach-models")
-	defer root.End()
-	return designStaged(context.Background(), store, p, root, faultsK, xyK, zzK,
-		parallel.TaskSeed(p.Opts.Seed+13, streamPartition))
+	// The plan is given as drawn; key it as a draw at the raw seed.
+	faultsK := stage.NewKey(StageFaults).Key(base)
+	faultsParams(&build{opts: p.Opts, seed: p.Opts.Seed}, faultsK)
+	in, err := runGraph(context.Background(), stage.NewStore(), "attach-models", &build{opts: p.Opts, seed: p.Opts.Seed + 13},
+		stage.Given{Name: StageFabricate, Key: base, Val: p.Device},
+		stage.Given{Name: StageFaults, Key: faultsK.Done(), Val: p.Faults},
+		stage.Given{Name: StageCharacterizeXY, Key: attachedModelKey(base, "xy", xy), Val: &characterization{Model: xy, Pred: p.PredXY}},
+		stage.Given{Name: StageCharacterizeZZ, Key: attachedModelKey(base, "zz", zz), Val: &characterization{Model: zz, Pred: p.PredZZ}})
+	if err != nil {
+		return err
+	}
+	p.setGroupings(in)
+	return nil
 }
 
 // attachedModelKey stands in for a characterize-stage key when the
@@ -295,7 +288,7 @@ func (p *Pipeline) usableDevices() []int {
 //
 //   - partition: regions cover exactly the alive qubits, none dead,
 //     connectivity within the alive subgraph;
-//   - fdm: groups cover exactly the alive qubits within capacity;
+//   - fdm-group: groups cover exactly the alive qubits within capacity;
 //   - allocate: every grouped qubit has a frequency in its line's zone;
 //   - tdm: groups cover exactly the usable devices (a dead qubit or
 //     broken coupler in any group is an error), no gate's devices
@@ -320,7 +313,7 @@ func (p *Pipeline) Validate() error {
 	}
 	alive := p.aliveQubits()
 	if err := p.FDM.ValidateMembers(alive); err != nil {
-		return &DesignError{Stage: "fdm", Err: err}
+		return &DesignError{Stage: StageFDMGroup, Err: err}
 	}
 	if err := p.FreqPlan.Validate(p.FDM); err != nil {
 		return &DesignError{Stage: "allocate", Err: err}

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/chip"
+	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 func TestBuildPipelineSmallChip(t *testing.T) {
@@ -120,5 +123,44 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 	if len(o.Fit.WeightGrid) == 0 || o.Fit.Folds != 5 {
 		t.Errorf("fit defaults wrong: %+v", o.Fit)
+	}
+}
+
+// TestAttachModelsRunsOnlyGroupingStages: attached models arrive as
+// given nodes alongside the device and fault plan, so the redesign
+// executes partition through tdm and nothing upstream, and the result
+// still satisfies every design invariant.
+func TestAttachModelsRunsOnlyGroupingStages(t *testing.T) {
+	donor, err := BuildPipeline(chip.Square(4, 4), Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	p, err := BuildPipeline(chip.Square(4, 4), Options{Seed: 1, Faults: faults.UniformSpec(0.05), AnnealSteps: 10, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]int64{}
+	for _, sp := range reg.Snapshot().Spans {
+		before[sp.Path] = sp.Count
+	}
+	if err := p.AttachModels(donor.ModelXY, donor.ModelZZ); err != nil {
+		t.Fatal(err)
+	}
+	if p.ModelXY != donor.ModelXY || p.PredZZ.Model != donor.ModelZZ {
+		t.Error("attached models not installed")
+	}
+	if err := p.Validate(); err != nil {
+		t.Errorf("attached-model design invalid: %v", err)
+	}
+	var ran []string
+	for _, sp := range reg.Snapshot().Spans {
+		if sp.Count > before[sp.Path] && sp.Path != "attach-models" {
+			ran = append(ran, sp.Path)
+		}
+	}
+	want := []string{"attach-models/allocate", "attach-models/anneal", "attach-models/fdm-group", "attach-models/partition", "attach-models/tdm"}
+	if !reflect.DeepEqual(ran, want) {
+		t.Errorf("attach-models spans = %v, want %v", ran, want)
 	}
 }

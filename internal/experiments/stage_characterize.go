@@ -22,36 +22,37 @@ type characterization struct {
 	Stats faults.CampaignStats
 }
 
-// characterizeKey keys one channel's measure-and-fit: device and fault
-// lineage, the seed streams, and exactly the normalized-options subset
-// the stage reads (sample cap, retry budget and the full fit search
-// space). Workers is deliberately absent — results are bit-identical
-// for every worker count, so a cached fit is valid at any parallelism.
-func characterizeKey(name string, devKey, faultsKey stage.Key, opts Options, designSeed int64, measureStream, subStream uint64) stage.Key {
-	return stage.NewKey(name).
-		Key(devKey).Key(faultsKey).
-		Int64(designSeed).Uint64(measureStream).Uint64(subStream).
-		Int(opts.MaxFitSamples).Int(opts.RetryBudget).
-		Floats(opts.Fit.WeightGrid).Int(opts.Fit.Folds).
-		Int(opts.Fit.Forest.NumTrees).Int64(opts.Fit.Forest.Seed).
-		Int(opts.Fit.Forest.Tree.MaxDepth).
-		Int(opts.Fit.Forest.Tree.MinLeafSize).
-		Int(opts.Fit.Forest.Tree.MaxFeatures).
-		Float64(opts.Fit.TrimOutlierFraction).
-		Done()
-}
-
-// runCharacterize measures one crosstalk channel and fits its model, or
-// recalls the artifact when the key is cached.
-func runCharacterize(ctx context.Context, store *stage.Store, name string, key stage.Key, dev *xmon.Device, kind xmon.CrosstalkKind, opts Options, designSeed int64, measureStream, subStream uint64, plan *faults.Plan) (*characterization, error) {
-	ch, _, err := stage.Do(ctx, store, name, key, parallel.Workers(opts.Workers), func(ctx context.Context) (*characterization, error) {
-		m, stats, err := fitModel(ctx, dev.Chip, dev, kind, opts, designSeed, measureStream, subStream, plan)
-		if err != nil {
-			return nil, err
-		}
-		return &characterization{Model: m, Pred: m.On(dev.Chip), Stats: stats}, nil
-	})
-	return ch, err
+// characterizeNode declares one channel's measure-and-fit. After the
+// device and fault lineage its key holds the seed streams and exactly
+// the normalized-options subset the stage reads (sample cap, retry
+// budget and the full fit search space). Workers is deliberately
+// absent — results are bit-identical for every worker count, so a
+// cached fit is valid at any parallelism.
+func characterizeNode(name string, kind xmon.CrosstalkKind, measureStream, subStream uint64) stage.Node[*build] {
+	return stage.Node[*build]{
+		Name:     name,
+		Inputs:   []string{StageFabricate, StageFaults},
+		Parallel: true,
+		Params: func(b *build, k *stage.KeyBuilder) {
+			o := b.opts
+			k.Int64(b.seed).Uint64(measureStream).Uint64(subStream).
+				Int(o.MaxFitSamples).Int(o.RetryBudget).
+				Floats(o.Fit.WeightGrid).Int(o.Fit.Folds).
+				Int(o.Fit.Forest.NumTrees).Int64(o.Fit.Forest.Seed).
+				Int(o.Fit.Forest.Tree.MaxDepth).
+				Int(o.Fit.Forest.Tree.MinLeafSize).
+				Int(o.Fit.Forest.Tree.MaxFeatures).
+				Float64(o.Fit.TrimOutlierFraction)
+		},
+		Run: func(ctx context.Context, b *build, in []any) (any, error) {
+			dev := get[*xmon.Device](in, nFabricate)
+			m, stats, err := fitModel(ctx, dev.Chip, dev, kind, b.opts, b.seed, measureStream, subStream, get[*faults.Plan](in, nFaults))
+			if err != nil {
+				return nil, err
+			}
+			return &characterization{Model: m, Pred: m.On(dev.Chip), Stats: stats}, nil
+		},
+	}
 }
 
 // fitModel measures one crosstalk channel and fits the characterization

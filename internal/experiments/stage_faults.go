@@ -4,40 +4,38 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/chip"
 	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/stage"
+	"repro/internal/xmon"
 )
 
-// faultsStageKey keys the fault-plan draw: the chip lineage, every rate
-// of the spec and the design seed that feeds the plan's RNG stream.
-func faultsStageKey(base stage.Key, spec faults.Spec, designSeed int64) stage.Key {
-	return stage.NewKey(StageFaults).Key(base).Int64(designSeed).
+// faultsParams keys the fault-plan draw: the design seed that feeds the
+// plan's RNG stream and every rate of the spec.
+func faultsParams(b *build, k *stage.KeyBuilder) {
+	spec := b.opts.Faults
+	k.Int64(b.seed).
 		Float64(spec.DeadQubitRate).Float64(spec.BrokenCouplerRate).
 		Float64(spec.StuckLossyRate).Float64(spec.DropoutRate).
-		Float64(spec.OutlierRate).Float64(spec.OutlierScale).
-		Done()
+		Float64(spec.OutlierRate).Float64(spec.OutlierScale)
 }
 
-// runFaultsStage draws (or recalls) the fault plan. A disabled spec
-// yields a nil plan — the perfect-device path, bit-identical to the
-// historical fault-free pipeline. A plan that kills every qubit is an
-// error (and, like all stage errors, is never cached).
-func runFaultsStage(ctx context.Context, store *stage.Store, key stage.Key, c *chip.Chip, opts Options, designSeed int64) (*faults.Plan, error) {
-	plan, _, err := stage.Do(ctx, store, StageFaults, key, 1, func(context.Context) (*faults.Plan, error) {
-		if !opts.Faults.Enabled() {
-			return (*faults.Plan)(nil), nil
-		}
-		plan, err := faults.New(c, opts.Faults, parallel.TaskSeed(designSeed, streamFaults))
-		if err != nil {
-			return nil, err
-		}
-		if len(plan.AliveQubits(c.NumQubits())) == 0 {
-			return nil, fmt.Errorf("fault plan killed all %d qubits (defect rate %.3f too high for this chip)",
-				c.NumQubits(), opts.Faults.DeadQubitRate)
-		}
-		return plan, nil
-	})
-	return plan, err
+// runFaults draws the fault plan. A disabled spec yields a nil plan —
+// the perfect-device path, bit-identical to the historical fault-free
+// pipeline. A plan that kills every qubit is an error (and, like all
+// stage errors, is never cached).
+func runFaults(_ context.Context, b *build, in []any) (any, error) {
+	if !b.opts.Faults.Enabled() {
+		return (*faults.Plan)(nil), nil
+	}
+	c := get[*xmon.Device](in, nFabricate).Chip
+	plan, err := faults.New(c, b.opts.Faults, parallel.TaskSeed(b.seed, streamFaults))
+	if err != nil {
+		return nil, err
+	}
+	if len(plan.AliveQubits(c.NumQubits())) == 0 {
+		return nil, fmt.Errorf("fault plan killed all %d qubits (defect rate %.3f too high for this chip)",
+			c.NumQubits(), b.opts.Faults.DeadQubitRate)
+	}
+	return plan, nil
 }

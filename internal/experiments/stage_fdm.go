@@ -4,75 +4,66 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/faults"
 	"repro/internal/fdm"
 	"repro/internal/parallel"
+	"repro/internal/partition"
 	"repro/internal/stage"
+	"repro/internal/xmon"
 )
 
-// fdmGroupKey keys the per-region FDM grouping: partition and XY-model
-// lineage plus the line capacity. The region list is a pure function of
-// the partition artifact, so it rides on partK.
-func fdmGroupKey(partK, xyK stage.Key, capacity int) stage.Key {
-	return stage.NewKey(StageFDMGroup).
-		Key(partK).Key(xyK).Int(capacity).
-		Done()
-}
+// fdmGroupParams keys the per-region FDM grouping after its partition
+// and XY-model lineage: the line capacity. The region list is a pure
+// function of the partition artifact (and the fault plan upstream of
+// it), so it rides on the partition key.
+func fdmGroupParams(b *build, k *stage.KeyBuilder) { k.Int(b.opts.FDMCapacity) }
 
-// runFDMGroupStage groups every region's qubits onto shared XY lines,
+// runFDMGroup groups every region's qubits onto shared XY lines,
 // fanning regions out over the worker pool and assembling in region
 // order so the artifact is deterministic.
-func runFDMGroupStage(ctx context.Context, store *stage.Store, key stage.Key, regions [][]int, capacity int, dist fdm.DistanceFunc, workers int) (*fdm.Grouping, error) {
-	g, _, err := stage.Do(ctx, store, StageFDMGroup, key, parallel.Workers(workers), func(ctx context.Context) (*fdm.Grouping, error) {
-		out := &fdm.Grouping{Capacity: capacity}
-		results := make([]*fdm.Grouping, len(regions))
-		err := parallel.ForEachCtx(ctx, workers, len(regions), func(ri int) error {
-			var err error
-			results[ri], err = fdm.Group(regions[ri], capacity, dist)
-			if err != nil {
-				return fmt.Errorf("region %d: %w", ri, err)
-			}
-			return nil
-		})
+func runFDMGroup(ctx context.Context, b *build, in []any) (any, error) {
+	c := get[*xmon.Device](in, nFabricate).Chip
+	regions := regionsOf(get[*partition.Partition](in, nPartition), get[*faults.Plan](in, nFaults).AliveQubits(c.NumQubits()))
+	dist := get[*characterization](in, nCharacterizeXY).Pred.EquivDistance
+	capacity := b.opts.FDMCapacity
+	results := make([]*fdm.Grouping, len(regions))
+	err := parallel.ForEachCtx(ctx, b.opts.Workers, len(regions), func(ri int) error {
+		var err error
+		results[ri], err = fdm.Group(regions[ri], capacity, dist)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("region %d: %w", ri, err)
 		}
-		for ri := range regions {
-			out.Groups = append(out.Groups, results[ri].Groups...)
-		}
-		return out, nil
+		return nil
 	})
-	return g, err
+	if err != nil {
+		return nil, err
+	}
+	out := &fdm.Grouping{Capacity: capacity}
+	for _, r := range results {
+		out.Groups = append(out.Groups, r.Groups...)
+	}
+	return out, nil
 }
 
-// allocateKey keys the two-level frequency allocation: it reads only
-// the FDM grouping and the XY predictor, both already in the lineage.
-func allocateKey(fdmK, xyK stage.Key) stage.Key {
-	return stage.NewKey(StageAllocate).Key(fdmK).Key(xyK).Done()
+// runAllocate runs the greedy two-level frequency allocation. It reads
+// only the FDM grouping and the XY predictor, both already in its key.
+func runAllocate(_ context.Context, _ *build, in []any) (any, error) {
+	return fdm.Allocate(get[*fdm.Grouping](in, nFDMGroup),
+		get[*characterization](in, nCharacterizeXY).Pred.Predict, fdm.DefaultAllocOptions())
 }
 
-// runAllocateStage runs the greedy two-level frequency allocation.
-func runAllocateStage(ctx context.Context, store *stage.Store, key stage.Key, g *fdm.Grouping, xt fdm.CrosstalkFunc) (*fdm.FrequencyPlan, error) {
-	plan, _, err := stage.Do(ctx, store, StageAllocate, key, 1, func(context.Context) (*fdm.FrequencyPlan, error) {
-		return fdm.Allocate(g, xt, fdm.DefaultAllocOptions())
-	})
-	return plan, err
-}
+// annealParams keys the simulated-annealing refinement after the
+// allocation it starts from: the step budget and the anneal seed.
+func annealParams(b *build, k *stage.KeyBuilder) { k.Int(b.opts.AnnealSteps).Int64(b.opts.Seed) }
 
-// annealKey keys the simulated-annealing refinement: the allocation it
-// starts from plus the step budget and the anneal seed.
-func annealKey(allocK stage.Key, steps int, seed int64) stage.Key {
-	return stage.NewKey(StageAnneal).Key(allocK).Int(steps).Int64(seed).Done()
-}
-
-// runAnnealStage refines a frequency plan with simulated annealing.
-// fdm.Anneal returns a fresh plan, so the cached input stays immutable.
-func runAnnealStage(ctx context.Context, store *stage.Store, key stage.Key, plan *fdm.FrequencyPlan, g *fdm.Grouping, xt fdm.CrosstalkFunc, steps int, seed int64) (*fdm.FrequencyPlan, error) {
-	refined, _, err := stage.Do(ctx, store, StageAnneal, key, 1, func(context.Context) (*fdm.FrequencyPlan, error) {
-		opts := fdm.DefaultAnnealOptions()
-		opts.Steps = steps
-		opts.Seed = seed
-		out, _, _, err := fdm.Anneal(plan, g, xt, opts)
-		return out, err
-	})
-	return refined, err
+// runAnneal refines the allocated frequency plan with simulated
+// annealing. fdm.Anneal returns a fresh plan, so the cached input stays
+// immutable.
+func runAnneal(_ context.Context, b *build, in []any) (any, error) {
+	opts := fdm.DefaultAnnealOptions()
+	opts.Steps = b.opts.AnnealSteps
+	opts.Seed = b.opts.Seed
+	out, _, _, err := fdm.Anneal(get[*fdm.FrequencyPlan](in, nAllocate), get[*fdm.Grouping](in, nFDMGroup),
+		get[*characterization](in, nCharacterizeXY).Pred.Predict, opts)
+	return out, err
 }

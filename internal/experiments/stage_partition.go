@@ -6,37 +6,38 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/faults"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/stage"
+	"repro/internal/xmon"
 )
 
-// partitionKey keys the generative partition: fault and XY-model
-// lineage (the partition walks the equivalent-distance metric of the
-// fitted XY model), the region target and the partition seed stream.
-func partitionKey(faultsK, xyK stage.Key, targetSize int, partSeed int64) stage.Key {
-	return stage.NewKey(StagePartition).
-		Key(faultsK).Key(xyK).
-		Int(targetSize).Int64(partSeed).
-		Done()
+// partitionSeed is the seed of the generative partition's stream.
+func (b *build) partitionSeed() int64 { return parallel.TaskSeed(b.seed, streamPartition) }
+
+// partitionParams keys the generative partition after its fault and
+// XY-model lineage (the partition walks the equivalent-distance metric
+// of the fitted XY model): the region target and the partition seed.
+func partitionParams(b *build, k *stage.KeyBuilder) {
+	k.Int(b.opts.PartitionTargetSize).Int64(b.partitionSeed())
 }
 
-// runPartitionStage generates (or recalls) the chip partition. Chips at
-// or below one region yield a nil partition — the whole-chip design
-// path.
-func runPartitionStage(ctx context.Context, store *stage.Store, key stage.Key, c *chip.Chip, plan *faults.Plan, dist func(i, j int) float64, targetSize int, partSeed int64, workers int) (*partition.Partition, error) {
-	part, _, err := stage.Do(ctx, store, StagePartition, key, workers, func(context.Context) (*partition.Partition, error) {
-		alive := plan.AliveQubits(c.NumQubits())
-		if len(alive) <= targetSize {
-			return (*partition.Partition)(nil), nil
-		}
-		rng := rand.New(rand.NewSource(partSeed))
-		cfg := partition.Config{TargetSize: targetSize}
-		if plan != nil {
-			cfg.Exclude = plan.QubitDead
-		}
-		return partition.Generate(c, dist, cfg, rng)
-	})
-	return part, err
+// runPartition generates the chip partition, excluding dead qubits.
+// Chips at or below one region yield a nil partition — the whole-chip
+// design path.
+func runPartition(_ context.Context, b *build, in []any) (any, error) {
+	c := get[*xmon.Device](in, nFabricate).Chip
+	plan := get[*faults.Plan](in, nFaults)
+	target := b.opts.PartitionTargetSize
+	if len(plan.AliveQubits(c.NumQubits())) <= target {
+		return (*partition.Partition)(nil), nil
+	}
+	rng := rand.New(rand.NewSource(b.partitionSeed()))
+	cfg := partition.Config{TargetSize: target}
+	if plan != nil {
+		cfg.Exclude = plan.QubitDead
+	}
+	return partition.Generate(c, get[*characterization](in, nCharacterizeXY).Pred.EquivDistance, cfg, rng)
 }
 
 // regionsOf returns the partition's regions, or one whole-(alive-)chip

@@ -5,12 +5,12 @@ import (
 	"fmt"
 
 	"repro/internal/chip"
-	"repro/internal/crosstalk"
 	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/stage"
 	"repro/internal/tdm"
+	"repro/internal/xmon"
 )
 
 // tdmDesign is the artifact of the tdm stage: the gate-site parallelism
@@ -20,81 +20,80 @@ type tdmDesign struct {
 	Grouping *tdm.Grouping
 }
 
-// tdmKey keys the TDM stage: fault, partition and ZZ-model lineage plus
-// exactly the options the stage reads. Theta lives here and nowhere
-// upstream, which is what makes a Theta sweep re-run only this stage.
-func tdmKey(faultsK, partK, zzK stage.Key, opts Options) stage.Key {
-	return stage.NewKey(StageTDM).
-		Key(faultsK).Key(partK).Key(zzK).
-		Float64(opts.Theta).Bool(opts.SparseQubitZ).
-		Float64(opts.TDMMinLossyFraction).Int(opts.TDMLossyLimit).
-		Done()
+// tdmParams keys the TDM stage after its fault, partition and ZZ-model
+// lineage: exactly the options the stage reads. Theta lives here and
+// nowhere upstream, which is what makes a Theta sweep re-run only this
+// stage.
+func tdmParams(b *build, k *stage.KeyBuilder) {
+	k.Float64(b.opts.Theta).Bool(b.opts.SparseQubitZ).
+		Float64(b.opts.TDMMinLossyFraction).Int(b.opts.TDMLossyLimit)
 }
 
-// runTDMStage analyzes gate parallelism and groups qubits and couplers
-// onto shared readout/Z lines, region by region. A fault plan drops
-// unusable gate sites from the parallelism analysis, removes
-// broken/dead couplers from the device sets and forces stuck-lossy
-// devices onto dedicated direct lines. The grouping reads ZZ crosstalk
-// from a dense matrix built once per execution: the greedy search asks
-// for the same few qubit pairs many times, and the matrix equals zz's
-// pairwise predictions bit for bit (d_equiv is symmetric). It is not
-// kept on the cached characterization, whose size the store already
-// charged.
-func runTDMStage(ctx context.Context, store *stage.Store, key stage.Key, c *chip.Chip, plan *faults.Plan, part *partition.Partition, zz *crosstalk.Predictor, opts Options) (*tdmDesign, error) {
-	td, _, err := stage.Do(ctx, store, StageTDM, key, parallel.Workers(opts.Workers), func(ctx context.Context) (*tdmDesign, error) {
-		var usableGate func(chip.TwoQubitGate) bool
-		if plan != nil {
-			usableGate = func(g chip.TwoQubitGate) bool { return plan.GateUsable(c, g) }
+// runTDM analyzes gate parallelism and groups qubits and couplers onto
+// shared readout/Z lines, region by region. A fault plan drops unusable
+// gate sites from the parallelism analysis, removes broken/dead
+// couplers from the device sets and forces stuck-lossy devices onto
+// dedicated direct lines. The grouping reads ZZ crosstalk from a dense
+// matrix built once per execution: the greedy search asks for the same
+// few qubit pairs many times, and the matrix equals zz's pairwise
+// predictions bit for bit (d_equiv is symmetric). It is not kept on the
+// cached characterization, whose size the store already charged.
+func runTDM(ctx context.Context, b *build, in []any) (any, error) {
+	opts := b.opts
+	c := get[*xmon.Device](in, nFabricate).Chip
+	plan := get[*faults.Plan](in, nFaults)
+	part := get[*partition.Partition](in, nPartition)
+	zz := get[*characterization](in, nCharacterizeZZ).Pred
+	var usableGate func(chip.TwoQubitGate) bool
+	if plan != nil {
+		usableGate = func(g chip.TwoQubitGate) bool { return plan.GateUsable(c, g) }
+	}
+	gates := tdm.AnalyzeGatesUsable(c, usableGate)
+	zzm := zz.Matrix()
+	cfg := tdm.DefaultConfig(func(i, j int) float64 { return zzm[i][j] })
+	cfg.Theta = opts.Theta
+	cfg.SparseQubitZ = opts.SparseQubitZ
+	if opts.TDMMinLossyFraction > 0 {
+		cfg.MinLossyFraction = opts.TDMMinLossyFraction
+	}
+	if opts.TDMLossyLimit > 0 {
+		cfg.LossyLimit = opts.TDMLossyLimit
+	}
+	if plan != nil {
+		cfg.Isolate = func(dev int) bool {
+			if gates.Dev.IsCoupler(dev) {
+				return plan.CouplerStuckLossy(gates.Dev.CouplerID(dev))
+			}
+			return plan.QubitStuckLossy(dev)
 		}
-		gates := tdm.AnalyzeGatesUsable(c, usableGate)
-		zzm := zz.Matrix()
-		cfg := tdm.DefaultConfig(func(i, j int) float64 { return zzm[i][j] })
-		cfg.Theta = opts.Theta
-		cfg.SparseQubitZ = opts.SparseQubitZ
-		if opts.TDMMinLossyFraction > 0 {
-			cfg.MinLossyFraction = opts.TDMMinLossyFraction
-		}
-		if opts.TDMLossyLimit > 0 {
-			cfg.LossyLimit = opts.TDMLossyLimit
-		}
-		if plan != nil {
-			cfg.Isolate = func(dev int) bool {
-				if gates.Dev.IsCoupler(dev) {
-					return plan.CouplerStuckLossy(gates.Dev.CouplerID(dev))
-				}
-				return plan.QubitStuckLossy(dev)
+	}
+	regions := regionsOf(part, plan.AliveQubits(c.NumQubits()))
+	couplerRegions := couplerRegionsOf(part, c)
+	regionDevs := make([][]int, len(regions))
+	for ri, region := range regions {
+		devs := append([]int(nil), region...)
+		for ci, cr := range couplerRegions {
+			if cr == ri && plan.CouplerUsable(c, ci) {
+				devs = append(devs, gates.Dev.CouplerDevice(ci))
 			}
 		}
-		regions := regionsOf(part, plan.AliveQubits(c.NumQubits()))
-		couplerRegions := couplerRegionsOf(part, c)
-		regionDevs := make([][]int, len(regions))
-		for ri, region := range regions {
-			devs := append([]int(nil), region...)
-			for ci, cr := range couplerRegions {
-				if cr == ri && plan.CouplerUsable(c, ci) {
-					devs = append(devs, gates.Dev.CouplerDevice(ci))
-				}
-			}
-			regionDevs[ri] = devs
-		}
-		grouping := &tdm.Grouping{Theta: cfg.Theta}
-		results := make([]*tdm.Grouping, len(regions))
-		err := parallel.ForEachCtx(ctx, opts.Workers, len(regions), func(ri int) error {
-			var err error
-			results[ri], err = tdm.GroupDevices(gates, regionDevs[ri], cfg)
-			if err != nil {
-				return fmt.Errorf("region %d: %w", ri, err)
-			}
-			return nil
-		})
+		regionDevs[ri] = devs
+	}
+	grouping := &tdm.Grouping{Theta: cfg.Theta}
+	results := make([]*tdm.Grouping, len(regions))
+	err := parallel.ForEachCtx(ctx, opts.Workers, len(regions), func(ri int) error {
+		var err error
+		results[ri], err = tdm.GroupDevices(gates, regionDevs[ri], cfg)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("region %d: %w", ri, err)
 		}
-		for ri := range regions {
-			grouping.Groups = append(grouping.Groups, results[ri].Groups...)
-		}
-		return &tdmDesign{Gates: gates, Grouping: grouping}, nil
+		return nil
 	})
-	return td, err
+	if err != nil {
+		return nil, err
+	}
+	for ri := range regions {
+		grouping.Groups = append(grouping.Groups, results[ri].Groups...)
+	}
+	return &tdmDesign{Gates: gates, Grouping: grouping}, nil
 }

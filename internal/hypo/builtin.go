@@ -707,7 +707,7 @@ func runDiskWarmRestart(ctx context.Context, seed int64) (Measurement, error) {
 		return m, err
 	}
 
-	stages := len(experiments.PipelineStageGraph.Stages())
+	stages := experiments.PipelineStageGraph.Len()
 	rep := cold.StageReport()
 	stats := cold.Stats()
 	designIdentical := bytes.Equal(memDesign, coldDesign)

@@ -45,16 +45,16 @@ func TestPoolObsBusyRecorded(t *testing.T) {
 	r := obs.New()
 	Observe(r)
 	defer Observe(nil)
-	sink := 0
+	sinks := make([]int, 64) // one slot per task: tasks run concurrently
 	ForEach(4, 64, func(i int) {
 		for k := 0; k < 1000; k++ {
-			sink += k ^ i
+			sinks[i] += k ^ i
 		}
 	})
 	if busy := r.Gauge("parallel/worker_busy_ns").Load(); busy <= 0 {
 		t.Fatalf("worker_busy_ns = %d, want > 0", busy)
 	}
-	_ = sink
+	_ = sinks
 }
 
 // With no observer installed, the sequential dispatch path must not

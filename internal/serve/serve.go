@@ -175,6 +175,26 @@ type DesignRequest struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 }
 
+// Options maps the request onto design options. It is the one
+// request→Options mapping: the server and the library replay driver
+// both call it, so a trace computes identical designs against either.
+// Callers set Workers and Obs.
+func (r DesignRequest) Options() youtiao.Options {
+	opts := youtiao.Options{
+		Seed:        r.Seed,
+		FDMCapacity: r.FDMCapacity,
+		AnnealSteps: r.AnnealSteps,
+		RetryBudget: r.RetryBudget,
+	}
+	if r.Theta != nil {
+		opts.Theta, opts.HasTheta = *r.Theta, true
+	}
+	if r.DefectRate > 0 {
+		opts.Faults = youtiao.UniformFaults(r.DefectRate)
+	}
+	return opts
+}
+
 // DesignResponse is the /v1/design response body.
 type DesignResponse struct {
 	// Design is the wiring design snapshot.
@@ -488,19 +508,8 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.leave()
 
-	opts := youtiao.Options{
-		Seed:        req.Seed,
-		FDMCapacity: req.FDMCapacity,
-		AnnealSteps: req.AnnealSteps,
-		RetryBudget: req.RetryBudget,
-		Obs:         s.reg,
-	}
-	if req.Theta != nil {
-		opts.Theta, opts.HasTheta = *req.Theta, true
-	}
-	if req.DefectRate > 0 {
-		opts.Faults = youtiao.UniformFaults(req.DefectRate)
-	}
+	opts := req.Options()
+	opts.Obs = s.reg
 
 	timeout := s.cfg.RequestTimeout
 	if req.TimeoutMs > 0 {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -439,5 +440,33 @@ func TestBadCacheDirFailsConstruction(t *testing.T) {
 	}
 	if _, err := New(Config{CacheDir: file, Logf: quiet}); err == nil {
 		t.Fatal("New accepted a cache dir path occupied by a file")
+	}
+}
+
+// TestDesignRequestOptions: the request→Options mapping honors an
+// explicit Theta 0 (distinct from an absent Theta) and injects faults
+// only for a positive defect rate.
+func TestDesignRequestOptions(t *testing.T) {
+	zero, four := 0.0, 4.0
+	base := DesignRequest{Topology: "square", Qubits: 9, Seed: 7, FDMCapacity: 3, AnnealSteps: 20, RetryBudget: 2}
+	cases := []struct {
+		name       string
+		theta      *float64
+		defectRate float64
+		want       youtiao.Options
+	}{
+		{"defaults", nil, 0, youtiao.Options{}},
+		{"explicit-theta-0", &zero, 0, youtiao.Options{Theta: 0, HasTheta: true}},
+		{"theta-4", &four, 0, youtiao.Options{Theta: 4, HasTheta: true}},
+		{"defects", nil, 0.02, youtiao.Options{Faults: youtiao.UniformFaults(0.02)}},
+	}
+	for _, tc := range cases {
+		req := base
+		req.Theta, req.DefectRate = tc.theta, tc.defectRate
+		want := tc.want
+		want.Seed, want.FDMCapacity, want.AnnealSteps, want.RetryBudget = 7, 3, 20, 2
+		if got := req.Options(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Options() = %+v, want %+v", tc.name, got, want)
+		}
 	}
 }

@@ -15,12 +15,26 @@ import (
 	"repro/internal/serve"
 )
 
+// requestOf is the /v1/design request body of a request event. Both
+// drivers start from it: the server driver posts it, the library
+// driver maps it through DesignRequest.Options exactly as the server
+// does, so a trace run against either target computes identical
+// designs.
+func requestOf(ev Event) serve.DesignRequest {
+	return serve.DesignRequest{
+		Topology:    ev.Topology,
+		Qubits:      ev.Qubits,
+		Seed:        ev.Seed,
+		Theta:       ev.Theta,
+		FDMCapacity: ev.FDMCapacity,
+		AnnealSteps: ev.AnnealSteps,
+		DefectRate:  ev.DefectRate,
+	}
+}
+
 // LibraryDriver runs request events in-process through a shared design
 // cache — the same experiments.DesignCache machinery youtiao-serve
-// fronts, minus HTTP. Options are materialized from the event exactly
-// as the server materializes them from a request body, so a trace run
-// against the library and against a live server computes identical
-// designs.
+// fronts, minus HTTP.
 type LibraryDriver struct {
 	cache *youtiao.SharedCache
 	// designWorkers bounds each design's internal worker pool (the
@@ -52,20 +66,8 @@ func (d *LibraryDriver) Design(ctx context.Context, ev Event) Outcome {
 	if err != nil {
 		return Outcome{Class: OutcomeBadRequest, Detail: err.Error()}
 	}
-	// Mirror serve.handleDesign's request -> Options mapping so both
-	// targets compute identical designs from one trace.
-	opts := youtiao.Options{
-		Seed:        ev.Seed,
-		FDMCapacity: ev.FDMCapacity,
-		AnnealSteps: ev.AnnealSteps,
-		Workers:     d.designWorkers,
-	}
-	if ev.Theta != nil {
-		opts.Theta, opts.HasTheta = *ev.Theta, true
-	}
-	if ev.DefectRate > 0 {
-		opts.Faults = youtiao.UniformFaults(ev.DefectRate)
-	}
+	opts := requestOf(ev).Options()
+	opts.Workers = d.designWorkers
 	if _, err := d.cache.Designer(ch).RedesignCtx(ctx, opts); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return Outcome{Class: OutcomeTimeout, Detail: err.Error()}
@@ -132,16 +134,8 @@ func NewServerDriver(baseURL string, requestTimeout time.Duration) *ServerDriver
 
 // Design implements Driver.
 func (d *ServerDriver) Design(ctx context.Context, ev Event) Outcome {
-	body := serve.DesignRequest{
-		Topology:    ev.Topology,
-		Qubits:      ev.Qubits,
-		Seed:        ev.Seed,
-		Theta:       ev.Theta,
-		FDMCapacity: ev.FDMCapacity,
-		AnnealSteps: ev.AnnealSteps,
-		DefectRate:  ev.DefectRate,
-		TimeoutMs:   d.timeoutMs,
-	}
+	body := requestOf(ev)
+	body.TimeoutMs = d.timeoutMs
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return Outcome{Class: OutcomeBadRequest, Detail: err.Error()}

@@ -1,142 +1,229 @@
 // Package stage is the stage-graph execution engine of the YOUTIAO
 // design pipeline. Each pipeline step (fault-plan draw, crosstalk
 // characterization, partition, FDM grouping, frequency allocation,
-// annealing, TDM grouping) is a Stage with declared inputs, a
+// annealing, TDM grouping) is a Node with declared inputs, a
 // deterministic artifact Key, and per-execution instrumentation. A
-// Store memoizes stage outputs by key, so re-running the pipeline with
-// only some options changed re-executes only the stages whose keyed
+// Store memoizes node outputs by key, so re-running the pipeline with
+// only some options changed re-executes only the nodes whose keyed
 // inputs changed — the "characterize once, redesign many" access
 // pattern of parameter sweeps.
 //
 // The package is deliberately generic: it knows nothing about chips or
-// groupings. The pipeline wiring (which stages exist, what participates
-// in each key) lives in internal/experiments; the determinism contract
-// it relies on — artifacts are pure functions of their key, invariant
-// in the worker count — is the one internal/parallel establishes.
+// groupings. The pipeline's node table (which stages exist, what
+// participates in each key, how each runs) lives in
+// internal/experiments; the determinism contract it relies on —
+// artifacts are pure functions of their key, invariant in the worker
+// count — is the one internal/parallel establishes.
 package stage
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"slices"
+
+	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
-// Stage declares one node of a stage graph: its name and the names of
-// the upstream stages whose artifacts it consumes. Declarations are
-// ordered: every input must name a previously-declared stage, which
-// makes any declared graph acyclic and topologically sorted by
-// construction.
-type Stage struct {
-	Name   string
+// Node declares one stage of a graph and how a build of type B runs
+// it. Inputs must name earlier declarations, which makes every graph
+// acyclic and topologically sorted by construction.
+type Node[B any] struct {
+	// Name is the node's key domain, stats row, span and error name.
+	Name string
+	// Inputs name the nodes whose keys open this node's key, in order.
 	Inputs []string
+	// Params appends the build fields Run reads that no input key
+	// covers. Nil appends nothing.
+	Params func(b B, k *KeyBuilder)
+	// Skip leaves the node out of a build: no key, nil artifact. A
+	// skipped node must have no running dependents. Nil never skips.
+	Skip func(b B) bool
+	// Parallel records the build's worker budget, which the node fans
+	// out over, in its stats row instead of 1.
+	Parallel bool
+	// Run produces the artifact from in, the run's artifacts so far by
+	// declaration index. It reads only its inputs and their upstream,
+	// all of which its key chains.
+	Run func(ctx context.Context, b B, in []any) (any, error)
 }
 
-// Graph is a validated, topologically-ordered stage DAG. It is the
-// declarative skeleton the pipeline hangs its keyed executions on, and
-// what tests use to assert invalidation scope (Downstream).
-type Graph struct {
-	stages []Stage
+// Given supplies a node's key and artifact for one run in place of
+// executing it (a pre-fabricated device, say, or trained models).
+type Given struct {
+	Name string
+	Key  Key
+	Val  any
+}
+
+// Error names the node a graph run failed in. It wraps the cause, so
+// errors.Is / errors.As still see context errors and *PanicError.
+type Error struct {
+	// Stage names the failing node (or, outside a run, the failing
+	// design check).
+	Stage string
+	Err   error
+}
+
+// Error implements error.
+func (e *Error) Error() string {
+	return fmt.Sprintf("youtiao design: stage %s: %v", e.Stage, e.Err)
+}
+
+// Unwrap exposes the underlying cause to errors.Is / errors.As.
+func (e *Error) Unwrap() error { return e.Err }
+
+// Graph is a validated node table and the executor of its builds.
+// Every key chains exactly the declared inputs' keys, so the graph is
+// also the invalidation contract: Downstream is what a changed input
+// re-executes.
+type Graph[B any] struct {
+	nodes  []Node[B]
+	inputs [][]int // declared inputs as node indices
 	index  map[string]int
 }
 
 // NewGraph validates the declarations: names must be unique and
-// non-empty, and inputs must reference earlier stages.
-func NewGraph(stages ...Stage) (*Graph, error) {
-	g := &Graph{index: make(map[string]int, len(stages))}
-	for i, st := range stages {
-		if st.Name == "" {
+// non-empty, and inputs must reference earlier nodes.
+func NewGraph[B any](nodes ...Node[B]) (*Graph[B], error) {
+	g := &Graph[B]{nodes: nodes, index: make(map[string]int, len(nodes))}
+	for i, n := range nodes {
+		if n.Name == "" {
 			return nil, fmt.Errorf("stage: declaration %d has an empty name", i)
 		}
-		if _, dup := g.index[st.Name]; dup {
-			return nil, fmt.Errorf("stage: duplicate stage %q", st.Name)
+		if _, dup := g.index[n.Name]; dup {
+			return nil, fmt.Errorf("stage: duplicate stage %q", n.Name)
 		}
-		for _, in := range st.Inputs {
-			if _, ok := g.index[in]; !ok {
-				return nil, fmt.Errorf("stage: %q input %q is not a previously declared stage", st.Name, in)
+		ins := make([]int, len(n.Inputs))
+		for j, in := range n.Inputs {
+			var ok bool
+			if ins[j], ok = g.index[in]; !ok {
+				return nil, fmt.Errorf("stage: %q input %q is not a previously declared stage", n.Name, in)
 			}
 		}
-		g.index[st.Name] = i
-		g.stages = append(g.stages, Stage{Name: st.Name, Inputs: append([]string(nil), st.Inputs...)})
+		g.index[n.Name] = i
+		g.inputs = append(g.inputs, ins)
 	}
 	return g, nil
 }
 
 // MustGraph is NewGraph for static declarations; it panics on invalid
 // graphs.
-func MustGraph(stages ...Stage) *Graph {
-	g, err := NewGraph(stages...)
+func MustGraph[B any](nodes ...Node[B]) *Graph[B] {
+	g, err := NewGraph(nodes...)
 	if err != nil {
 		panic(err)
 	}
 	return g
 }
 
-// Stages returns the declarations in topological order.
-func (g *Graph) Stages() []Stage {
-	out := make([]Stage, len(g.stages))
-	copy(out, g.stages)
-	return out
-}
+// Len returns the number of declared nodes.
+func (g *Graph[B]) Len() int { return len(g.nodes) }
 
-// Contains reports whether the graph declares the named stage.
-func (g *Graph) Contains(name string) bool {
-	_, ok := g.index[name]
-	return ok
-}
-
-// Inputs returns the declared inputs of a stage (nil for sources and
-// unknown names).
-func (g *Graph) Inputs(name string) []string {
+// Downstream returns every node whose artifact (transitively) depends
+// on the named node, in declaration order — exactly the set a changed
+// input to that node invalidates. The node itself is not included.
+func (g *Graph[B]) Downstream(name string) []string {
 	i, ok := g.index[name]
 	if !ok {
 		return nil
 	}
-	return append([]string(nil), g.stages[i].Inputs...)
-}
-
-// Downstream returns every stage whose artifact (transitively) depends
-// on the named stage, in topological order — exactly the set a changed
-// input to that stage invalidates. The stage itself is not included.
-func (g *Graph) Downstream(name string) []string {
-	if _, ok := g.index[name]; !ok {
-		return nil
-	}
-	affected := map[string]bool{name: true}
+	affected := map[int]bool{i: true}
 	var out []string
-	for _, st := range g.stages {
-		for _, in := range st.Inputs {
-			if affected[in] && !affected[st.Name] {
-				affected[st.Name] = true
-				out = append(out, st.Name)
+	for j := i + 1; j < len(g.nodes); j++ {
+		for _, in := range g.inputs[j] {
+			if affected[in] && !affected[j] {
+				affected[j] = true
+				out = append(out, g.nodes[j].Name)
 			}
 		}
 	}
 	return out
 }
 
-// Upstream returns every stage the named stage (transitively) consumes,
-// in topological order.
-func (g *Graph) Upstream(name string) []string {
-	i, ok := g.index[name]
-	if !ok {
+// Run executes one build through s and returns every node's artifact
+// by declaration index (nil for skipped nodes).
+//
+// A node's key is NewKey(name), then its input keys in declared order,
+// then its Params. Nodes run in waves: a wave is a maximal run of
+// consecutive declared nodes (given and skipped ones aside) with no
+// input inside the wave. A wave of two or more runs through
+// parallel.ForEachCtx capped at workers, so at workers == 1 in
+// declaration order. Each executed node runs through s.Do under a span
+// named after it beneath root, and any failure, ctx ending between
+// waves included, comes back as an *Error naming the node.
+func (g *Graph[B]) Run(ctx context.Context, s *Store, root *obs.Span, b B, workers int, given ...Given) ([]any, error) {
+	keys, in := make([]Key, len(g.nodes)), make([]any, len(g.nodes))
+	exec := func(i int) error {
+		n := &g.nodes[i]
+		k := NewKey(n.Name)
+		for _, j := range g.inputs[i] {
+			k.Key(keys[j])
+		}
+		if n.Params != nil {
+			n.Params(b, k)
+		}
+		keys[i] = k.Done()
+		w := 1
+		if n.Parallel {
+			w = parallel.Workers(workers)
+		}
+		span := root.Child(n.Name)
+		v, _, err := s.Do(ctx, n.Name, keys[i], w, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
+		span.End()
+		if err != nil {
+			return &Error{Stage: n.Name, Err: err}
+		}
+		in[i] = v
 		return nil
 	}
-	needed := map[string]bool{}
-	var mark func(idx int)
-	mark = func(idx int) {
-		for _, in := range g.stages[idx].Inputs {
-			if !needed[in] {
-				needed[in] = true
-				mark(g.index[in])
+	wave := make([]int, 0, len(g.nodes))
+	flush := func() error {
+		first := g.nodes[wave[0]].Name
+		if err := ctx.Err(); err != nil {
+			return &Error{Stage: first, Err: err}
+		}
+		if len(wave) == 1 {
+			return exec(wave[0])
+		}
+		// Create the wave's stats rows in declaration order before
+		// fanning out, so the report's row order never depends on which
+		// goroutine reaches Do first.
+		for _, i := range wave {
+			s.row(g.nodes[i].Name)
+		}
+		err := parallel.ForEachCtx(ctx, workers, len(wave), func(k int) error { return exec(wave[k]) })
+		if _, named := err.(*Error); err != nil && !named {
+			err = &Error{Stage: first, Err: err}
+		}
+		return err
+	}
+nodes:
+	for i, n := range g.nodes {
+		for _, gv := range given {
+			if gv.Name == n.Name {
+				keys[i], in[i] = gv.Key, gv.Val
+				continue nodes
 			}
 		}
+		if n.Skip != nil && n.Skip(b) {
+			continue
+		}
+		for _, j := range g.inputs[i] {
+			if slices.Contains(wave, j) {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+				wave = wave[:0]
+				break
+			}
+		}
+		wave = append(wave, i)
 	}
-	mark(i)
-	var out []string
-	for _, st := range g.stages[:i] {
-		if needed[st.Name] {
-			out = append(out, st.Name)
+	if len(wave) > 0 {
+		if err := flush(); err != nil {
+			return nil, err
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return g.index[out[a]] < g.index[out[b]] })
-	return out
+	return in, nil
 }

@@ -12,34 +12,31 @@ import (
 	"testing"
 )
 
+// decl declares a graph node with no behavior, for structure tests.
+func decl(name string, inputs ...string) Node[int] {
+	return Node[int]{Name: name, Inputs: inputs}
+}
+
 func TestGraphValidation(t *testing.T) {
-	if _, err := NewGraph(Stage{Name: "a"}, Stage{Name: "a"}); err == nil {
+	if _, err := NewGraph(decl("a"), decl("a")); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if _, err := NewGraph(Stage{Name: ""}); err == nil {
+	if _, err := NewGraph(decl("")); err == nil {
 		t.Error("empty name accepted")
 	}
-	if _, err := NewGraph(Stage{Name: "a", Inputs: []string{"b"}}); err == nil {
+	if _, err := NewGraph(decl("a", "b")); err == nil {
 		t.Error("forward/unknown input accepted")
 	}
-	if _, err := NewGraph(
-		Stage{Name: "a"},
-		Stage{Name: "b", Inputs: []string{"a"}},
-	); err != nil {
+	if _, err := NewGraph(decl("a"), decl("b", "a")); err != nil {
 		t.Errorf("valid graph rejected: %v", err)
 	}
 }
 
-func diamond() *Graph {
-	return MustGraph(
-		Stage{Name: "src"},
-		Stage{Name: "left", Inputs: []string{"src"}},
-		Stage{Name: "right", Inputs: []string{"src"}},
-		Stage{Name: "sink", Inputs: []string{"left", "right"}},
-	)
+func diamond() *Graph[int] {
+	return MustGraph(decl("src"), decl("left", "src"), decl("right", "src"), decl("sink", "left", "right"))
 }
 
-func TestGraphDownstreamUpstream(t *testing.T) {
+func TestGraphDownstream(t *testing.T) {
 	g := diamond()
 	if got := g.Downstream("src"); !reflect.DeepEqual(got, []string{"left", "right", "sink"}) {
 		t.Errorf("Downstream(src) = %v", got)
@@ -53,14 +50,8 @@ func TestGraphDownstreamUpstream(t *testing.T) {
 	if got := g.Downstream("missing"); got != nil {
 		t.Errorf("Downstream(missing) = %v", got)
 	}
-	if got := g.Upstream("sink"); !reflect.DeepEqual(got, []string{"src", "left", "right"}) {
-		t.Errorf("Upstream(sink) = %v", got)
-	}
-	if !g.Contains("right") || g.Contains("nope") {
-		t.Error("Contains is wrong")
-	}
-	if got := g.Inputs("sink"); !reflect.DeepEqual(got, []string{"left", "right"}) {
-		t.Errorf("Inputs(sink) = %v", got)
+	if g.Len() != 4 {
+		t.Errorf("Len() = %d, want 4", g.Len())
 	}
 }
 
@@ -100,14 +91,14 @@ func TestStoreHitMissAndStats(t *testing.T) {
 	ctx := context.Background()
 	calls := 0
 	run := func() (int, bool) {
-		v, hit, err := Do(ctx, s, "fit", NewKey("fit").Int(1).Done(), 4, func(context.Context) (int, error) {
+		v, hit, err := s.Do(ctx, "fit", NewKey("fit").Int(1).Done(), 4, func(context.Context) (any, error) {
 			calls++
 			return 42, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v, hit
+		return v.(int), hit
 	}
 	if v, hit := run(); v != 42 || hit {
 		t.Fatalf("cold run: v=%d hit=%v", v, hit)
@@ -139,14 +130,14 @@ func TestStoreErrorsNotCached(t *testing.T) {
 	key := NewKey("flaky").Done()
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := Do(ctx, s, "flaky", key, 1, func(context.Context) (int, error) {
+	_, _, err := s.Do(ctx, "flaky", key, 1, func(context.Context) (any, error) {
 		calls++
 		return 0, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, hit, err := Do(ctx, s, "flaky", key, 1, func(context.Context) (int, error) {
+	v, hit, err := s.Do(ctx, "flaky", key, 1, func(context.Context) (any, error) {
 		calls++
 		return 7, nil
 	})
@@ -178,7 +169,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := Do(ctx, s, "slow", key, 1, func(context.Context) (int, error) {
+			v, _, err := s.Do(ctx, "slow", key, 1, func(context.Context) (any, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
@@ -188,7 +179,7 @@ func TestStoreSingleFlight(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			results[i] = v
+			results[i], _ = v.(int)
 		}(i)
 	}
 	close(gate)
@@ -203,23 +194,11 @@ func TestStoreSingleFlight(t *testing.T) {
 	}
 }
 
-func TestDoTypeMismatch(t *testing.T) {
-	s := NewStore()
-	ctx := context.Background()
-	key := NewKey("shared").Done()
-	if _, _, err := Do(ctx, s, "a", key, 1, func(context.Context) (int, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Do(ctx, s, "b", key, 1, func(context.Context) (string, error) { return "x", nil }); err == nil {
-		t.Error("type-mismatched artifact accepted")
-	}
-}
-
 func TestReportTextJSONAndSub(t *testing.T) {
 	s := NewStore()
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, _, err := Do(ctx, s, "fit", NewKey("fit").Int(i%2).Done(), 2, func(context.Context) (int, error) { return i, nil }); err != nil {
+		if _, _, err := s.Do(ctx, "fit", NewKey("fit").Int(i%2).Done(), 2, func(context.Context) (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +206,7 @@ func TestReportTextJSONAndSub(t *testing.T) {
 	if before.Hits != 1 || before.Misses != 2 {
 		t.Fatalf("report totals = %d hits %d misses", before.Hits, before.Misses)
 	}
-	if _, _, err := Do(ctx, s, "fit", NewKey("fit").Int(0).Done(), 2, func(context.Context) (int, error) { return 0, nil }); err != nil {
+	if _, _, err := s.Do(ctx, "fit", NewKey("fit").Int(0).Done(), 2, func(context.Context) (any, error) { return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
 	delta := s.Report().Sub(before)
@@ -266,7 +245,7 @@ func TestStoreConcurrentDistinctKeys(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := fmt.Sprintf("stage-%d", i%4)
-			v, _, err := Do(ctx, s, name, NewKey(name).Int(i).Done(), 1, func(context.Context) (int, error) { return i, nil })
+			v, _, err := s.Do(ctx, name, NewKey(name).Int(i).Done(), 1, func(context.Context) (any, error) { return i, nil })
 			if err != nil || v != i {
 				t.Errorf("task %d: v=%d err=%v", i, v, err)
 			}

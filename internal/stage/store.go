@@ -274,6 +274,14 @@ func (s *Store) statLocked(name string) *Stats {
 	return st
 }
 
+// row creates the stats row of a stage, if missing, without counting
+// a run.
+func (s *Store) row(name string) {
+	s.statsMu.Lock()
+	s.statLocked(name)
+	s.statsMu.Unlock()
+}
+
 // pushFront links a completed entry at the MRU end. Callers hold sh.mu.
 func (sh *shard) pushFront(e *entry) {
 	e.prev = nil
@@ -382,8 +390,8 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 	// again later).
 	if v, ok := s.diskLoad(r, name, key); ok {
 		e.val = v
-		close(e.ready)
 		e.size = s.sizeOf(v)
+		close(e.ready)
 		sh.mu.Lock()
 		e.cached = true
 		sh.pushFront(e)
@@ -410,6 +418,11 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 	v, err := runProtected(ctx, name, key, fn)
 	dur := time.Since(start)
 	e.val, e.err = v, err
+	if err == nil {
+		// Size the artifact before any waiter can see it: waiters may
+		// fill its lazy caches, which the size walk reads.
+		e.size = s.sizeOf(v)
+	}
 	close(e.ready)
 
 	if err != nil {
@@ -423,7 +436,6 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 		return nil, false, err
 	}
 
-	e.size = s.sizeOf(v)
 	var evicted int
 	sh.mu.Lock()
 	e.cached = true
@@ -624,23 +636,4 @@ func (s *Store) StatsFor(name string) (Stats, bool) {
 		return Stats{}, false
 	}
 	return *st, true
-}
-
-// Do is the typed wrapper over Store.Do: it asserts the artifact to T.
-// A cached artifact always has the type its producing stage returned,
-// so the assertion only guards against two stages sharing a key domain.
-func Do[T any](ctx context.Context, s *Store, name string, key Key, workers int, fn func(context.Context) (T, error)) (T, bool, error) {
-	v, hit, err := s.Do(ctx, name, key, workers, func(ctx context.Context) (any, error) {
-		return fn(ctx)
-	})
-	if err != nil {
-		var zero T
-		return zero, hit, err
-	}
-	t, ok := v.(T)
-	if !ok {
-		var zero T
-		return zero, hit, fmt.Errorf("stage: %s artifact is %T, not %T (key domain collision)", name, v, zero)
-	}
-	return t, hit, nil
 }
