@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzForestDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzSortKeyed -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzKFoldMSEShared -fuzztime $(FUZZTIME)
 
 # The benchmark-regression trajectory: run the full suite with
 # allocation reporting, snapshot it as $(OUT)/BENCH_<stamp>.json, and

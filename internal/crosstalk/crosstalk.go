@@ -32,10 +32,13 @@ type FitConfig struct {
 	// Folds is the cross-validation fold count (the paper uses 5).
 	Folds  int
 	Forest mlfit.ForestConfig
-	// Workers bounds the goroutines evaluating weight candidates
-	// (<= 0: runtime.NumCPU(), 1: sequential). Every candidate's CV is
-	// seeded independently, so the selected model is identical for any
-	// worker count.
+	// Workers bounds the fit's goroutines (<= 0: runtime.NumCPU(),
+	// 1: sequential): the topology-distance matrix fans out over
+	// source qubits, and the cross-validation over the weight grid's
+	// ordinal classes (candidates that rank the samples alike share one
+	// CV; see mlfit.OrdinalClasses). Every class's CV is seeded
+	// independently, so the selected model is identical for any worker
+	// count.
 	Workers int
 	// TrimOutlierFraction drops the largest-valued fraction of the
 	// samples before fitting (0: keep all; must be < 1). Calibration
@@ -83,7 +86,8 @@ func Fit(c *chip.Chip, samples []xmon.Sample, cfg FitConfig) (*Model, error) {
 }
 
 // FitCtx is Fit with cooperative cancellation: the grid search checks
-// ctx between weight candidates and returns ctx.Err() once it fires.
+// ctx between ordinal classes of weight candidates and returns
+// ctx.Err() once it fires.
 func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitConfig) (*Model, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("crosstalk: no samples")
@@ -102,7 +106,7 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 		}
 	}
 
-	top := c.Graph().AllMultiPathDistances()
+	top := c.Graph().AllMultiPathDistancesWorkers(cfg.Workers)
 	y := make([]float64, len(samples))
 	phys := make([]float64, len(samples))
 	topo := make([]float64, len(samples))
@@ -119,11 +123,13 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 		topo[i] = t
 	}
 
-	// The grid search is the hot loop of characterization: every
-	// (w_phy, w_top) candidate runs an independent k-fold CV, so the
-	// candidates fan out over the worker pool. Selection scans the
-	// results in grid order with a strict '<', reproducing the
-	// sequential first-best tie-break for any worker count.
+	// The grid search is the hot loop of characterization. A CART
+	// split reads its feature only through '<' and '==', so candidates
+	// whose equivalent distances rank the samples alike share one
+	// k-fold CV (mlfit.KFoldMSEShared), and the ordinal classes fan out
+	// over the worker pool. Selection scans the results in grid order
+	// with a strict '<', reproducing the sequential first-best
+	// tie-break for any worker count.
 	type candidate struct {
 		wp, wt float64
 	}
@@ -136,34 +142,52 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 			cands = append(cands, candidate{wp, wt})
 		}
 	}
-	if o := observer.Load(); o != nil {
+	n := len(samples)
+	flat := make([]float64, len(cands)*n)
+	cols := make([][]float64, len(cands))
+	for ci, cand := range cands {
+		cols[ci] = equivColumn(flat[ci*n:(ci+1)*n:(ci+1)*n], phys, topo, cand.wp, cand.wt)
+	}
+	classes := mlfit.OrdinalClasses(cols)
+	o := observer.Load()
+	if o != nil {
 		o.fits.Inc()
 		o.candidates.Add(int64(len(cands)))
 	}
 	mses := make([]float64, len(cands))
-	err = parallel.ForEachCtx(ctx, cfg.Workers, len(cands), func(ci int) error {
-		cand := cands[ci]
-		X := featureMatrix(phys, topo, cand.wp, cand.wt)
-		mse, err := mlfit.KFoldMSE(X, y, cfg.Folds, cfg.Forest, cfg.Forest.Seed)
+	err = parallel.ForEachCtx(ctx, cfg.Workers, len(classes), func(k int) error {
+		class := classes[k]
+		cm, grown, err := mlfit.KFoldMSEShared(cols, class, y, cfg.Folds, cfg.Forest, cfg.Forest.Seed)
 		if err != nil {
+			cand := cands[class[0]]
 			return fmt.Errorf("crosstalk: CV at (%.2f,%.2f): %w", cand.wp, cand.wt, err)
 		}
-		mses[ci] = mse
+		for j, ci := range class {
+			mses[ci] = cm[j]
+		}
+		if o != nil {
+			o.classes.Add(int64(grown))
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	best := &Model{Kind: kind, CVError: math.Inf(1)}
+	bestCi := 0
 	for ci, cand := range cands {
 		if mses[ci] < best.CVError {
 			best.CVError = mses[ci]
 			best.Weights = chip.EquivWeights{WPhy: cand.wp, WTop: cand.wt}
+			bestCi = ci
 		}
 	}
 
 	// Refit on the full dataset at the winning weights.
-	X := featureMatrix(phys, topo, best.Weights.WPhy, best.Weights.WTop)
+	X := make([][]float64, n)
+	for i, col := 0, cols[bestCi]; i < n; i++ {
+		X[i] = col[i : i+1 : i+1]
+	}
 	forest, err := mlfit.FitForest(X, y, cfg.Forest)
 	if err != nil {
 		return nil, fmt.Errorf("crosstalk: final fit: %w", err)
@@ -172,18 +196,13 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 	return best, nil
 }
 
-// featureMatrix builds the single-feature design matrix
-// X[i] = [wp*phys[i] + wt*topo[i]] over one flat backing array — two
-// allocations total instead of one per row, which matters because the
-// grid search rebuilds the matrix for every weight candidate.
-func featureMatrix(phys, topo []float64, wp, wt float64) [][]float64 {
-	flat := make([]float64, len(phys))
-	X := make([][]float64, len(phys))
-	for i := range X {
-		flat[i] = wp*phys[i] + wt*topo[i]
-		X[i] = flat[i : i+1 : i+1]
+// equivColumn fills dst with the equivalent distance
+// wp*phys[i] + wt*topo[i] of every sample and returns it.
+func equivColumn(dst, phys, topo []float64, wp, wt float64) []float64 {
+	for i := range dst {
+		dst[i] = wp*phys[i] + wt*topo[i]
 	}
-	return X
+	return dst
 }
 
 // trimOutliers drops the ceil(fraction*n) largest-valued samples,

@@ -36,24 +36,33 @@ func FitForest(X [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
 	if err := checkTrainingSet(X, y); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := &Forest{trees: make([]Tree, 0, cfg.NumTrees)}
-	n := len(X)
-	// One bootstrap buffer and one growth arena serve every tree: a
-	// tree reads the rows during growth and retains nothing but its
-	// own copy of its nodes, so the next tree may overwrite them.
-	bx := make([][]float64, n)
-	by := make([]float64, n)
-	c := newGrowCtx(n, len(X[0]), cfg.Tree, rng)
-	for t := 0; t < cfg.NumTrees; t++ {
-		for i := 0; i < n; i++ {
-			k := rng.Intn(n)
-			bx[i] = X[k]
-			by[i] = y[k]
-		}
-		f.trees = append(f.trees, c.fit(bx, by))
-	}
+	c := newGrowCtx(len(X), len(X[0]), cfg.Tree, nil)
+	c.bag(X, y, cfg, func([]int) { f.trees = append(f.trees, c.tree()) })
 	return f, nil
+}
+
+// bag grows FitForest's cfg.NumTrees bootstrap trees on the validated
+// X, y, of at most the arena's row count, and calls each after every
+// tree while the tree is still in the arena; draw[i] is the row of X
+// that the tree's sample i was drawn from. One bootstrap buffer serves
+// every tree: a tree reads the rows during growth and retains nothing,
+// so the next tree may overwrite them.
+func (c *growCtx) bag(X [][]float64, y []float64, cfg ForestConfig, each func(draw []int)) {
+	n := len(X)
+	if cap(c.draw) < n {
+		c.bx, c.by, c.draw = make([][]float64, n), make([]float64, n), make([]int, n)
+	}
+	bx, by, draw := c.bx[:n], c.by[:n], c.draw[:n]
+	c.rng = rand.New(rand.NewSource(cfg.Seed))
+	for t := 0; t < cfg.NumTrees; t++ {
+		for i := range draw {
+			k := c.rng.Intn(n)
+			draw[i], bx[i], by[i] = k, X[k], y[k]
+		}
+		c.growTree(bx, by)
+		each(draw)
+	}
 }
 
 // Predict returns the forest's mean prediction for x.
@@ -81,29 +90,27 @@ func (f *Forest) NumTrees() int { return len(f.trees) }
 // it returns the mean held-out MSE over the k folds. The fold split is
 // deterministic in seed.
 func KFoldMSE(X [][]float64, y []float64, k int, cfg ForestConfig, seed int64) (float64, error) {
-	n := len(X)
-	if k < 2 || k > n {
-		return 0, fmt.Errorf("mlfit: k=%d invalid for %d samples", k, n)
+	perm, err := foldPerm(len(X), k, seed)
+	if err != nil {
+		return 0, err
 	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
 	var total float64
 	// Fold buffers are sized once and resliced per fold; FitForest
 	// retains nothing from its inputs.
-	trX := make([][]float64, 0, n)
-	teX := make([][]float64, 0, (n+k-1)/k)
-	trY := make([]float64, 0, n)
-	teY := make([]float64, 0, cap(teX))
+	n, nte := len(X), (len(X)+k-1)/k
+	tr, te := make([]int, 0, n), make([]int, 0, nte)
+	trX, teX := make([][]float64, 0, n), make([][]float64, 0, nte)
+	trY, teY := make([]float64, 0, n), make([]float64, 0, nte)
 	for fold := 0; fold < k; fold++ {
-		trX, teX, trY, teY = trX[:0], teX[:0], trY[:0], teY[:0]
-		for i, p := range perm {
-			if i%k == fold {
-				teX = append(teX, X[p])
-				teY = append(teY, y[p])
-			} else {
-				trX = append(trX, X[p])
-				trY = append(trY, y[p])
-			}
+		tr, te = foldSplit(perm, k, fold, tr, te)
+		trX, teX = trX[:0], teX[:0]
+		for _, r := range tr {
+			trX = append(trX, X[r])
 		}
+		for _, r := range te {
+			teX = append(teX, X[r])
+		}
+		trY, teY = gather(trY, y, tr), gather(teY, y, te)
 		f, err := FitForest(trX, trY, cfg)
 		if err != nil {
 			return 0, fmt.Errorf("mlfit: fold %d: %w", fold, err)
@@ -111,4 +118,37 @@ func KFoldMSE(X [][]float64, y []float64, k int, cfg ForestConfig, seed int64) (
 		total += MSE(f.PredictAll(teX), teY)
 	}
 	return total / float64(k), nil
+}
+
+// foldPerm returns the seeded sample permutation whose positions
+// assign n samples to k cross-validation folds.
+func foldPerm(n, k int, seed int64) ([]int, error) {
+	if k < 2 || k > n {
+		return nil, fmt.Errorf("mlfit: k=%d invalid for %d samples", k, n)
+	}
+	return rand.New(rand.NewSource(seed)).Perm(n), nil
+}
+
+// foldSplit reslices tr and te to the samples fold trains on and holds
+// out: the held-out samples are those at the perm positions i with
+// i%k == fold, and both lists keep perm order.
+func foldSplit(perm []int, k, fold int, tr, te []int) ([]int, []int) {
+	tr, te = tr[:0], te[:0]
+	for i, p := range perm {
+		if i%k == fold {
+			te = append(te, p)
+		} else {
+			tr = append(tr, p)
+		}
+	}
+	return tr, te
+}
+
+// gather reslices dst to y at the given rows.
+func gather(dst, y []float64, rows []int) []float64 {
+	dst = dst[:0]
+	for _, r := range rows {
+		dst = append(dst, y[r])
+	}
+	return dst
 }

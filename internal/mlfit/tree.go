@@ -57,7 +57,9 @@ func FitTree(X [][]float64, y []float64, cfg TreeConfig, rng *rand.Rand) (*Tree,
 	if err := checkTrainingSet(X, y); err != nil {
 		return nil, err
 	}
-	t := newGrowCtx(len(X), len(X[0]), cfg, rng).fit(X, y)
+	c := newGrowCtx(len(X), len(X[0]), cfg, rng)
+	c.growTree(X, y)
+	t := c.tree()
 	return &t, nil
 }
 
@@ -97,9 +99,10 @@ func sse(y []float64, idx []int) float64 {
 	return s
 }
 
-// growCtx is the growth arena of one FitForest (or FitTree) call: the
-// feature, row-index, partition and split-search scratch plus the node
-// storage, shared by every node of every tree grown on at most n rows.
+// growCtx is the growth arena of one FitForest, FitTree or
+// KFoldMSEShared call: the feature, row-index, partition and
+// split-search scratch plus the node storage, shared by every node of
+// every tree grown on at most n rows.
 // A node uses the scratch only before recursing, so one buffer of each
 // kind serves the whole forest; growth itself allocates nothing, and
 // each finished tree copies out only its used nodes.
@@ -113,6 +116,20 @@ type growCtx struct {
 	part     []int
 	keys     []keyed
 	nodes    []treeNode
+
+	// bounds, when non-nil, records for every split node (by node
+	// index) the rows of X holding the two adjacent sorted keys its
+	// threshold lies between, and inexact is set once a chosen
+	// threshold is not strictly below the upper key. KFoldMSEShared
+	// reads both to re-derive the tree for every column that ranks the
+	// rows alike.
+	bounds  [][2]int
+	inexact bool
+
+	// bx, by and draw are the bootstrap buffers of bag.
+	bx   [][]float64
+	by   []float64
+	draw []int
 }
 
 func newGrowCtx(n, nf int, cfg TreeConfig, rng *rand.Rand) *growCtx {
@@ -130,10 +147,9 @@ func newGrowCtx(n, nf int, cfg TreeConfig, rng *rand.Rand) *growCtx {
 	}
 }
 
-// fit grows one tree on the validated training set X, y of at most
-// the arena's row count. The returned tree owns an exact-size copy of
-// its nodes, so the arena may grow the next tree at once.
-func (c *growCtx) fit(X [][]float64, y []float64) Tree {
+// growTree grows one tree on the validated training set X, y of at
+// most the arena's row count into the arena's node storage.
+func (c *growCtx) growTree(X [][]float64, y []float64) {
 	c.X, c.y = X, y
 	idx := c.idx[:len(X)]
 	for i := range idx {
@@ -141,9 +157,14 @@ func (c *growCtx) fit(X [][]float64, y []float64) Tree {
 	}
 	c.nodes = c.nodes[:0]
 	c.grow(idx, 0)
+}
+
+// tree copies the arena's last grown tree out into an exact-size Tree,
+// so the arena may grow the next tree at once.
+func (c *growCtx) tree() Tree {
 	nodes := make([]treeNode, len(c.nodes))
 	copy(nodes, c.nodes)
-	return Tree{nodes: nodes, nFeature: len(X[0])}
+	return Tree{nodes: nodes, nFeature: len(c.X[0])}
 }
 
 // leaf appends a leaf node and returns its index.
@@ -174,6 +195,7 @@ func (c *growCtx) grow(idx []int, depth int) int32 {
 	bestGain := 0.0
 	bestFeature := -1
 	bestThreshold := 0.0
+	bestLo, bestHi := 0, 0
 	parentSSE := sse(y, idx)
 
 	// Each candidate feature's values are read once into keys and
@@ -216,12 +238,16 @@ func (c *growCtx) grow(idx []int, depth int) int32 {
 				bestGain = gain
 				bestFeature = f
 				bestThreshold = (keys[k].x + keys[k+1].x) / 2
+				bestLo, bestHi = keys[k].i, keys[k+1].i
 			}
 		}
 	}
 
 	if bestFeature < 0 || bestGain <= 1e-15 {
 		return c.leaf(val)
+	}
+	if c.bounds != nil && !(bestThreshold < X[bestHi][bestFeature]) {
+		c.inexact = true
 	}
 
 	// Stable in-place partition of idx: the left block keeps idx order
@@ -246,6 +272,9 @@ func (c *growCtx) grow(idx []int, depth int) int32 {
 	}
 	at := len(c.nodes)
 	c.nodes = append(c.nodes, treeNode{feature: bestFeature, threshold: bestThreshold, value: val})
+	if c.bounds != nil {
+		c.bounds[at] = [2]int{bestLo, bestHi}
+	}
 	left := c.grow(idx[:nl], depth+1)
 	right := c.grow(idx[nl:], depth+1)
 	c.nodes[at].left, c.nodes[at].right = left, right
