@@ -75,7 +75,7 @@ fuzz:
 	$(GO) test ./internal/hypo -run NONE -fuzz FuzzExperimentSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzForestDecode -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzSortKeyed -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzPresortedTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzKFoldMSEShared -fuzztime $(FUZZTIME)
 
 # The benchmark-regression trajectory: run the full suite with

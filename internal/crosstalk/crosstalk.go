@@ -32,7 +32,7 @@ type FitConfig struct {
 	// Folds is the cross-validation fold count (the paper uses 5).
 	Folds  int
 	Forest mlfit.ForestConfig
-	// Workers bounds the fit's goroutines (<= 0: runtime.NumCPU(),
+	// Workers bounds the fit's goroutines (<= 0: runtime.GOMAXPROCS(0),
 	// 1: sequential): the topology-distance matrix fans out over
 	// source qubits, and the cross-validation over the weight grid's
 	// ordinal classes (candidates that rank the samples alike share one

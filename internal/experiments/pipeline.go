@@ -74,7 +74,7 @@ type Options struct {
 	Fit crosstalk.FitConfig
 	// Workers bounds the worker pool of every parallel pipeline stage
 	// (calibration campaign, model grid search, per-region grouping).
-	// <= 0 selects runtime.NumCPU(); 1 runs fully sequentially. The
+	// <= 0 selects runtime.GOMAXPROCS(0); 1 runs fully sequentially. The
 	// designed system is bit-identical for every value — randomness is
 	// split per task from Seed, never shared across workers (see
 	// internal/parallel). Workers is therefore excluded from every

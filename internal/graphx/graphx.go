@@ -217,7 +217,7 @@ func (g *Graph) MultiPathDistance(u, v int) float64 {
 
 // AllMultiPathDistances returns the full n×n multi-path distance matrix.
 // Entry [i][j] is +Inf for unreachable pairs and 0 on the diagonal.
-// Sources fan out over runtime.NumCPU() workers; the matrix is a pure
+// Sources fan out over runtime.GOMAXPROCS(0) workers; the matrix is a pure
 // function of the graph, so the worker count cannot change a single
 // entry (every row is written only by its own source's task).
 func (g *Graph) AllMultiPathDistances() [][]float64 {
@@ -225,7 +225,7 @@ func (g *Graph) AllMultiPathDistances() [][]float64 {
 }
 
 // AllMultiPathDistancesWorkers is AllMultiPathDistances with an
-// explicit worker budget (<= 0: runtime.NumCPU(), 1: sequential). The
+// explicit worker budget (<= 0: runtime.GOMAXPROCS(0), 1: sequential). The
 // rows share one flat n*n backing array, and each worker reuses one
 // BFSScratch across all its sources.
 func (g *Graph) AllMultiPathDistancesWorkers(workers int) [][]float64 {

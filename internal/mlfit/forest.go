@@ -1,8 +1,10 @@
 package mlfit
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // ForestConfig controls random-forest training.
@@ -48,20 +50,64 @@ func FitForest(X [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
 // that the tree's sample i was drawn from. One bootstrap buffer serves
 // every tree: a tree reads the rows during growth and retains nothing,
 // so the next tree may overwrite them.
+//
+// X's rows are ranked once per feature, so each tree's root lists come
+// from a counting pass over draw rather than a sort: the samples go
+// into buckets by the rank of their row's value, each bucket in sample
+// order, which is exactly compareKeyed order.
 func (c *growCtx) bag(X [][]float64, y []float64, cfg ForestConfig, each func(draw []int)) {
-	n := len(X)
+	n, stride := len(X), len(c.idx)
 	if cap(c.draw) < n {
 		c.bx, c.by, c.draw = make([][]float64, n), make([]float64, n), make([]int, n)
+		c.rank = make([]int32, (len(X[0])+1)*stride)
 	}
 	bx, by, draw := c.bx[:n], c.by[:n], c.draw[:n]
+	for f := range X[0] {
+		c.rankRows(X, f)
+	}
+	count := c.rank[len(X[0])*stride:][:n]
 	c.rng = rand.New(rand.NewSource(cfg.Seed))
 	for t := 0; t < cfg.NumTrees; t++ {
 		for i := range draw {
 			k := c.rng.Intn(n)
 			draw[i], bx[i], by[i] = k, X[k], y[k]
 		}
+		for f := range X[0] {
+			rank, keys := c.rank[f*stride:][:n], c.list(f)[:n]
+			clear(count)
+			for _, k := range draw {
+				count[rank[k]]++
+			}
+			var at int32
+			for r, m := range count {
+				count[r], at = at, at+m
+			}
+			for i, k := range draw {
+				r := rank[k]
+				keys[count[r]] = keyed{x: X[k][f], i: i}
+				count[r]++
+			}
+		}
 		c.growTree(bx, by)
 		each(draw)
+	}
+}
+
+// rankRows stores in feature f's rank slice the dense rank of every
+// row's value among X's values of f under cmp.Compare, so equal values
+// share a rank. Feature f's key list serves as the sort scratch.
+func (c *growCtx) rankRows(X [][]float64, f int) {
+	keys, rank := c.list(f)[:len(X)], c.rank[f*len(c.idx):]
+	for i, row := range X {
+		keys[i] = keyed{x: row[f], i: i}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int { return cmp.Compare(a.x, b.x) })
+	var r int32
+	for k, kv := range keys {
+		if k > 0 && cmp.Compare(keys[k-1].x, kv.x) != 0 {
+			r++
+		}
+		rank[kv.i] = r
 	}
 }
 

@@ -9,9 +9,11 @@
 package mlfit
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // treeNode is one node of a regression tree. Leaves have feature == -1.
@@ -58,6 +60,7 @@ func FitTree(X [][]float64, y []float64, cfg TreeConfig, rng *rand.Rand) (*Tree,
 		return nil, err
 	}
 	c := newGrowCtx(len(X), len(X[0]), cfg, rng)
+	c.sortRoots(X)
 	c.growTree(X, y)
 	t := c.tree()
 	return &t, nil
@@ -99,22 +102,47 @@ func sse(y []float64, idx []int) float64 {
 	return s
 }
 
+// keyed is one sample of a split search: its feature value x and its
+// row index i in the tree's training set.
+type keyed struct {
+	x float64
+	i int
+}
+
+// compareKeyed is the split search's total order: by value, then by
+// row. Equal values keep their rows in ascending order, so the keys of
+// any subset of rows, filtered stably out of a sorted list, are
+// themselves sorted.
+func compareKeyed(a, b keyed) int {
+	if c := cmp.Compare(a.x, b.x); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.i, b.i)
+}
+
 // growCtx is the growth arena of one FitForest, FitTree or
-// KFoldMSEShared call: the feature, row-index, partition and
-// split-search scratch plus the node storage, shared by every node of
-// every tree grown on at most n rows.
-// A node uses the scratch only before recursing, so one buffer of each
-// kind serves the whole forest; growth itself allocates nothing, and
-// each finished tree copies out only its used nodes.
+// KFoldMSEShared call: the feature, row-index, key-list, partition and
+// rank scratch plus the node storage, shared by every node of every
+// tree grown on at most n rows.
+//
+// A tree sorts its keys once, at the root: keys holds one list per
+// feature, every list the tree's rows in compareKeyed order. A node
+// owns the segment [lo,hi) of idx and of every list; its split
+// partitions each of them stably, so both children inherit sorted
+// lists and no node sorts. One buffer of each kind serves the whole
+// forest; growth itself allocates nothing, and each finished tree
+// copies out only its used nodes.
 type growCtx struct {
 	X        [][]float64
 	y        []float64
 	cfg      TreeConfig
 	rng      *rand.Rand
 	features []int
-	idx      []int
-	part     []int
-	keys     []keyed
+	idx      []int   // the rows of every node's segment, ascending
+	part     []int   // staging for the right block of an idx split
+	keys     []keyed // feature f's list is keys[f*n : (f+1)*n]
+	kpart    []keyed // staging for the right block of a list split; lazy
+	left     []bool  // left[i]: row i goes left at the current split
 	nodes    []treeNode
 
 	// bounds, when non-nil, records for every split node (by node
@@ -126,20 +154,25 @@ type growCtx struct {
 	bounds  [][2]int
 	inexact bool
 
-	// bx, by and draw are the bootstrap buffers of bag.
+	// bx, by and draw are the bootstrap buffers of bag; rank holds
+	// each feature's dense value ranks over bag's rows (stride n) and,
+	// after them, the counting buckets of one root list.
 	bx   [][]float64
 	by   []float64
 	draw []int
+	rank []int32
 }
 
 func newGrowCtx(n, nf int, cfg TreeConfig, rng *rand.Rand) *growCtx {
+	rows := make([]int, 2*n)
 	return &growCtx{
 		cfg:      cfg.normalized(),
 		rng:      rng,
 		features: make([]int, nf),
-		idx:      make([]int, n),
-		part:     make([]int, 0, n),
-		keys:     make([]keyed, n),
+		idx:      rows[:n],
+		part:     rows[n:n],
+		keys:     make([]keyed, nf*n),
+		left:     make([]bool, n),
 		// Every leaf holds ≥1 distinct sample (splits require both
 		// sides non-empty), so a tree over n samples has ≤ n leaves
 		// and ≤ 2n-1 nodes.
@@ -147,8 +180,30 @@ func newGrowCtx(n, nf int, cfg TreeConfig, rng *rand.Rand) *growCtx {
 	}
 }
 
+// list returns feature f's key list; a tree over m rows uses its first
+// m entries.
+func (c *growCtx) list(f int) []keyed {
+	n := len(c.idx)
+	return c.keys[f*n : (f+1)*n]
+}
+
+// sortRoots fills every feature's root list with the rows of X in
+// compareKeyed order by sorting them: FitTree's single tree needs no
+// more than one sort per feature.
+func (c *growCtx) sortRoots(X [][]float64) {
+	for f := range X[0] {
+		keys := c.list(f)[:len(X)]
+		for i, row := range X {
+			keys[i] = keyed{x: row[f], i: i}
+		}
+		slices.SortFunc(keys, compareKeyed)
+	}
+}
+
 // growTree grows one tree on the validated training set X, y of at
-// most the arena's row count into the arena's node storage.
+// most the arena's row count into the arena's node storage. Every
+// feature's root list must already hold X's rows in compareKeyed order
+// (see sortRoots and bag).
 func (c *growCtx) growTree(X [][]float64, y []float64) {
 	c.X, c.y = X, y
 	idx := c.idx[:len(X)]
@@ -156,7 +211,7 @@ func (c *growCtx) growTree(X [][]float64, y []float64) {
 		idx[i] = i
 	}
 	c.nodes = c.nodes[:0]
-	c.grow(idx, 0)
+	c.grow(0, len(X), 0)
 }
 
 // tree copies the arena's last grown tree out into an exact-size Tree,
@@ -173,10 +228,11 @@ func (c *growCtx) leaf(val float64) int32 {
 	return int32(len(c.nodes) - 1)
 }
 
-// grow appends the subtree over idx to the arena in preorder and
-// returns its root's index.
-func (c *growCtx) grow(idx []int, depth int) int32 {
+// grow appends the subtree over the rows of segment [lo,hi) to the
+// arena in preorder and returns its root's index.
+func (c *growCtx) grow(lo, hi, depth int) int32 {
 	X, y, cfg := c.X, c.y, c.cfg
+	idx := c.idx[lo:hi]
 	val := mean(y, idx)
 	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeafSize {
 		return c.leaf(val)
@@ -198,16 +254,8 @@ func (c *growCtx) grow(idx []int, depth int) int32 {
 	bestLo, bestHi := 0, 0
 	parentSSE := sse(y, idx)
 
-	// Each candidate feature's values are read once into keys and
-	// sorted there; sortKeyed permutes exactly as sort.Slice over the
-	// same comparison, so equal keys keep the historical order and
-	// every prefix sum below is bit-identical.
-	keys := c.keys[:len(idx)]
 	for _, f := range features {
-		for k, i := range idx {
-			keys[k] = keyed{x: X[i][f], i: i}
-		}
-		sortKeyed(keys)
+		keys := c.list(f)[lo:hi]
 
 		// Prefix sums allow O(1) variance evaluation of every split.
 		var sumL, sumSqL float64
@@ -250,15 +298,16 @@ func (c *growCtx) grow(idx []int, depth int) int32 {
 		c.inexact = true
 	}
 
-	// Stable in-place partition of idx: the left block keeps idx order
+	// Stable in-place partition of idx: the left block keeps its order
 	// in place, the right block is staged in the scratch and copied
-	// behind it — the same left++right ordering the historical
-	// append-into-fresh-slices code produced. The parent no longer
-	// reads idx after this point, so the children own the two halves.
+	// behind it. The parent no longer reads its segment after this
+	// point, so the children own the two halves.
 	part := c.part[:0]
 	nl := 0
 	for _, i := range idx {
-		if X[i][bestFeature] <= bestThreshold {
+		left := X[i][bestFeature] <= bestThreshold
+		c.left[i] = left
+		if left {
 			idx[nl] = i
 			nl++
 		} else {
@@ -270,13 +319,38 @@ func (c *growCtx) grow(idx []int, depth int) int32 {
 	if nl == 0 || nl == len(idx) {
 		return c.leaf(val)
 	}
+	// Every key list splits the same way, stably, so each child's
+	// lists stay sorted. The split feature's list already divides at
+	// nl unless it holds a NaN, which compareKeyed puts first but the
+	// threshold sends right; a single-feature tree without NaNs thus
+	// never needs the staging list.
+	for f := 0; f < nf; f++ {
+		keys := c.list(f)[lo:hi]
+		if f == bestFeature && !math.IsNaN(keys[0].x) {
+			continue
+		}
+		if c.kpart == nil {
+			c.kpart = make([]keyed, 0, len(c.idx))
+		}
+		kpart := c.kpart[:0]
+		k := 0
+		for _, kv := range keys {
+			if c.left[kv.i] {
+				keys[k] = kv
+				k++
+			} else {
+				kpart = append(kpart, kv)
+			}
+		}
+		copy(keys[k:], kpart)
+	}
 	at := len(c.nodes)
 	c.nodes = append(c.nodes, treeNode{feature: bestFeature, threshold: bestThreshold, value: val})
 	if c.bounds != nil {
 		c.bounds[at] = [2]int{bestLo, bestHi}
 	}
-	left := c.grow(idx[:nl], depth+1)
-	right := c.grow(idx[nl:], depth+1)
+	left := c.grow(lo, lo+nl, depth+1)
+	right := c.grow(lo+nl, hi, depth+1)
 	c.nodes[at].left, c.nodes[at].right = left, right
 	return int32(at)
 }

@@ -22,12 +22,13 @@ import (
 )
 
 // Workers resolves a worker-count option: any value <= 0 selects
-// runtime.NumCPU(); positive values are returned unchanged. A resolved
-// count of 1 means strictly sequential execution on the caller's
-// goroutine.
+// runtime.GOMAXPROCS(0), so a process limited to one P (go test -cpu 1,
+// GOMAXPROCS=1) runs sequentially; positive values are returned
+// unchanged. A resolved count of 1 means strictly sequential execution
+// on the caller's goroutine.
 func Workers(n int) int {
 	if n <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return n
 }

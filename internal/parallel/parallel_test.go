@@ -10,11 +10,18 @@ import (
 )
 
 func TestWorkersResolution(t *testing.T) {
-	if got := Workers(0); got != runtime.NumCPU() {
-		t.Errorf("Workers(0) = %d, want NumCPU %d", got, runtime.NumCPU())
+	procs := runtime.GOMAXPROCS(0)
+	if got := Workers(0); got != procs {
+		t.Errorf("Workers(0) = %d, want GOMAXPROCS %d", got, procs)
 	}
-	if got := Workers(-3); got != runtime.NumCPU() {
-		t.Errorf("Workers(-3) = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := Workers(-3); got != procs {
+		t.Errorf("Workers(-3) = %d, want GOMAXPROCS %d", got, procs)
+	}
+	// A process limited to one P resolves to sequential execution,
+	// whatever the machine's CPU count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Workers(0); got != 1 {
+		t.Errorf("Workers(0) under GOMAXPROCS 1 = %d, want 1", got)
 	}
 	for _, n := range []int{1, 2, 7, 64} {
 		if got := Workers(n); got != n {
@@ -142,8 +149,8 @@ func TestResolve(t *testing.T) {
 	if got := Resolve(1, 0); got != 1 {
 		t.Errorf("Resolve(1, 0) = %d, want floor 1", got)
 	}
-	if got := Resolve(0, 1000); got != runtime.NumCPU() {
-		t.Errorf("Resolve(0, 1000) = %d, want NumCPU", got)
+	if got := Resolve(0, 1000); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Resolve(0, 1000) = %d, want GOMAXPROCS", got)
 	}
 }
 

@@ -20,7 +20,7 @@ type TrajectoryConfig struct {
 	// does not depend on Workers or GOMAXPROCS.
 	Seed int64
 	// Workers bounds the goroutines running trajectories (<= 0:
-	// runtime.NumCPU(), 1: sequential).
+	// runtime.GOMAXPROCS(0), 1: sequential).
 	Workers int
 }
 

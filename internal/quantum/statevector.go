@@ -57,7 +57,7 @@ func (s *State) Probability(idx int) float64 {
 }
 
 // SetWorkers sets the worker budget for kernel sharding (<= 0:
-// runtime.NumCPU(), 1: sequential). Sharding activates only on
+// runtime.GOMAXPROCS(0), 1: sequential). Sharding activates only on
 // registers of at least 2^14 amplitudes and never changes any result:
 // elementwise kernels partition disjoint index ranges, and reductions
 // follow the fixed-order chunked rule, so amplitudes, probabilities and

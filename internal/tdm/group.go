@@ -147,26 +147,41 @@ func conflicts(gi *GateInfo, a, b int) bool {
 func nonParallelFraction(gi *GateInfo, group []int, cand int, cfg Config) float64 {
 	pairs, np := 0, 0
 	for _, m := range group {
-		if cfg.SparseQubitZ && (!gi.Dev.IsCoupler(cand) || !gi.Dev.IsCoupler(m)) {
-			// Surface-code mode: any pair involving a qubit is free.
-			continue
-		}
-		for _, gc := range gi.GatesOf[cand] {
-			for _, gm := range gi.GatesOf[m] {
-				if gm == gc {
-					continue
-				}
-				pairs++
-				if gatesShareQubit(gi, gm, gc) {
-					np++
-					continue
-				}
-				if cfg.Crosstalk != nil && gateCrosstalk(gi, gm, gc, cfg.Crosstalk) > cfg.NoiseThreshold {
-					np++
-				}
+		p, q := pairCounts(gi, m, cand, cfg)
+		pairs += p
+		np += q
+	}
+	return fraction(pairs, np)
+}
+
+// pairCounts returns nonParallelFraction's counts for the single
+// member m: the (candidate gate, member gate) pairs, and how many of
+// them can never execute simultaneously.
+func pairCounts(gi *GateInfo, m, cand int, cfg Config) (pairs, np int) {
+	if cfg.SparseQubitZ && (!gi.Dev.IsCoupler(cand) || !gi.Dev.IsCoupler(m)) {
+		// Surface-code mode: any pair involving a qubit is free.
+		return 0, 0
+	}
+	for _, gc := range gi.GatesOf[cand] {
+		for _, gm := range gi.GatesOf[m] {
+			if gm == gc {
+				continue
+			}
+			pairs++
+			if gatesShareQubit(gi, gm, gc) {
+				np++
+				continue
+			}
+			if cfg.Crosstalk != nil && gateCrosstalk(gi, gm, gc, cfg.Crosstalk) > cfg.NoiseThreshold {
+				np++
 			}
 		}
 	}
+	return pairs, np
+}
+
+// fraction is np/pairs, or 1 when there are no pairs.
+func fraction(pairs, np int) float64 {
 	if pairs == 0 {
 		return 1
 	}
@@ -191,39 +206,57 @@ func gateCrosstalk(gi *GateInfo, a, b int, xt CrosstalkFunc) float64 {
 	return max
 }
 
+// groupLevel runs the greedy search over one parallelism level. A
+// candidate's legality and its nonParallelFraction counts against the
+// growing group are sums over the members, so they are carried per
+// device and updated once when a member joins instead of being
+// recomputed over the whole group at every growth step; the integer
+// counts, and so every fraction, are the same.
 func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Config) []Group {
 	remaining := sortedByIndex(devs, idx)
-	inGroup := make(map[int]bool)
+	n := gi.Dev.Count()
+	inGroup := make([]bool, n)
+	legal := make([]bool, n)
+	pairs, np := make([]int, n), make([]int, n)
 	var groups []Group
 
 	for len(remaining) > 0 {
+		for _, d := range remaining {
+			legal[d], pairs[d], np[d] = true, 0, 0
+		}
+		var group []int
+		var sumIdx float64
+		join := func(m int) {
+			group = append(group, m)
+			inGroup[m] = true
+			sumIdx += idx[m]
+			if len(group) == capacity {
+				return
+			}
+			for _, cand := range remaining {
+				if inGroup[cand] || !legal[cand] {
+					continue
+				}
+				if conflicts(gi, cand, m) {
+					legal[cand] = false
+					continue
+				}
+				p, q := pairCounts(gi, m, cand, cfg)
+				pairs[cand] += p
+				np[cand] += q
+			}
+		}
 		// Step 1: seed with the lowest-parallelism device.
-		seed := remaining[0]
-		group := []int{seed}
-		inGroup[seed] = true
+		join(remaining[0])
 		lossy := 0
 
 		for len(group) < capacity {
 			best, bestKey := -1, math.Inf(-1)
 			bestStrict := false
-			var meanIdx float64
-			for _, m := range group {
-				meanIdx += idx[m]
-			}
-			meanIdx /= float64(len(group))
+			meanIdx := sumIdx / float64(len(group))
 
 			for _, cand := range remaining {
-				if inGroup[cand] {
-					continue
-				}
-				legal := true
-				for _, m := range group {
-					if conflicts(gi, cand, m) {
-						legal = false
-						break
-					}
-				}
-				if !legal {
+				if inGroup[cand] || !legal[cand] {
 					continue
 				}
 				// Steps 2 and 3: devices fully non-parallel to the
@@ -233,7 +266,7 @@ func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Confi
 				// gates, so admission is bounded by LossyLimit and
 				// MinLossyFraction, and the balancing rule (closest
 				// parallelism index) breaks ties.
-				frac := nonParallelFraction(gi, group, cand, cfg)
+				frac := fraction(pairs[cand], np[cand])
 				strict := frac >= 0.999
 				if !strict {
 					if lossy >= cfg.LossyLimit || frac < cfg.MinLossyFraction {
@@ -248,8 +281,7 @@ func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Confi
 			if best < 0 {
 				break // no admissible device left for this group
 			}
-			group = append(group, best)
-			inGroup[best] = true
+			join(best)
 			if !bestStrict {
 				lossy++
 			}

@@ -3,6 +3,8 @@ package tdm
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/chip"
@@ -294,6 +296,146 @@ func TestRandomChipsGroupLegally(t *testing.T) {
 		}
 		if err := g.Validate(gi); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// groupLevelReference is the greedy search as first written: legality
+// and nonParallelFraction recomputed over the whole group for every
+// candidate at every growth step. groupLevel must group exactly as it
+// does.
+func groupLevelReference(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Config) []Group {
+	remaining := sortedByIndex(devs, idx)
+	inGroup := make(map[int]bool)
+	var groups []Group
+
+	for len(remaining) > 0 {
+		seed := remaining[0]
+		group := []int{seed}
+		inGroup[seed] = true
+		lossy := 0
+
+		for len(group) < capacity {
+			best, bestKey := -1, math.Inf(-1)
+			bestStrict := false
+			var meanIdx float64
+			for _, m := range group {
+				meanIdx += idx[m]
+			}
+			meanIdx /= float64(len(group))
+
+			for _, cand := range remaining {
+				if inGroup[cand] {
+					continue
+				}
+				legal := true
+				for _, m := range group {
+					if conflicts(gi, cand, m) {
+						legal = false
+						break
+					}
+				}
+				if !legal {
+					continue
+				}
+				frac := nonParallelFraction(gi, group, cand, cfg)
+				strict := frac >= 0.999
+				if !strict {
+					if lossy >= cfg.LossyLimit || frac < cfg.MinLossyFraction {
+						continue
+					}
+				}
+				key := frac*1e6 - math.Abs(idx[cand]-meanIdx)
+				if key > bestKey {
+					best, bestKey, bestStrict = cand, key, strict
+				}
+			}
+			if best < 0 {
+				break
+			}
+			group = append(group, best)
+			inGroup[best] = true
+			if !bestStrict {
+				lossy++
+			}
+		}
+
+		groups = append(groups, Group{Devices: group, Level: levelFor(len(group))})
+		next := remaining[:0]
+		for _, d := range remaining {
+			if !inGroup[d] {
+				next = append(next, d)
+			}
+		}
+		remaining = next
+	}
+	sort.Slice(groups, func(a, b int) bool { return groups[a].Devices[0] < groups[b].Devices[0] })
+	return groups
+}
+
+// TestGroupLevelMatchesReference checks the incremental search against
+// groupLevelReference over every device of square, heavy-hex and
+// low-density chips and the Table 2 catalog, at both DEMUX capacities, with and without the
+// crosstalk term and in surface-code mode, and checks whole groupings
+// (Theta split and isolated devices included) against the reference
+// run on GroupDevices' own device split.
+func TestGroupLevelMatchesReference(t *testing.T) {
+	chips := append([]*chip.Chip{chip.Square(4, 4), chip.HeavyHexagon(2, 2), chip.LowDensity(4, 4)}, chip.Table2Chips()...)
+	sparse := DefaultConfig(decayXT)
+	sparse.SparseQubitZ = true
+	loose := DefaultConfig(decayXT)
+	loose.LossyLimit, loose.MinLossyFraction = 3, 0
+	configs := map[string]Config{
+		"default": DefaultConfig(decayXT),
+		"nil-xt":  DefaultConfig(nil),
+		"sparse":  sparse,
+		"loose":   loose,
+		"strong-xt": DefaultConfig(func(i, j int) float64 {
+			return 3 * decayXT(i, j)
+		}),
+	}
+	for _, c := range chips {
+		gi := AnalyzeGates(c)
+		idx := gi.AllParallelismIndices()
+		devs := make([]int, gi.Dev.Count())
+		for i := range devs {
+			devs[i] = i
+		}
+		for name, cfg := range configs {
+			for _, capacity := range []int{2, 4} {
+				got := groupLevel(gi, devs, capacity, idx, cfg)
+				want := groupLevelReference(gi, append([]int(nil), devs...), capacity, idx, cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s capacity %d:\n got %v\nwant %v", c.Topology, name, capacity, got, want)
+				}
+			}
+
+			isolated := cfg
+			isolated.Isolate = func(dev int) bool { return dev%5 == 1 }
+			for _, cfg := range []Config{cfg, isolated} {
+				g, err := GroupChip(gi, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var low, high, iso []int
+				for _, d := range devs {
+					switch {
+					case cfg.Isolate != nil && cfg.Isolate(d):
+						iso = append(iso, d)
+					case idx[d] <= cfg.Theta:
+						low = append(low, d)
+					default:
+						high = append(high, d)
+					}
+				}
+				want := append(groupLevelReference(gi, low, 4, idx, cfg), groupLevelReference(gi, high, 2, idx, cfg)...)
+				for _, d := range iso {
+					want = append(want, Group{Devices: []int{d}, Level: DemuxNone})
+				}
+				if !reflect.DeepEqual(g.Groups, want) {
+					t.Errorf("%s/%s isolate=%v: GroupChip\n got %v\nwant %v", c.Topology, name, cfg.Isolate != nil, g.Groups, want)
+				}
+			}
 		}
 	}
 }

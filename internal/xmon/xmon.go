@@ -230,7 +230,7 @@ func (d *Device) Measure(kind CrosstalkKind, noiseRel float64, rng *rand.Rand) [
 // measurement noise from a private RNG stream split off the seed by
 // its pair index, so the campaign can fan out over any number of
 // workers and still return bit-identical samples (see
-// internal/parallel). workers <= 0 selects runtime.NumCPU(), 1 runs
+// internal/parallel). workers <= 0 selects runtime.GOMAXPROCS(0), 1 runs
 // sequentially.
 func (d *Device) MeasureSeeded(kind CrosstalkKind, noiseRel float64, seed int64, workers int) []Sample {
 	n := d.Chip.NumQubits()
