@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzForestDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzPresortedTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzKFoldMSEShared -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/parallel -run NONE -fuzz FuzzSeededSource -fuzztime $(FUZZTIME)
 
 # The benchmark-regression trajectory: run the full suite with
 # allocation reporting, snapshot it as $(OUT)/BENCH_<stamp>.json, and
@@ -88,9 +89,11 @@ fuzz:
 # sample, so the minimum is the noise-robust estimate the gate
 # compares. Refresh the baseline deliberately with
 #   cp $(OUT)/BENCH_<stamp>.json BENCH_baseline.json
-# after a reviewed perf change, never automatically.
+# after a reviewed perf change, never automatically. Benchmarks run at
+# -cpu 1, the GOMAXPROCS the baseline was recorded at, so stages that
+# fan out over Workers(0) measure the same work on every host.
 bench: | $(OUT)
-	$(GO) test -run NONE -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee $(OUT)/bench.out
+	$(GO) test -run NONE -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -cpu 1 . | tee $(OUT)/bench.out
 	$(GO) run ./tools/benchdiff -parse -in $(OUT)/bench.out -out $(OUT)/BENCH_$(BENCH_STAMP).json
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -current $(OUT)/BENCH_$(BENCH_STAMP).json \
 		-max-regress $(MAXREGRESS) -max-bytes-regress $(MAXBYTESREGRESS) -max-allocs-regress $(MAXALLOCSREGRESS)
@@ -98,7 +101,7 @@ bench: | $(OUT)
 # One-iteration sanity pass over every benchmark — wired into verify so
 # a broken bench never reaches the trajectory.
 bench-smoke:
-	$(GO) test -run NONE -bench . -benchtime 1x -benchmem . > /dev/null
+	$(GO) test -run NONE -bench . -benchtime 1x -benchmem -cpu 1 . > /dev/null
 
 # CPU + heap profiles of the routing/anneal/1M-sweep hot paths, written
 # under $(OUT) (CI uploads them as artifacts). Samples attribute to

@@ -84,30 +84,42 @@ func (g *Grouping) Validate(n int) error {
 // the grouping must cover the alive set, the whole alive set and
 // nothing else.
 func (g *Grouping) ValidateMembers(members []int) error {
-	want := make(map[int]bool, len(members))
+	// state[q-lo] over the members' id span [lo, lo+len(state)):
+	// 0 outside the set, 1 a member, 2 a member already grouped.
+	lo, hi := 0, -1
+	for i, q := range members {
+		if i == 0 || q < lo {
+			lo = q
+		}
+		if i == 0 || q > hi {
+			hi = q
+		}
+	}
+	state := make([]int8, hi-lo+1)
 	for _, q := range members {
-		if want[q] {
+		if state[q-lo] != 0 {
 			return fmt.Errorf("fdm: duplicate member %d in validation set", q)
 		}
-		want[q] = true
+		state[q-lo] = 1
 	}
-	seen := make(map[int]bool, len(members))
+	covered := 0
 	for li, grp := range g.Groups {
 		if len(grp) > g.Capacity {
 			return fmt.Errorf("fdm: line %d has %d qubits, capacity %d", li, len(grp), g.Capacity)
 		}
 		for _, q := range grp {
-			if !want[q] {
+			if q < lo || q > hi || state[q-lo] == 0 {
 				return fmt.Errorf("fdm: line %d contains qubit %d outside the member set", li, q)
 			}
-			if seen[q] {
+			if state[q-lo] == 2 {
 				return fmt.Errorf("fdm: qubit %d appears in more than one line", q)
 			}
-			seen[q] = true
+			state[q-lo] = 2
+			covered++
 		}
 	}
-	if len(seen) != len(want) {
-		return fmt.Errorf("fdm: grouping covers %d of %d members", len(seen), len(want))
+	if covered != len(members) {
+		return fmt.Errorf("fdm: grouping covers %d of %d members", covered, len(members))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package fdm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/chip"
@@ -211,17 +212,21 @@ func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan,
 // frequency inside its zone, group members occupy distinct zones, and
 // cell bookkeeping matches frequencies.
 func (p *FrequencyPlan) Validate(g *Grouping) error {
+	// zones[i] is the zone of the line's i-th qubit; a line holds few
+	// qubits, so a scan finds a shared zone.
+	var buf [8]int
+	zones := buf[:0]
 	for li, group := range g.Groups {
-		zonesUsed := make(map[int]int)
+		zones = zones[:0]
 		for _, q := range group {
 			ref, ok := p.Cell[q]
 			if !ok {
 				return fmt.Errorf("fdm: qubit %d (line %d) has no cell", q, li)
 			}
-			if prev, dup := zonesUsed[ref.Zone]; dup {
-				return fmt.Errorf("fdm: line %d qubits %d and %d share zone %d", li, prev, q, ref.Zone)
+			if j := slices.Index(zones, ref.Zone); j >= 0 {
+				return fmt.Errorf("fdm: line %d qubits %d and %d share zone %d", li, group[j], q, ref.Zone)
 			}
-			zonesUsed[ref.Zone] = q
+			zones = append(zones, ref.Zone)
 			f, ok := p.Freq[q]
 			if !ok {
 				return fmt.Errorf("fdm: qubit %d has no frequency", q)

@@ -207,6 +207,15 @@ func TestValidatePlanCatchesZoneSharing(t *testing.T) {
 	if plan.Validate(g) == nil {
 		t.Error("same-zone group members accepted")
 	}
+	// The error names the first member holding the shared zone.
+	g.Capacity, g.Groups = 3, [][]int{{0, 1, 2}}
+	plan.Zones = 3
+	for q, ref := range []CellRef{{0, 0}, {1, 0}, {0, 2}} {
+		plan.Cell[q], plan.Freq[q] = ref, CellFreq(3, ref)
+	}
+	if err, want := plan.Validate(g), "fdm: line 0 qubits 0 and 2 share zone 0"; err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %q", err, want)
+	}
 }
 
 func TestValidatePlanCatchesMissingAssignments(t *testing.T) {

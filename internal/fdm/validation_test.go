@@ -1,6 +1,7 @@
 package fdm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -49,5 +50,63 @@ func TestValidateMembers(t *testing.T) {
 	}
 	if err := g.ValidateMembers([]int{2, 2, 5, 9, 11}); err == nil {
 		t.Error("duplicate validation member not detected")
+	}
+}
+
+// validateMembersReference is ValidateMembers as first written, over
+// maps; the dense rewrite must return exactly its errors.
+func validateMembersReference(g *Grouping, members []int) error {
+	want := make(map[int]bool, len(members))
+	for _, q := range members {
+		if want[q] {
+			return fmt.Errorf("fdm: duplicate member %d in validation set", q)
+		}
+		want[q] = true
+	}
+	seen := make(map[int]bool, len(members))
+	for li, grp := range g.Groups {
+		if len(grp) > g.Capacity {
+			return fmt.Errorf("fdm: line %d has %d qubits, capacity %d", li, len(grp), g.Capacity)
+		}
+		for _, q := range grp {
+			if !want[q] {
+				return fmt.Errorf("fdm: line %d contains qubit %d outside the member set", li, q)
+			}
+			if seen[q] {
+				return fmt.Errorf("fdm: qubit %d appears in more than one line", q)
+			}
+			seen[q] = true
+		}
+	}
+	if len(seen) != len(want) {
+		return fmt.Errorf("fdm: grouping covers %d of %d members", len(seen), len(want))
+	}
+	return nil
+}
+
+func TestValidateMembersMatchesReference(t *testing.T) {
+	cases := []struct {
+		name    string
+		groups  [][]int
+		members []int
+	}{
+		{"valid", [][]int{{2, 5}, {9, 11}}, []int{2, 5, 9, 11}},
+		{"no members", nil, nil},
+		{"no members, grouped", [][]int{{0}}, nil},
+		{"negative members", [][]int{{-3, 5}, {-1}}, []int{5, -1, -3}},
+		{"duplicate", [][]int{{2, 5}}, []int{5, 2, 5}},
+		{"outside below", [][]int{{1, 5}}, []int{2, 5}},
+		{"outside above", [][]int{{2, 7}}, []int{2, 5}},
+		{"outside within span", [][]int{{2, 4}}, []int{2, 5}},
+		{"twice", [][]int{{2, 5}, {5}}, []int{2, 5}},
+		{"over capacity", [][]int{{2, 5, 9}}, []int{2, 5, 9}},
+		{"coverage gap", [][]int{{2}, {9}}, []int{2, 5, 9}},
+	}
+	for _, tc := range cases {
+		g := &Grouping{Groups: tc.groups, Capacity: 2}
+		got, want := g.ValidateMembers(tc.members), validateMembersReference(g, tc.members)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, want)
+		}
 	}
 }

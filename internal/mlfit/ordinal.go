@@ -76,6 +76,11 @@ func sameOrder(order []int, a, b []float64) bool {
 // split (or, in a class whose representative's does, every other
 // member) is re-run as a class of its own. The second result counts the
 // CVs grown: one plus one per such fallback.
+//
+// Held-out rows of one representative value hold one value in every
+// member, so they take one path through every tree: each distinct
+// held-out value is routed once, and its prediction sum stands for all
+// its rows.
 func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg ForestConfig, seed int64) ([]float64, int, error) {
 	n := len(y)
 	if len(members) == 0 {
@@ -94,14 +99,31 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 			return nil, 0, fmt.Errorf("mlfit: column %d has %d samples, want %d", m, len(cols[m]), n)
 		}
 	}
-	if len(members) > 1 {
-		order := sortedOrder(rep)
-		for _, m := range members[1:] {
-			if !sameOrder(order, rep, cols[m]) {
-				return nil, 0, fmt.Errorf("mlfit: column %d does not rank the samples as column %d does", m, members[0])
-			}
+	order := sortedOrder(rep)
+	for _, m := range members[1:] {
+		if !sameOrder(order, rep, cols[m]) {
+			return nil, 0, fmt.Errorf("mlfit: column %d does not rank the samples as column %d does", m, members[0])
 		}
 	}
+	nte := (n + k - 1) / k
+	// rank[i] is the dense rank of rep[i] under cmp.Compare; the class
+	// gives rows of one rank equal values in every member. Of a fold's
+	// held-out values, slot maps a rank to its index among them, dist
+	// holds one held-out row of each, at[r] is the index of held-out
+	// row r's value, and sums holds each member's prediction sum per
+	// value. One int32 and one float64 buffer serve every fold.
+	ints := make([]int32, 2*n+2*nte)
+	rank, slot := ints[:n], ints[n:2*n]
+	dist, at := ints[2*n:2*n:2*n+nte], ints[2*n+nte:2*n+nte]
+	var r int32
+	for k, i := range order {
+		if k > 0 && cmp.Compare(rep[order[k-1]], rep[i]) != 0 {
+			r++
+		}
+		rank[i] = r
+	}
+	sums := make([]float64, (len(members)+1)*nte)
+	sums, pred := sums[:len(members)*nte], sums[len(members)*nte:]
 
 	rows := make([][]float64, n)
 	for i := range rows {
@@ -112,11 +134,9 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 	// scratch.
 	c := newGrowCtx(n, 1, cfg.Tree, nil)
 	c.bounds = make([][2]int, cap(c.nodes))
-	nte := (n + k - 1) / k
 	tr, te := make([]int, 0, n), make([]int, 0, nte)
 	trX, trY, teY := make([][]float64, 0, n), make([]float64, 0, n), make([]float64, 0, nte)
 	thresholds := make([]float64, cap(c.nodes))
-	pred := make([]float64, len(members)*nte)
 	solo := make([]bool, len(members)) // members to re-run alone
 	mses := make([]float64, len(members))
 	for fold := 0; fold < k; fold++ {
@@ -126,8 +146,21 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 			trX = append(trX, rows[r])
 		}
 		trY, teY = gather(trY, y, tr), gather(teY, y, te)
-		pred := pred[:len(members)*len(te)]
-		clear(pred)
+		for _, row := range te {
+			slot[rank[row]] = -1
+		}
+		dist, at = dist[:0], at[:0]
+		for _, row := range te {
+			s := &slot[rank[row]]
+			if *s < 0 {
+				*s = int32(len(dist))
+				dist = append(dist, int32(row))
+			}
+			at = append(at, *s)
+		}
+		nd := len(dist)
+		sums := sums[:len(members)*nd]
+		clear(sums)
 		c.bag(trX, trY, cfg, func(draw []int) {
 			for mi, m := range members {
 				// The representative's rebuilt thresholds are its
@@ -153,8 +186,8 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 				if solo[mi] {
 					continue
 				}
-				p := pred[mi*len(te) : (mi+1)*len(te)]
-				for r, row := range te {
+				p := sums[mi*nd : (mi+1)*nd]
+				for d, row := range dist {
 					x, j := col[row], int32(0)
 					for c.nodes[j].feature >= 0 {
 						if x <= thresholds[j] {
@@ -163,19 +196,22 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 							j = c.nodes[j].right
 						}
 					}
-					p[r] += c.nodes[j].value
+					p[d] += c.nodes[j].value
 				}
 			}
 		})
+		// Every held-out row's prediction is its value's sum: the same
+		// leaf values, added in the same tree order.
+		pred := pred[:len(te)]
 		for mi := range members {
 			if solo[mi] {
 				continue
 			}
-			p := pred[mi*len(te) : (mi+1)*len(te)]
-			for r := range p {
-				p[r] /= float64(cfg.NumTrees)
+			p := sums[mi*nd : (mi+1)*nd]
+			for r, d := range at {
+				pred[r] = p[d] / float64(cfg.NumTrees)
 			}
-			mses[mi] += MSE(p, teY)
+			mses[mi] += MSE(pred, teY)
 		}
 	}
 	grown := 1

@@ -156,10 +156,15 @@ func TestKFoldMSESharedValidation(t *testing.T) {
 // base value (few distinct values, so ties are common) and target, and
 // the columns are monotone images of the base values — scaled, shifted
 // one ulp apart, constant or reversed — so the classes, the midpoint
-// fallback and the tie handling are all exercised.
+// fallback and the tie handling are all exercised. Two more columns
+// are classes of their own: one maps the base values 0 and 1 to -0
+// and +0, which tie, and one maps 15 to NaN.
 func FuzzKFoldMSEShared(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 7, 0, 0, 5, 9, 1, 4, 2, 2, 6, 3, 3, 8, 4, 1, 0, 6})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
+	f.Add([]byte{15, 1, 2, 7, 15, 0, 5, 9, 1, 4, 15, 2, 6, 3, 15, 8, 4, 1, 0, 6}) // NaN
+	f.Add([]byte{0, 1, 1, 7, 0, 0, 1, 9, 16, 4, 17, 2, 0, 3, 1, 8, 32, 1, 0, 6})  // ±0
+	f.Add([]byte{7, 1, 7, 7, 23, 0, 7, 9, 39, 4, 7, 2, 7, 3, 55, 8, 7, 1, 7, 6})  // all equal
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := len(data) / 2
 		if n < 5 {
@@ -169,7 +174,7 @@ func FuzzKFoldMSEShared(f *testing.F) {
 			n = 48
 		}
 		steps := adjacentUp(1, 16)
-		cols := make([][]float64, 5)
+		cols := make([][]float64, 7)
 		for c := range cols {
 			cols[c] = make([]float64, n)
 		}
@@ -181,6 +186,11 @@ func FuzzKFoldMSEShared(f *testing.F) {
 			cols[2][i] = steps[v]
 			cols[3][i] = 2.5
 			cols[4][i] = -0.75 * float64(v)
+			cols[5][i] = math.Copysign(float64(v/2), float64(v%2)-0.5)
+			cols[6][i] = float64(v)
+			if v == 15 {
+				cols[6][i] = math.NaN()
+			}
 			y[i] = float64(data[2*i+1]) / 16
 		}
 		cfg := ForestConfig{NumTrees: 3, Tree: TreeConfig{MaxDepth: 5, MinLeafSize: 1}, Seed: int64(data[0])}

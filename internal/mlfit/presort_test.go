@@ -92,6 +92,17 @@ func (g *refGrower) grow(idx []int, depth int) int32 {
 	return int32(at)
 }
 
+// sse returns the sum of squared errors of idx around its mean.
+func sse(y []float64, idx []int) float64 {
+	m := mean(y, idx)
+	var s float64
+	for _, i := range idx {
+		d := y[i] - m
+		s += d * d
+	}
+	return s
+}
+
 func (g *refGrower) tree() Tree {
 	idx := make([]int, len(g.X))
 	for i := range idx {
@@ -142,8 +153,10 @@ func checkPresorted(t *testing.T, name string, X [][]float64, y []float64, cfg F
 
 // TestPresortedTreeMatchesReference checks the presorted split search
 // against the reference on the tie-heavy golden dataset, with and
-// without feature subsampling, and on a single feature with signed
-// zeros or with NaNs, which sort first but split right.
+// without feature subsampling; on a single feature with signed zeros
+// or with NaNs, which sort first but split right; and on features that
+// are constant over whole nodes, where the search returns a leaf
+// before scanning but after the feature shuffle.
 func TestPresortedTreeMatchesReference(t *testing.T) {
 	X, y := tieHeavyData(300, 4)
 	checkPresorted(t, "all-features", X, y, ForestConfig{NumTrees: 6, Tree: TreeConfig{MaxDepth: 10, MinLeafSize: 2}, Seed: 3})
@@ -157,6 +170,15 @@ func TestPresortedTreeMatchesReference(t *testing.T) {
 		one[i] = []float64{[]float64{math.NaN(), 3, 1, 2, 1}[i%5]}
 	}
 	checkPresorted(t, "nan", one, y[:40], ForestConfig{NumTrees: 4, Tree: TreeConfig{MinLeafSize: 1}, Seed: 7})
+	// Feature 0 is constant everywhere, feature 1 within each half of
+	// the rows, feature 2 takes three levels; with one feature drawn
+	// per node, many nodes see only constant segments.
+	cst := make([][]float64, 60)
+	for i := range cst {
+		cst[i] = []float64{2, float64(i / 30), float64(i % 3)}
+	}
+	checkPresorted(t, "constant", cst, y[:60], ForestConfig{NumTrees: 6, Tree: TreeConfig{MinLeafSize: 1, MaxFeatures: 1}, Seed: 11})
+	checkPresorted(t, "constant-all", cst, y[:60], ForestConfig{NumTrees: 3, Tree: TreeConfig{MinLeafSize: 2}, Seed: 13})
 }
 
 // FuzzPresortedTree extends the check to arbitrary inputs: the first

@@ -91,17 +91,6 @@ func mean(y []float64, idx []int) float64 {
 	return s / float64(len(idx))
 }
 
-// sse returns the sum of squared errors of idx around its mean.
-func sse(y []float64, idx []int) float64 {
-	m := mean(y, idx)
-	var s float64
-	for _, i := range idx {
-		d := y[i] - m
-		s += d * d
-	}
-	return s
-}
-
 // keyed is one sample of a split search: its feature value x and its
 // row index i in the tree's training set.
 type keyed struct {
@@ -247,12 +236,30 @@ func (c *growCtx) grow(lo, hi, depth int) int32 {
 		c.rng.Shuffle(nf, func(i, j int) { features[i], features[j] = features[j], features[i] })
 		features = features[:cfg.MaxFeatures]
 	}
+	// A segment whose sorted keys start and end on one value holds no
+	// two distinct values, so the scan below could not split it. NaN
+	// never equals itself, so a segment holding one is scanned.
+	constant := true
+	for _, f := range features {
+		keys := c.list(f)[lo:hi]
+		if keys[0].x != keys[len(keys)-1].x {
+			constant = false
+			break
+		}
+	}
+	if constant {
+		return c.leaf(val)
+	}
 
 	bestGain := 0.0
 	bestFeature := -1
 	bestThreshold := 0.0
 	bestLo, bestHi := 0, 0
-	parentSSE := sse(y, idx)
+	var parentSSE float64 // the sum of squared errors around val
+	for _, i := range idx {
+		d := y[i] - val
+		parentSSE += d * d
+	}
 
 	for _, f := range features {
 		keys := c.list(f)[lo:hi]
@@ -298,16 +305,19 @@ func (c *growCtx) grow(lo, hi, depth int) int32 {
 		c.inexact = true
 	}
 
-	// Stable in-place partition of idx: the left block keeps its order
-	// in place, the right block is staged in the scratch and copied
-	// behind it. The parent no longer reads its segment after this
-	// point, so the children own the two halves.
+	// Mark each row's side from the split feature's own list, which
+	// holds the values the threshold compares; then partition idx
+	// stably in place: the left block keeps its order in place, the
+	// right block is staged in the scratch and copied behind it. The
+	// parent no longer reads its segment after this point, so the
+	// children own the two halves.
+	for _, kv := range c.list(bestFeature)[lo:hi] {
+		c.left[kv.i] = kv.x <= bestThreshold
+	}
 	part := c.part[:0]
 	nl := 0
 	for _, i := range idx {
-		left := X[i][bestFeature] <= bestThreshold
-		c.left[i] = left
-		if left {
+		if c.left[i] {
 			idx[nl] = i
 			nl++
 		} else {

@@ -103,8 +103,9 @@ func GroupDevices(gi *GateInfo, devices []int, cfg Config) (*Grouping, error) {
 	}
 
 	g := &Grouping{Theta: cfg.Theta}
-	g.Groups = append(g.Groups, groupLevel(gi, low, 4, idx, cfg)...)
-	g.Groups = append(g.Groups, groupLevel(gi, high, 2, idx, cfg)...)
+	memo := newGateVerdicts(gi, devices)
+	g.Groups = append(g.Groups, groupLevel(gi, low, 4, idx, cfg, memo)...)
+	g.Groups = append(g.Groups, groupLevel(gi, high, 2, idx, cfg, memo)...)
 	// Stuck-lossy devices close the plan as dedicated direct lines, in
 	// id order for determinism.
 	sort.Ints(isolated)
@@ -147,7 +148,7 @@ func conflicts(gi *GateInfo, a, b int) bool {
 func nonParallelFraction(gi *GateInfo, group []int, cand int, cfg Config) float64 {
 	pairs, np := 0, 0
 	for _, m := range group {
-		p, q := pairCounts(gi, m, cand, cfg)
+		p, q := pairCounts(gi, m, cand, cfg, nil)
 		pairs += p
 		np += q
 	}
@@ -156,8 +157,9 @@ func nonParallelFraction(gi *GateInfo, group []int, cand int, cfg Config) float6
 
 // pairCounts returns nonParallelFraction's counts for the single
 // member m: the (candidate gate, member gate) pairs, and how many of
-// them can never execute simultaneously.
-func pairCounts(gi *GateInfo, m, cand int, cfg Config) (pairs, np int) {
+// them can never execute simultaneously. memo, when non-nil, recalls
+// each gate pair's verdict instead of recomputing it.
+func pairCounts(gi *GateInfo, m, cand int, cfg Config, memo *gateVerdicts) (pairs, np int) {
 	if cfg.SparseQubitZ && (!gi.Dev.IsCoupler(cand) || !gi.Dev.IsCoupler(m)) {
 		// Surface-code mode: any pair involving a qubit is free.
 		return 0, 0
@@ -168,16 +170,66 @@ func pairCounts(gi *GateInfo, m, cand int, cfg Config) (pairs, np int) {
 				continue
 			}
 			pairs++
-			if gatesShareQubit(gi, gm, gc) {
-				np++
-				continue
-			}
-			if cfg.Crosstalk != nil && gateCrosstalk(gi, gm, gc, cfg.Crosstalk) > cfg.NoiseThreshold {
+			if memo.nonParallel(gi, gm, gc, cfg) {
 				np++
 			}
 		}
 	}
 	return pairs, np
+}
+
+// nonParallelGates reports whether member gate gm and candidate gate
+// gc can never execute simultaneously: topologically (they share a
+// qubit) or noisily (their predicted crosstalk exceeds the threshold).
+func nonParallelGates(gi *GateInfo, gm, gc int, cfg Config) bool {
+	return gatesShareQubit(gi, gm, gc) ||
+		cfg.Crosstalk != nil && gateCrosstalk(gi, gm, gc, cfg.Crosstalk) > cfg.NoiseThreshold
+}
+
+// gateVerdicts memoizes nonParallelGates over the gates of one
+// GroupDevices call's devices. Neither Theta nor the growing group
+// changes a gate pair's verdict, so one lazily filled table serves
+// every join of both levels.
+type gateVerdicts struct {
+	local []int32 // local[g]: 1 + gate g's row in v, or 0 for a gate of no grouped device
+	n     int
+	v     []int8 // v[a*n+b]: verdictUnknown, verdictParallel or verdictNonParallel
+}
+
+const (
+	verdictUnknown int8 = iota
+	verdictParallel
+	verdictNonParallel
+)
+
+func newGateVerdicts(gi *GateInfo, devices []int) *gateVerdicts {
+	vs := &gateVerdicts{local: make([]int32, len(gi.Gates))}
+	for _, d := range devices {
+		for _, g := range gi.GatesOf[d] {
+			if vs.local[g] == 0 {
+				vs.n++
+				vs.local[g] = int32(vs.n)
+			}
+		}
+	}
+	vs.v = make([]int8, vs.n*vs.n)
+	return vs
+}
+
+// nonParallel is nonParallelGates(gi, gm, gc, cfg), computed once per
+// gate pair; a nil memo computes it every time.
+func (vs *gateVerdicts) nonParallel(gi *GateInfo, gm, gc int, cfg Config) bool {
+	if vs == nil {
+		return nonParallelGates(gi, gm, gc, cfg)
+	}
+	v := &vs.v[int(vs.local[gm]-1)*vs.n+int(vs.local[gc]-1)]
+	if *v == verdictUnknown {
+		*v = verdictParallel
+		if nonParallelGates(gi, gm, gc, cfg) {
+			*v = verdictNonParallel
+		}
+	}
+	return *v == verdictNonParallel
 }
 
 // fraction is np/pairs, or 1 when there are no pairs.
@@ -212,7 +264,7 @@ func gateCrosstalk(gi *GateInfo, a, b int, xt CrosstalkFunc) float64 {
 // device and updated once when a member joins instead of being
 // recomputed over the whole group at every growth step; the integer
 // counts, and so every fraction, are the same.
-func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Config) []Group {
+func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Config, memo *gateVerdicts) []Group {
 	remaining := sortedByIndex(devs, idx)
 	n := gi.Dev.Count()
 	inGroup := make([]bool, n)
@@ -241,7 +293,7 @@ func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Confi
 					legal[cand] = false
 					continue
 				}
-				p, q := pairCounts(gi, m, cand, cfg)
+				p, q := pairCounts(gi, m, cand, cfg, memo)
 				pairs[cand] += p
 				np[cand] += q
 			}

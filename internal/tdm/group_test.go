@@ -377,8 +377,9 @@ func groupLevelReference(gi *GateInfo, devs []int, capacity int, idx []float64, 
 // groupLevelReference over every device of square, heavy-hex and
 // low-density chips and the Table 2 catalog, at both DEMUX capacities, with and without the
 // crosstalk term and in surface-code mode, and checks whole groupings
-// (Theta split and isolated devices included) against the reference
-// run on GroupDevices' own device split.
+// of the chip and of a region of it (Theta split and isolated devices
+// included) against the reference run on GroupDevices' own device
+// split.
 func TestGroupLevelMatchesReference(t *testing.T) {
 	chips := append([]*chip.Chip{chip.Square(4, 4), chip.HeavyHexagon(2, 2), chip.LowDensity(4, 4)}, chip.Table2Chips()...)
 	sparse := DefaultConfig(decayXT)
@@ -403,7 +404,7 @@ func TestGroupLevelMatchesReference(t *testing.T) {
 		}
 		for name, cfg := range configs {
 			for _, capacity := range []int{2, 4} {
-				got := groupLevel(gi, devs, capacity, idx, cfg)
+				got := groupLevel(gi, devs, capacity, idx, cfg, newGateVerdicts(gi, devs))
 				want := groupLevelReference(gi, append([]int(nil), devs...), capacity, idx, cfg)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s capacity %d:\n got %v\nwant %v", c.Topology, name, capacity, got, want)
@@ -413,27 +414,31 @@ func TestGroupLevelMatchesReference(t *testing.T) {
 			isolated := cfg
 			isolated.Isolate = func(dev int) bool { return dev%5 == 1 }
 			for _, cfg := range []Config{cfg, isolated} {
-				g, err := GroupChip(gi, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var low, high, iso []int
-				for _, d := range devs {
-					switch {
-					case cfg.Isolate != nil && cfg.Isolate(d):
-						iso = append(iso, d)
-					case idx[d] <= cfg.Theta:
-						low = append(low, d)
-					default:
-						high = append(high, d)
+				// The whole chip, and a region of it whose gates reach
+				// devices outside the grouped set.
+				for _, region := range [][]int{devs, devs[len(devs)/3:]} {
+					g, err := GroupDevices(gi, region, cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				want := append(groupLevelReference(gi, low, 4, idx, cfg), groupLevelReference(gi, high, 2, idx, cfg)...)
-				for _, d := range iso {
-					want = append(want, Group{Devices: []int{d}, Level: DemuxNone})
-				}
-				if !reflect.DeepEqual(g.Groups, want) {
-					t.Errorf("%s/%s isolate=%v: GroupChip\n got %v\nwant %v", c.Topology, name, cfg.Isolate != nil, g.Groups, want)
+					var low, high, iso []int
+					for _, d := range region {
+						switch {
+						case cfg.Isolate != nil && cfg.Isolate(d):
+							iso = append(iso, d)
+						case idx[d] <= cfg.Theta:
+							low = append(low, d)
+						default:
+							high = append(high, d)
+						}
+					}
+					want := append(groupLevelReference(gi, low, 4, idx, cfg), groupLevelReference(gi, high, 2, idx, cfg)...)
+					for _, d := range iso {
+						want = append(want, Group{Devices: []int{d}, Level: DemuxNone})
+					}
+					if !reflect.DeepEqual(g.Groups, want) {
+						t.Errorf("%s/%s isolate=%v region of %d: GroupDevices\n got %v\nwant %v", c.Topology, name, cfg.Isolate != nil, len(region), g.Groups, want)
+					}
 				}
 			}
 		}

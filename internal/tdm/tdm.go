@@ -13,6 +13,7 @@ package tdm
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/chip"
@@ -89,9 +90,9 @@ func (d Devices) CouplerID(dev int) int { return dev - d.chip.NumQubits() }
 // Name returns a readable device name (q3 or c7).
 func (d Devices) Name(dev int) string {
 	if d.IsCoupler(dev) {
-		return fmt.Sprintf("c%d", d.CouplerID(dev))
+		return "c" + strconv.Itoa(d.CouplerID(dev))
 	}
-	return fmt.Sprintf("q%d", dev)
+	return "q" + strconv.Itoa(dev)
 }
 
 // GateInfo is the static analysis of the chip's hardware 2q-gate sites
@@ -275,14 +276,27 @@ func (g *Grouping) Validate(gi *GateInfo) error {
 // every listed device and forbidden for every other (so a dead device
 // in any group is an error).
 func (g *Grouping) ValidateDevices(gi *GateInfo, devices []int) error {
-	want := make(map[int]bool, len(devices))
+	n := gi.Dev.Count()
+	want := make([]bool, n)
+	var beyond map[int]bool // listed devices outside [0, n), which no group may hold
 	for _, d := range devices {
-		if want[d] {
+		if d >= 0 && d < n {
+			if want[d] {
+				return fmt.Errorf("tdm: duplicate device %d in validation set", d)
+			}
+			want[d] = true
+			continue
+		}
+		if beyond[d] {
 			return fmt.Errorf("tdm: duplicate device %d in validation set", d)
 		}
-		want[d] = true
+		if beyond == nil {
+			beyond = make(map[int]bool)
+		}
+		beyond[d] = true
 	}
-	seen := make(map[int]int)
+	seen := make([]int32, n) // seen[d]: 1 + the group holding d, or 0
+	covered := 0
 	for gid, grp := range g.Groups {
 		if len(grp.Devices) == 0 {
 			return fmt.Errorf("tdm: group %d is empty", gid)
@@ -291,20 +305,21 @@ func (g *Grouping) ValidateDevices(gi *GateInfo, devices []int) error {
 			return fmt.Errorf("tdm: group %d has %d devices, level %s", gid, len(grp.Devices), grp.Level)
 		}
 		for _, d := range grp.Devices {
-			if d < 0 || d >= gi.Dev.Count() {
+			if d < 0 || d >= n {
 				return fmt.Errorf("tdm: group %d has out-of-range device %d", gid, d)
 			}
 			if !want[d] {
 				return fmt.Errorf("tdm: group %d contains device %s outside the device set", gid, gi.Dev.Name(d))
 			}
-			if prev, dup := seen[d]; dup {
-				return fmt.Errorf("tdm: device %s in groups %d and %d", gi.Dev.Name(d), prev, gid)
+			if seen[d] != 0 {
+				return fmt.Errorf("tdm: device %s in groups %d and %d", gi.Dev.Name(d), seen[d]-1, gid)
 			}
-			seen[d] = gid
+			seen[d] = int32(gid) + 1
+			covered++
 		}
 	}
-	if len(seen) != len(want) {
-		return fmt.Errorf("tdm: grouping covers %d of %d devices", len(seen), len(want))
+	if covered != len(devices) {
+		return fmt.Errorf("tdm: grouping covers %d of %d devices", covered, len(devices))
 	}
 	for gIdx := range gi.Gates {
 		devs := gi.GateDevices(gIdx)
@@ -313,11 +328,10 @@ func (g *Grouping) ValidateDevices(gi *GateInfo, devices []int) error {
 				// A gate device outside the validated set (e.g. a dead
 				// qubit's coupler in a degraded design) has no group to
 				// collide in.
-				ga, inA := seen[devs[a]]
-				gb, inB := seen[devs[b]]
-				if inA && inB && ga == gb {
+				ga, gb := seen[devs[a]], seen[devs[b]]
+				if ga != 0 && ga == gb {
 					return fmt.Errorf("tdm: gate %d devices %s and %s share group %d (unrealizable 2q gate)",
-						gIdx, gi.Dev.Name(devs[a]), gi.Dev.Name(devs[b]), ga)
+						gIdx, gi.Dev.Name(devs[a]), gi.Dev.Name(devs[b]), ga-1)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package tdm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,6 +104,126 @@ func TestAnalyzeGatesUsableFiltersGates(t *testing.T) {
 	for gIdx, g := range filtered.Gates {
 		if g.Q1 == deadQubit || g.Q2 == deadQubit {
 			t.Errorf("gate %d still references dead qubit", gIdx)
+		}
+	}
+}
+
+// validateDevicesReference is ValidateDevices as first written, over
+// maps; the dense rewrite must return exactly its errors.
+func validateDevicesReference(g *Grouping, gi *GateInfo, devices []int) error {
+	want := make(map[int]bool, len(devices))
+	for _, d := range devices {
+		if want[d] {
+			return fmt.Errorf("tdm: duplicate device %d in validation set", d)
+		}
+		want[d] = true
+	}
+	seen := make(map[int]int)
+	for gid, grp := range g.Groups {
+		if len(grp.Devices) == 0 {
+			return fmt.Errorf("tdm: group %d is empty", gid)
+		}
+		if len(grp.Devices) > int(grp.Level) {
+			return fmt.Errorf("tdm: group %d has %d devices, level %s", gid, len(grp.Devices), grp.Level)
+		}
+		for _, d := range grp.Devices {
+			if d < 0 || d >= gi.Dev.Count() {
+				return fmt.Errorf("tdm: group %d has out-of-range device %d", gid, d)
+			}
+			if !want[d] {
+				return fmt.Errorf("tdm: group %d contains device %s outside the device set", gid, gi.Dev.Name(d))
+			}
+			if prev, dup := seen[d]; dup {
+				return fmt.Errorf("tdm: device %s in groups %d and %d", gi.Dev.Name(d), prev, gid)
+			}
+			seen[d] = gid
+		}
+	}
+	if len(seen) != len(want) {
+		return fmt.Errorf("tdm: grouping covers %d of %d devices", len(seen), len(want))
+	}
+	for gIdx := range gi.Gates {
+		devs := gi.GateDevices(gIdx)
+		for a := 0; a < 3; a++ {
+			for b := a + 1; b < 3; b++ {
+				ga, inA := seen[devs[a]]
+				gb, inB := seen[devs[b]]
+				if inA && inB && ga == gb {
+					return fmt.Errorf("tdm: gate %d devices %s and %s share group %d (unrealizable 2q gate)",
+						gIdx, gi.Dev.Name(devs[a]), gi.Dev.Name(devs[b]), ga)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestValidateDevicesMatchesReference breaks a valid grouping and its
+// device set in every way ValidateDevices checks and compares the
+// errors with the map-based reference.
+func TestValidateDevicesMatchesReference(t *testing.T) {
+	gi := AnalyzeGates(chip.Square(3, 3))
+	n := gi.Dev.Count()
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	base, err := GroupChip(gi, DefaultConfig(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func() *Grouping {
+		g := &Grouping{Theta: base.Theta}
+		for _, grp := range base.Groups {
+			g.Groups = append(g.Groups, Group{Devices: append([]int(nil), grp.Devices...), Level: grp.Level})
+		}
+		return g
+	}
+	gate := gi.GateDevices(0)
+	cases := []struct {
+		name    string
+		devices []int
+		edit    func(g *Grouping)
+	}{
+		{"valid", all, nil},
+		{"duplicate in set", append([]int{3}, all...), nil},
+		{"set beyond range", append(append([]int(nil), all...), -4, n+2), nil},
+		{"duplicate beyond range", append(append([]int(nil), all...), n+2, n+2), nil},
+		{"missing from set", all[1:], nil},
+		{"coverage gap", append(append([]int(nil), all...), n+2), nil},
+		{"empty group", all, func(g *Grouping) { g.Groups = append(g.Groups, Group{Level: DemuxNone}) }},
+		{"over level", all, func(g *Grouping) {
+			g.Groups[0].Level = DemuxNone
+			g.Groups[0].Devices = append(g.Groups[0].Devices, 0, 1)
+		}},
+		{"out of range", all, func(g *Grouping) { g.Groups[0].Devices[0] = n }},
+		{"negative", all, func(g *Grouping) { g.Groups[0].Devices[0] = -1 }},
+		{"twice", all, func(g *Grouping) {
+			g.Groups = append(g.Groups, Group{Devices: []int{g.Groups[0].Devices[0]}, Level: DemuxNone})
+		}},
+		{"dropped", all, func(g *Grouping) { g.Groups = g.Groups[1:] }},
+		{"gate shares group", all, func(g *Grouping) {
+			// Regroup: the gate's two qubits together, everything else
+			// alone.
+			g.Groups = []Group{{Devices: []int{gate[0], gate[1]}, Level: Demux1to2}}
+			for d := 0; d < n; d++ {
+				if d != gate[0] && d != gate[1] {
+					g.Groups = append(g.Groups, Group{Devices: []int{d}, Level: DemuxNone})
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		g := clone()
+		if tc.edit != nil {
+			tc.edit(g)
+		}
+		got, want := g.ValidateDevices(gi, tc.devices), validateDevicesReference(g, gi, tc.devices)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, want)
+		}
+		if tc.name != "valid" && want == nil {
+			t.Errorf("%s: the reference accepts the broken grouping", tc.name)
 		}
 	}
 }
