@@ -126,10 +126,10 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 	// The grid search is the hot loop of characterization. A CART
 	// split reads its feature only through '<' and '==', so candidates
 	// whose equivalent distances rank the samples alike share one
-	// k-fold CV (mlfit.KFoldMSEShared), and the ordinal classes fan out
-	// over the worker pool. Selection scans the results in grid order
-	// with a strict '<', reproducing the sequential first-best
-	// tie-break for any worker count.
+	// k-fold CV (mlfit.CVPlan.KFoldMSEShared), and the ordinal classes
+	// fan out over the worker pool. Selection scans the results in
+	// grid order with a strict '<', reproducing the sequential
+	// first-best tie-break for any worker count.
 	type candidate struct {
 		wp, wt float64
 	}
@@ -154,10 +154,15 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 		o.fits.Inc()
 		o.candidates.Add(int64(len(cands)))
 	}
+	// One plan (fold split and bootstrap draws) serves every class.
+	plan, err := mlfit.NewCVPlan(n, cfg.Folds, cfg.Forest, cfg.Forest.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("crosstalk: CV: %w", err)
+	}
 	mses := make([]float64, len(cands))
 	err = parallel.ForEachCtx(ctx, cfg.Workers, len(classes), func(k int) error {
 		class := classes[k]
-		cm, grown, err := mlfit.KFoldMSEShared(cols, class, y, cfg.Folds, cfg.Forest, cfg.Forest.Seed)
+		cm, grown, err := plan.KFoldMSEShared(cols, class, y)
 		if err != nil {
 			cand := cands[class[0]]
 			return fmt.Errorf("crosstalk: CV at (%.2f,%.2f): %w", cand.wp, cand.wt, err)

@@ -38,42 +38,72 @@ func FitForest(X [][]float64, y []float64, cfg ForestConfig) (*Forest, error) {
 	if err := checkTrainingSet(X, y); err != nil {
 		return nil, err
 	}
+	n, nf := len(X), len(X[0])
 	f := &Forest{trees: make([]Tree, 0, cfg.NumTrees)}
-	c := newGrowCtx(len(X), len(X[0]), cfg.Tree, nil)
-	c.bag(X, y, cfg, func([]int) { f.trees = append(f.trees, c.tree()) })
+	c := newGrowCtx(n, nf, n, cfg.Tree, nil) // ≤ n leaves, as in FitTree
+	floats, rank := make([]float64, (nf+1)*n), make([]int32, nf*n)
+	xs := floats[:nf*n]
+	c.by = floats[nf*n:]
+	nrank := 0
+	for j := 0; j < nf; j++ {
+		col := xs[j*n : (j+1)*n]
+		for i, row := range X {
+			col[i] = row[j]
+		}
+		nrank = max(nrank, c.rankRows(col, rank[j*n:(j+1)*n]))
+	}
+	c.bag(xs, rank, nrank, y, nil, cfg, func([]int32) { f.trees = append(f.trees, c.tree()) })
 	return f, nil
 }
 
-// bag grows FitForest's cfg.NumTrees bootstrap trees on the validated
-// X, y, of at most the arena's row count, and calls each after every
-// tree while the tree is still in the arena; draw[i] is the row of X
-// that the tree's sample i was drawn from. One bootstrap buffer serves
-// every tree: a tree reads the rows during growth and retains nothing,
-// so the next tree may overwrite them.
+// bag grows cfg.NumTrees bootstrap trees on a validated training set
+// of len(y) rows of at most the arena's row count, and calls each after
+// every tree while the tree is still in the arena; draw[i] is the row
+// that the tree's sample i was drawn from. The set is stored feature
+// by feature: feature f's values are xs[f*n:(f+1)*n], and rank holds,
+// at the same offsets, the rows' dense value ranks, all below nrank.
+// One bootstrap buffer serves every tree: a tree reads its rows during
+// growth and retains nothing, so the next tree may overwrite them.
 //
-// X's rows are ranked once per feature, so each tree's root lists come
-// from a counting pass over draw rather than a sort: the samples go
-// into buckets by the rank of their row's value, each bucket in sample
-// order, which is exactly compareKeyed order.
-func (c *growCtx) bag(X [][]float64, y []float64, cfg ForestConfig, each func(draw []int)) {
-	n, stride := len(X), len(c.idx)
-	if cap(c.draw) < n {
-		c.bx, c.by, c.draw = make([][]float64, n), make([]float64, n), make([]int, n)
-		c.rank = make([]int32, (len(X[0])+1)*stride)
+// Tree t's rows are draws[t*n:(t+1)*n]. A nil draws takes them from a
+// fresh rand.NewSource(cfg.Seed), tree by tree, the stream also
+// drawing each split's feature subset; a single-feature tree draws no
+// subset, so its rows are the stream's Intn draws alone, which is what
+// a CVPlan holds.
+//
+// Each tree's root lists come from a counting pass over draw rather
+// than a sort: the samples go into buckets by the rank of their row's
+// value, each bucket in sample order, which is exactly compareKeyed
+// order. Only the ranks' order matters, so gaps among them are free.
+func (c *growCtx) bag(xs []float64, rank []int32, nrank int, y []float64, draws []int32, cfg ForestConfig, each func(draw []int32)) {
+	n := len(y)
+	nf := len(xs) / n
+	if cap(c.by) < n {
+		c.by = make([]float64, n)
 	}
-	bx, by, draw := c.bx[:n], c.by[:n], c.draw[:n]
-	for f := range X[0] {
-		c.rankRows(X, f)
+	ints := nrank
+	if draws == nil {
+		ints += n
+		c.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	count := c.rank[len(X[0])*stride:][:n]
-	c.rng = rand.New(rand.NewSource(cfg.Seed))
+	if len(c.ints) < ints {
+		// A list of nrank distinct values has fewer boundaries, NaNs
+		// aside, so the boundary buffer is sized once here.
+		c.ints, c.bnds = make([]int32, ints), make([]boundary, 0, nrank)
+	}
+	by, count, draw := c.by[:n], c.ints[:nrank], c.ints[nrank:ints]
 	for t := 0; t < cfg.NumTrees; t++ {
-		for i := range draw {
-			k := c.rng.Intn(n)
-			draw[i], bx[i], by[i] = k, X[k], y[k]
+		if draws != nil {
+			draw = draws[t*n : (t+1)*n]
+		} else {
+			drawRows(c.rng, draw)
 		}
-		for f := range X[0] {
-			rank, keys := c.rank[f*stride:][:n], c.list(f)[:n]
+		for i, k := range draw {
+			by[i] = y[k]
+		}
+		for f := 0; f < nf; f++ {
+			rank, col := rank[f*n:(f+1)*n], xs[f*n:(f+1)*n]
+			keys, ys := c.list(f, 0, n)
 			clear(count)
 			for _, k := range draw {
 				count[rank[k]]++
@@ -84,22 +114,32 @@ func (c *growCtx) bag(X [][]float64, y []float64, cfg ForestConfig, each func(dr
 			}
 			for i, k := range draw {
 				r := rank[k]
-				keys[count[r]] = keyed{x: X[k][f], i: i}
+				keys[count[r]] = keyed{x: col[k], i: i}
+				ys[count[r]] = by[i]
 				count[r]++
 			}
 		}
-		c.growTree(bx, by)
+		c.growTree(nf, by)
 		each(draw)
 	}
 }
 
-// rankRows stores in feature f's rank slice the dense rank of every
-// row's value among X's values of f under cmp.Compare, so equal values
-// share a rank. Feature f's key list serves as the sort scratch.
-func (c *growCtx) rankRows(X [][]float64, f int) {
-	keys, rank := c.list(f)[:len(X)], c.rank[f*len(c.idx):]
-	for i, row := range X {
-		keys[i] = keyed{x: row[f], i: i}
+// drawRows fills draw with one tree's bootstrap rows, each drawn
+// uniformly from [0, len(draw)) by rng.Intn.
+func drawRows(rng *rand.Rand, draw []int32) {
+	for i := range draw {
+		draw[i] = int32(rng.Intn(len(draw)))
+	}
+}
+
+// rankRows stores in rank the dense rank of every value of col among
+// col's values under cmp.Compare, so equal values share a rank, and
+// returns the number of distinct values. Feature 0's key list serves as
+// the sort scratch.
+func (c *growCtx) rankRows(col []float64, rank []int32) int {
+	keys, _ := c.list(0, 0, len(col))
+	for i, x := range col {
+		keys[i] = keyed{x: x, i: i}
 	}
 	slices.SortFunc(keys, func(a, b keyed) int { return cmp.Compare(a.x, b.x) })
 	var r int32
@@ -109,6 +149,7 @@ func (c *growCtx) rankRows(X [][]float64, f int) {
 		}
 		rank[kv.i] = r
 	}
+	return int(r) + 1
 }
 
 // Predict returns the forest's mean prediction for x.

@@ -3,6 +3,7 @@ package mlfit
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 )
 
@@ -14,7 +15,7 @@ import (
 //
 // A CART split reads its feature only through '<' and '==', so the
 // columns of one class grow trees that differ only in their
-// thresholds, and KFoldMSEShared cross-validates a class at the cost
+// thresholds, and CVPlan.KFoldMSEShared cross-validates a class at the cost
 // of one column.
 func OrdinalClasses(cols [][]float64) [][]int {
 	var classes [][]int
@@ -60,10 +61,68 @@ func sameOrder(order []int, a, b []float64) bool {
 	return true
 }
 
+// CVPlan is the part of a single-feature k-fold cross-validation that
+// does not depend on the feature's values: the fold split and every
+// fold forest's bootstrap draws. A plan is read-only once built, so the
+// CVs of every ordinal class of one fit may share it across goroutines.
+type CVPlan struct {
+	n, k int
+	cfg  ForestConfig
+	perm []int // the seeded sample permutation that assigns the folds
+	// sizes holds the distinct training-set sizes of the folds (at
+	// most two), and draws[s] the cfg.NumTrees×sizes[s] bootstrap rows
+	// of a forest on sizes[s] rows, tree by tree.
+	sizes []int
+	draws [][]int32
+}
+
+// NewCVPlan builds the plan of a k-fold CV of forests grown under cfg
+// over n samples, its folds assigned by seed as KFoldMSE assigns them.
+//
+// FitForest reseeds its stream from cfg.Seed on every call, and a
+// single-feature tree draws no feature subset from it, so every fold
+// forest of one training-set size draws the same rows: the Intn stream
+// of a fresh rand.NewSource(cfg.Seed). The plan draws it once per size.
+func NewCVPlan(n, k int, cfg ForestConfig, seed int64) (*CVPlan, error) {
+	perm, err := foldPerm(n, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.NumTrees <= 0 {
+		return nil, fmt.Errorf("mlfit: NumTrees must be positive, got %d", cfg.NumTrees)
+	}
+	p := &CVPlan{n: n, k: k, cfg: cfg, perm: perm}
+	for fold := 0; fold < k; fold++ {
+		m := p.trainSize(fold)
+		if slices.Contains(p.sizes, m) {
+			continue
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		draws := make([]int32, cfg.NumTrees*m)
+		for t := 0; t < cfg.NumTrees; t++ {
+			drawRows(rng, draws[t*m:(t+1)*m])
+		}
+		p.sizes, p.draws = append(p.sizes, m), append(p.draws, draws)
+	}
+	return p, nil
+}
+
+// trainSize returns the number of samples fold trains on: all but the
+// perm positions i with i%k == fold.
+func (p *CVPlan) trainSize(fold int) int {
+	return p.n - (p.n-fold+p.k-1)/p.k
+}
+
+// drawsFor returns the bootstrap draws of a forest on m training rows.
+func (p *CVPlan) drawsFor(m int) []int32 {
+	return p.draws[slices.Index(p.sizes, m)]
+}
+
 // KFoldMSEShared returns, for each column cols[m] of members, the
 // k-fold CV error KFoldMSE returns for the single-feature matrix
-// X[i] = [cols[m][i]], bit for bit. The members must form one ordinal
-// class (see OrdinalClasses); the first is the class representative.
+// X[i] = [cols[m][i]] under the plan's fold count, forest config and
+// fold seed, bit for bit. The members must form one ordinal class (see
+// OrdinalClasses); the first is the class representative.
 //
 // Every fold's forest is grown once, on the representative, and the
 // arena records each split's two boundary samples. A member's tree is
@@ -77,21 +136,21 @@ func sameOrder(order []int, a, b []float64) bool {
 // member) is re-run as a class of its own. The second result counts the
 // CVs grown: one plus one per such fallback.
 //
+// The class's dense ranks, which route held-out rows, also order each
+// fold's root lists: restricted to the fold's training rows they sort
+// them exactly as compareKeyed does, so no fold sorts.
+//
 // Held-out rows of one representative value hold one value in every
 // member, so they take one path through every tree: each distinct
 // held-out value is routed once, and its prediction sum stands for all
 // its rows.
-func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg ForestConfig, seed int64) ([]float64, int, error) {
-	n := len(y)
+func (p *CVPlan) KFoldMSEShared(cols [][]float64, members []int, y []float64) ([]float64, int, error) {
+	n, k, cfg := p.n, p.k, p.cfg
 	if len(members) == 0 {
 		return nil, 0, fmt.Errorf("mlfit: empty ordinal class")
 	}
-	perm, err := foldPerm(n, k, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	if cfg.NumTrees <= 0 {
-		return nil, 0, fmt.Errorf("mlfit: NumTrees must be positive, got %d", cfg.NumTrees)
+	if len(y) != n {
+		return nil, 0, fmt.Errorf("mlfit: %d targets, want %d", len(y), n)
 	}
 	rep := cols[members[0]]
 	for _, m := range members {
@@ -111,10 +170,11 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 	// held-out values, slot maps a rank to its index among them, dist
 	// holds one held-out row of each, at[r] is the index of held-out
 	// row r's value, and sums holds each member's prediction sum per
-	// value. One int32 and one float64 buffer serve every fold.
-	ints := make([]int32, 2*n+2*nte)
-	rank, slot := ints[:n], ints[n:2*n]
-	dist, at := ints[2*n:2*n:2*n+nte], ints[2*n+nte:2*n+nte]
+	// value; trRank holds the ranks of the fold's training rows. One
+	// int32 and one float64 buffer serve every fold.
+	ints := make([]int32, 3*n+2*nte)
+	rank, slot, trRank := ints[:n], ints[n:2*n], ints[2*n:2*n:3*n]
+	dist, at := ints[3*n:3*n:3*n+nte], ints[3*n+nte:3*n+nte]
 	var r int32
 	for k, i := range order {
 		if k > 0 && cmp.Compare(rep[order[k-1]], rep[i]) != 0 {
@@ -122,30 +182,29 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 		}
 		rank[i] = r
 	}
-	sums := make([]float64, (len(members)+1)*nte)
-	sums, pred := sums[:len(members)*nte], sums[len(members)*nte:]
+	nrank := int(r) + 1
+	floats := make([]float64, (len(members)+1)*nte+3*n)
+	sums, pred := floats[:len(members)*nte], floats[len(members)*nte:(len(members)+1)*nte]
+	floats = floats[(len(members)+1)*nte:]
+	trX, trY, teY := floats[:0:n], floats[n:n:2*n], floats[2*n:2*n]
 
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = rep[i : i+1 : i+1]
-	}
-	// One arena, its bootstrap buffers and the fold buffers serve every
-	// fold; a member's thresholds and predictions are rebuilt in reused
-	// scratch.
-	c := newGrowCtx(n, 1, cfg.Tree, nil)
+	// One arena and the fold buffers serve every fold; a member's
+	// thresholds and predictions are rebuilt in reused scratch. A split
+	// sends every row of one value the same way, so each leaf holds
+	// whole values, at least one: a tree has at most nrank leaves.
+	c := newGrowCtx(n, 1, nrank, cfg.Tree, nil)
 	c.bounds = make([][2]int, cap(c.nodes))
 	tr, te := make([]int, 0, n), make([]int, 0, nte)
-	trX, trY, teY := make([][]float64, 0, n), make([]float64, 0, n), make([]float64, 0, nte)
 	thresholds := make([]float64, cap(c.nodes))
 	solo := make([]bool, len(members)) // members to re-run alone
 	mses := make([]float64, len(members))
 	for fold := 0; fold < k; fold++ {
-		tr, te = foldSplit(perm, k, fold, tr, te)
-		trX = trX[:0]
-		for _, r := range tr {
-			trX = append(trX, rows[r])
+		tr, te = foldSplit(p.perm, k, fold, tr, te)
+		trX, trY, teY = gather(trX, rep, tr), gather(trY, y, tr), gather(teY, y, te)
+		trRank = trRank[:0]
+		for _, row := range tr {
+			trRank = append(trRank, rank[row])
 		}
-		trY, teY = gather(trY, y, tr), gather(teY, y, te)
 		for _, row := range te {
 			slot[rank[row]] = -1
 		}
@@ -161,7 +220,7 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 		nd := len(dist)
 		sums := sums[:len(members)*nd]
 		clear(sums)
-		c.bag(trX, trY, cfg, func(draw []int) {
+		c.bag(trX, trRank, nrank, trY, p.drawsFor(len(tr)), cfg, func(draw []int32) {
 			for mi, m := range members {
 				// The representative's rebuilt thresholds are its
 				// tree's own; every other member must keep each
@@ -186,7 +245,7 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 				if solo[mi] {
 					continue
 				}
-				p := sums[mi*nd : (mi+1)*nd]
+				ps := sums[mi*nd : (mi+1)*nd]
 				for d, row := range dist {
 					x, j := col[row], int32(0)
 					for c.nodes[j].feature >= 0 {
@@ -196,7 +255,7 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 							j = c.nodes[j].right
 						}
 					}
-					p[d] += c.nodes[j].value
+					ps[d] += c.nodes[j].value
 				}
 			}
 		})
@@ -207,9 +266,9 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 			if solo[mi] {
 				continue
 			}
-			p := sums[mi*nd : (mi+1)*nd]
+			ps := sums[mi*nd : (mi+1)*nd]
 			for r, d := range at {
-				pred[r] = p[d] / float64(cfg.NumTrees)
+				pred[r] = ps[d] / float64(cfg.NumTrees)
 			}
 			mses[mi] += MSE(pred, teY)
 		}
@@ -220,7 +279,7 @@ func KFoldMSEShared(cols [][]float64, members []int, y []float64, k int, cfg For
 			mses[mi] /= float64(k)
 			continue
 		}
-		single, g, err := KFoldMSEShared(cols, []int{m}, y, k, cfg, seed)
+		single, g, err := p.KFoldMSEShared(cols, []int{m}, y)
 		if err != nil {
 			return nil, 0, err
 		}

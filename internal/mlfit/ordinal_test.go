@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -21,9 +22,13 @@ func asRows(col []float64) [][]float64 {
 // alone. It returns the total count of CVs grown.
 func checkShared(t *testing.T, cols [][]float64, y []float64, k int, cfg ForestConfig, seed int64) int {
 	t.Helper()
+	plan, err := NewCVPlan(len(y), k, cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	grown := 0
 	for _, class := range OrdinalClasses(cols) {
-		mses, g, err := KFoldMSEShared(cols, class, y, k, cfg, seed)
+		mses, g, err := plan.KFoldMSEShared(cols, class, y)
 		if err != nil {
 			t.Fatalf("class %v: %v", class, err)
 		}
@@ -145,9 +150,20 @@ func TestKFoldMSESharedValidation(t *testing.T) {
 		{"short column", []int{2}, 2, cfg},
 		{"mixed ranks", []int{0, 1}, 2, cfg},
 	} {
-		if _, _, err := KFoldMSEShared(cols, tc.members, y, tc.k, tc.cfg, 1); err == nil {
+		plan, err := NewCVPlan(len(y), tc.k, tc.cfg, 1)
+		if err == nil {
+			_, _, err = plan.KFoldMSEShared(cols, tc.members, y)
+		}
+		if err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
+	}
+	plan, err := NewCVPlan(len(y), 2, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := plan.KFoldMSEShared(cols, []int{0}, y[:5]); err == nil {
+		t.Error("short targets accepted")
 	}
 }
 
@@ -196,4 +212,107 @@ func FuzzKFoldMSEShared(f *testing.F) {
 		cfg := ForestConfig{NumTrees: 3, Tree: TreeConfig{MaxDepth: 5, MinLeafSize: 1}, Seed: int64(data[0])}
 		checkShared(t, cols, y, 5, cfg, int64(data[1]))
 	})
+}
+
+// TestCVPlanDraws: for every fold, the plan's draws at the fold's
+// training-set size are the Intn stream of a fresh
+// rand.NewSource(cfg.Seed), tree after tree, which is what FitForest
+// draws on a single feature; sample counts not divisible by k give two
+// sizes.
+func TestCVPlanDraws(t *testing.T) {
+	cfg := ForestConfig{NumTrees: 7, Tree: TreeConfig{MaxDepth: 4}, Seed: 11}
+	for _, tc := range []struct{ n, k, sizes int }{{50, 5, 1}, {53, 5, 2}, {7, 3, 2}, {10, 10, 1}, {11, 2, 2}} {
+		p, err := NewCVPlan(tc.n, tc.k, cfg, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := foldPerm(tc.n, tc.k, 5); !reflect.DeepEqual(p.perm, want) {
+			t.Errorf("n=%d k=%d: perm %v, want %v", tc.n, tc.k, p.perm, want)
+		}
+		if len(p.sizes) != tc.sizes {
+			t.Errorf("n=%d k=%d: %d training sizes %v, want %d", tc.n, tc.k, len(p.sizes), p.sizes, tc.sizes)
+		}
+		var tr, te []int
+		for fold := 0; fold < tc.k; fold++ {
+			tr, te = foldSplit(p.perm, tc.k, fold, tr, te)
+			m := len(tr)
+			if p.trainSize(fold) != m {
+				t.Fatalf("n=%d k=%d fold %d: trainSize %d, want %d", tc.n, tc.k, fold, p.trainSize(fold), m)
+			}
+			got := p.drawsFor(m)
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			if len(got) != cfg.NumTrees*m {
+				t.Fatalf("n=%d k=%d fold %d: %d draws, want %d", tc.n, tc.k, fold, len(got), cfg.NumTrees*m)
+			}
+			for i, d := range got {
+				if want := rng.Intn(m); int(d) != want {
+					t.Fatalf("n=%d k=%d fold %d: draw %d is %d, want %d", tc.n, tc.k, fold, i, d, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCVPlanShared: one plan, shared by four goroutines that each
+// cross-validate every ordinal class, gives every column exactly its
+// KFoldMSE error. Run under -race, it also checks that the CVs only
+// read the plan.
+func TestCVPlanShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 83 // not a multiple of k: two training-set sizes
+	base, y := make([]float64, n), make([]float64, n)
+	for i := range base {
+		base[i] = float64(rng.Intn(11))
+		y[i] = math.Cos(base[i]) + 0.3*rng.NormFloat64()
+	}
+	cols := [][]float64{base, make([]float64, n), make([]float64, n), make([]float64, n)}
+	for i, v := range base {
+		cols[1][i] = 0.25 * v
+		cols[2][i] = -v
+		cols[3][i] = math.Sqrt(v)
+	}
+	cfg := ForestConfig{NumTrees: 5, Tree: TreeConfig{MaxDepth: 6, MinLeafSize: 2}, Seed: 6}
+	const k, seed = 5, 3
+	plan, err := NewCVPlan(n, k, cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := OrdinalClasses(cols)
+	const workers = 4
+	got := make([][]float64, workers*len(cols))
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, class := range classes {
+				mses, _, err := plan.KFoldMSEShared(cols, class, y)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				for j, m := range class {
+					got[w*len(cols)+m] = mses[j : j+1]
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	for m, col := range cols {
+		want, err := KFoldMSE(asRows(col), y, k, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < workers; w++ {
+			if g := got[w*len(cols)+m][0]; math.Float64bits(g) != math.Float64bits(want) {
+				t.Errorf("worker %d column %d: shared MSE %v, KFoldMSE %v", w, m, g, want)
+			}
+		}
+	}
 }

@@ -153,10 +153,11 @@ func checkPresorted(t *testing.T, name string, X [][]float64, y []float64, cfg F
 
 // TestPresortedTreeMatchesReference checks the presorted split search
 // against the reference on the tie-heavy golden dataset, with and
-// without feature subsampling; on a single feature with signed zeros
-// or with NaNs, which sort first but split right; and on features that
-// are constant over whole nodes, where the search returns a leaf
-// before scanning but after the feature shuffle.
+// without feature subsampling; on a single feature with signed zeros,
+// with NaNs, which sort first but split right, or with a segment of
+// NaNs; on a best boundary at exactly MinLeafSize and on exactly tied
+// gains; and on features that are constant over whole nodes, where the
+// search returns a leaf before scanning but after the feature shuffle.
 func TestPresortedTreeMatchesReference(t *testing.T) {
 	X, y := tieHeavyData(300, 4)
 	checkPresorted(t, "all-features", X, y, ForestConfig{NumTrees: 6, Tree: TreeConfig{MaxDepth: 10, MinLeafSize: 2}, Seed: 3})
@@ -170,6 +171,41 @@ func TestPresortedTreeMatchesReference(t *testing.T) {
 		one[i] = []float64{[]float64{math.NaN(), 3, 1, 2, 1}[i%5]}
 	}
 	checkPresorted(t, "nan", one, y[:40], ForestConfig{NumTrees: 4, Tree: TreeConfig{MinLeafSize: 1}, Seed: 7})
+	// A NaN segment: the first 16 rows are NaN, so whole nodes hold
+	// only NaNs, which never equal one another and split nowhere.
+	for i := range one {
+		one[i] = []float64{float64(i % 3)}
+		if i < 16 {
+			one[i][0] = math.NaN()
+		}
+	}
+	checkPresorted(t, "nan-segment", one, y[:40], ForestConfig{NumTrees: 4, Tree: TreeConfig{MinLeafSize: 1}, Seed: 9})
+	// ±0 keys beside one other value: equal to the split search and to
+	// compareKeyed, so their rows stay in row order.
+	for i := range one {
+		one[i] = []float64{math.Copysign(0, float64(i%3)-1)}
+		if i%5 == 0 {
+			one[i][0] = 1
+		}
+	}
+	checkPresorted(t, "signed-zero-only", one, y[:40], ForestConfig{NumTrees: 4, Tree: TreeConfig{MinLeafSize: 1}, Seed: 9})
+	// The best boundary leaves exactly MinLeafSize rows on its left;
+	// one row fewer would be inadmissible.
+	edge := make([][]float64, 12)
+	edgeY := make([]float64, 12)
+	for i := range edge {
+		edge[i] = []float64{float64(i)}
+		if i < 3 {
+			edgeY[i] = 5
+		}
+	}
+	edgeY[11] = -5
+	checkPresorted(t, "min-leaf-edge", edge, edgeY, ForestConfig{NumTrees: 4, Tree: TreeConfig{MinLeafSize: 3}, Seed: 9})
+	// Two mirrored boundaries with exactly equal gains: the first in
+	// scan order must win, so deferring the gains must keep the strict
+	// '>'.
+	tied := [][]float64{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
+	checkPresorted(t, "tied-gains", tied, []float64{0, 0, 1, 1, 1, 1, 0, 0}, ForestConfig{NumTrees: 6, Tree: TreeConfig{MinLeafSize: 1}, Seed: 9})
 	// Feature 0 is constant everywhere, feature 1 within each half of
 	// the rows, feature 2 takes three levels; with one feature drawn
 	// per node, many nodes see only constant segments.
@@ -184,10 +220,17 @@ func TestPresortedTreeMatchesReference(t *testing.T) {
 // FuzzPresortedTree extends the check to arbitrary inputs: the first
 // byte picks the feature count, depth, leaf size and subsampling, and
 // every following group of one target byte plus one byte per feature
-// is a row whose values take eight levels, zero with either sign.
+// is a row whose values take eight levels, zero with either sign, or
+// NaN for a feature byte of 0xf0 or above.
 func FuzzPresortedTree(f *testing.F) {
 	f.Add([]byte{0x25, 3, 1, 2, 7, 0, 0, 5, 9, 1, 4, 2, 2, 6, 3, 3, 8, 4, 1, 0, 6})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, again and again"))
+	// One feature, depth 8, leaf size 1 (0x1e) or 3 (0x5d); rows are
+	// (target, value) byte pairs.
+	f.Add([]byte{0x1e, 3, 0xf0, 9, 0xf0, 1, 0xf7, 4, 0xf0, 7, 2, 2, 2, 5, 4, 0, 2, 8, 6}) // NaN segment
+	f.Add([]byte{0x1e, 3, 0, 9, 8, 1, 0, 4, 8, 7, 8, 2, 0, 5, 1, 0, 8})                   // ±0 keys
+	f.Add([]byte{0x5d, 80, 0, 80, 1, 80, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 9, 1})          // MinLeafSize edge
+	f.Add([]byte{0x1e, 0, 0, 0, 1, 16, 2, 16, 3, 16, 4, 16, 5, 0, 6, 0, 7})               // tied gains
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -209,6 +252,9 @@ func FuzzPresortedTree(f *testing.F) {
 				v := float64(b%8) / 2
 				if b&8 != 0 {
 					v = -v
+				}
+				if b >= 0xf0 {
+					v = math.NaN()
 				}
 				X[i][j] = v
 			}

@@ -59,9 +59,12 @@ func FitTree(X [][]float64, y []float64, cfg TreeConfig, rng *rand.Rand) (*Tree,
 	if err := checkTrainingSet(X, y); err != nil {
 		return nil, err
 	}
-	c := newGrowCtx(len(X), len(X[0]), cfg, rng)
-	c.sortRoots(X)
-	c.growTree(X, y)
+	// Every leaf holds ≥1 sample (splits require both sides
+	// non-empty), so a tree over n samples has ≤ n leaves and ≤ 2n-1
+	// nodes.
+	c := newGrowCtx(len(X), len(X[0]), len(X), cfg, rng)
+	c.sortRoots(X, y)
+	c.growTree(len(X[0]), y)
 	t := c.tree()
 	return &t, nil
 }
@@ -109,29 +112,40 @@ func compareKeyed(a, b keyed) int {
 	return cmp.Compare(a.i, b.i)
 }
 
+// boundary is one admissible split of a scanned key list: keys[k] is
+// the last key on its left, and sseL and sseR are the sums of squared
+// errors of the two sides.
+type boundary struct {
+	k          int
+	sseL, sseR float64
+}
+
 // growCtx is the growth arena of one FitForest, FitTree or
-// KFoldMSEShared call: the feature, row-index, key-list, partition and
-// rank scratch plus the node storage, shared by every node of every
-// tree grown on at most n rows.
+// CVPlan.KFoldMSEShared call: the feature, row-index, key-list,
+// partition and boundary scratch plus the node storage, shared by every
+// node of every tree grown on at most n rows.
 //
 // A tree sorts its keys once, at the root: keys holds one list per
-// feature, every list the tree's rows in compareKeyed order. A node
-// owns the segment [lo,hi) of idx and of every list; its split
-// partitions each of them stably, so both children inherit sorted
-// lists and no node sorts. One buffer of each kind serves the whole
-// forest; growth itself allocates nothing, and each finished tree
-// copies out only its used nodes.
+// feature, every list the tree's rows in compareKeyed order, and ys
+// beside it each key's target, ys[k] = y[keys[k].i]. A node owns the
+// segment [lo,hi) of idx and of every list; its split partitions each
+// of them stably, so both children inherit sorted lists and no node
+// sorts. One buffer of each kind serves the whole forest; growth itself
+// allocates nothing once the boundary buffer has reached the largest
+// node's count, and each finished tree copies out only its used nodes.
 type growCtx struct {
-	X        [][]float64
+	nf       int // the grown tree's feature count
 	y        []float64
 	cfg      TreeConfig
 	rng      *rand.Rand
 	features []int
-	idx      []int   // the rows of every node's segment, ascending
-	part     []int   // staging for the right block of an idx split
-	keys     []keyed // feature f's list is keys[f*n : (f+1)*n]
-	kpart    []keyed // staging for the right block of a list split; lazy
-	left     []bool  // left[i]: row i goes left at the current split
+	idx      []int      // the rows of every node's segment, ascending
+	part     []int      // staging for the right block of an idx split
+	keys     []keyed    // feature f's list is keys[f*n : (f+1)*n]
+	ys       []float64  // feature f's targets are ys[f*n : (f+1)*n]
+	kpart    []keyed    // staging for the right block of a list split; lazy
+	left     []uint8    // left[i]: 1 if row i goes left at the current split
+	bnds     []boundary // one scanned list's admissible boundaries; lazy
 	nodes    []treeNode
 
 	// bounds, when non-nil, records for every split node (by node
@@ -143,64 +157,65 @@ type growCtx struct {
 	bounds  [][2]int
 	inexact bool
 
-	// bx, by and draw are the bootstrap buffers of bag; rank holds
-	// each feature's dense value ranks over bag's rows (stride n) and,
-	// after them, the counting buckets of one root list.
-	bx   [][]float64
+	// by and ints are the bootstrap buffers of bag: each tree's
+	// targets in sample order, and the counting buckets of one root
+	// list followed by the tree's rows when bag draws them itself.
 	by   []float64
-	draw []int
-	rank []int32
+	ints []int32
 }
 
-func newGrowCtx(n, nf int, cfg TreeConfig, rng *rand.Rand) *growCtx {
+// newGrowCtx returns an arena for trees of nf features over at most n
+// rows and at most leaves leaves.
+func newGrowCtx(n, nf, leaves int, cfg TreeConfig, rng *rand.Rand) *growCtx {
 	rows := make([]int, 2*n)
 	return &growCtx{
 		cfg:      cfg.normalized(),
 		rng:      rng,
 		features: make([]int, nf),
 		idx:      rows[:n],
-		part:     rows[n:n],
+		part:     rows[n:],
 		keys:     make([]keyed, nf*n),
-		left:     make([]bool, n),
-		// Every leaf holds ≥1 distinct sample (splits require both
-		// sides non-empty), so a tree over n samples has ≤ n leaves
-		// and ≤ 2n-1 nodes.
-		nodes: make([]treeNode, 0, 2*n-1),
+		ys:       make([]float64, nf*n),
+		left:     make([]uint8, n),
+		nodes:    make([]treeNode, 0, 2*leaves-1),
 	}
 }
 
-// list returns feature f's key list; a tree over m rows uses its first
-// m entries.
-func (c *growCtx) list(f int) []keyed {
+// list returns the segment [lo,hi) of feature f's key list and of its
+// targets; a tree over m rows uses their first m entries.
+func (c *growCtx) list(f, lo, hi int) ([]keyed, []float64) {
 	n := len(c.idx)
-	return c.keys[f*n : (f+1)*n]
+	return c.keys[f*n+lo : f*n+hi], c.ys[f*n+lo : f*n+hi]
 }
 
 // sortRoots fills every feature's root list with the rows of X in
-// compareKeyed order by sorting them: FitTree's single tree needs no
-// more than one sort per feature.
-func (c *growCtx) sortRoots(X [][]float64) {
+// compareKeyed order by sorting them, and its targets from y: FitTree's
+// single tree needs no more than one sort per feature.
+func (c *growCtx) sortRoots(X [][]float64, y []float64) {
 	for f := range X[0] {
-		keys := c.list(f)[:len(X)]
+		keys, ys := c.list(f, 0, len(X))
 		for i, row := range X {
 			keys[i] = keyed{x: row[f], i: i}
 		}
 		slices.SortFunc(keys, compareKeyed)
+		for k, kv := range keys {
+			ys[k] = y[kv.i]
+		}
 	}
 }
 
-// growTree grows one tree on the validated training set X, y of at
-// most the arena's row count into the arena's node storage. Every
-// feature's root list must already hold X's rows in compareKeyed order
-// (see sortRoots and bag).
-func (c *growCtx) growTree(X [][]float64, y []float64) {
-	c.X, c.y = X, y
-	idx := c.idx[:len(X)]
+// growTree grows one tree of nf features on the targets y of at most
+// the arena's row count into the arena's node storage. Every feature's
+// root list must already hold the tree's rows in compareKeyed order,
+// with their targets (see sortRoots and bag).
+func (c *growCtx) growTree(nf int, y []float64) {
+	c.nf, c.y = nf, y
+	idx := c.idx[:len(y)]
 	for i := range idx {
 		idx[i] = i
 	}
 	c.nodes = c.nodes[:0]
-	c.grow(0, len(X), 0)
+	c.grow(0, len(y), 0)
 }
 
 // tree copies the arena's last grown tree out into an exact-size Tree,
@@ -208,7 +223,7 @@ func (c *growCtx) growTree(X [][]float64, y []float64) {
 func (c *growCtx) tree() Tree {
 	nodes := make([]treeNode, len(c.nodes))
 	copy(nodes, c.nodes)
-	return Tree{nodes: nodes, nFeature: len(c.X[0])}
+	return Tree{nodes: nodes, nFeature: c.nf}
 }
 
 // leaf appends a leaf node and returns its index.
@@ -219,15 +234,21 @@ func (c *growCtx) leaf(val float64) int32 {
 
 // grow appends the subtree over the rows of segment [lo,hi) to the
 // arena in preorder and returns its root's index.
+//
+// The hot loops live in small functions of their own (sums, scan,
+// sseAround, partitionRows), kept out of line so that their
+// accumulators and counters stay in registers. Every sum keeps the
+// operands and the order of the direct search: the node's mean sums y
+// in idx order, the scan sums each list's targets in key order, and
+// the gains are evaluated after the scan over the recorded boundaries,
+// in scan order, with the same strict '>'.
 func (c *growCtx) grow(lo, hi, depth int) int32 {
-	X, y, cfg := c.X, c.y, c.cfg
+	y, cfg, nf := c.y, c.cfg, c.nf
 	idx := c.idx[lo:hi]
-	val := mean(y, idx)
 	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeafSize {
-		return c.leaf(val)
+		return c.leaf(mean(y, idx))
 	}
 
-	nf := len(X[0])
 	features := c.features[:nf]
 	for i := range features {
 		features[i] = i
@@ -241,59 +262,31 @@ func (c *growCtx) grow(lo, hi, depth int) int32 {
 	// never equals itself, so a segment holding one is scanned.
 	constant := true
 	for _, f := range features {
-		keys := c.list(f)[lo:hi]
+		keys, _ := c.list(f, lo, hi)
 		if keys[0].x != keys[len(keys)-1].x {
 			constant = false
 			break
 		}
 	}
 	if constant {
-		return c.leaf(val)
+		return c.leaf(mean(y, idx))
 	}
 
-	bestGain := 0.0
-	bestFeature := -1
-	bestThreshold := 0.0
-	bestLo, bestHi := 0, 0
-	var parentSSE float64 // the sum of squared errors around val
-	for _, i := range idx {
-		d := y[i] - val
-		parentSSE += d * d
-	}
-
-	for _, f := range features {
-		keys := c.list(f)[lo:hi]
-
-		// Prefix sums allow O(1) variance evaluation of every split.
-		var sumL, sumSqL float64
-		var sumR, sumSqR float64
-		for _, kv := range keys {
-			v := y[kv.i]
-			sumR += v
-			sumSqR += v * v
+	// The first feature's totals pass yields the node's mean and so
+	// parentSSE, the sum of squared errors around it.
+	var val, parentSSE float64
+	bestGain, bestFeature, bestK := 0.0, -1, 0
+	for fi, f := range features {
+		keys, ys := c.list(f, lo, hi)
+		sumR, sumSqR, s := sums(ys, y, idx)
+		if fi == 0 {
+			val = s / float64(len(idx))
+			parentSSE = sseAround(y, idx, val)
 		}
-		for k := 0; k < len(keys)-1; k++ {
-			v := y[keys[k].i]
-			sumL += v
-			sumSqL += v * v
-			sumR -= v
-			sumSqR -= v * v
-			// Only split between distinct feature values.
-			if keys[k].x == keys[k+1].x {
-				continue
-			}
-			nl, nr := k+1, len(keys)-k-1
-			if nl < cfg.MinLeafSize || nr < cfg.MinLeafSize {
-				continue
-			}
-			sseL := sumSqL - sumL*sumL/float64(nl)
-			sseR := sumSqR - sumR*sumR/float64(nr)
-			gain := parentSSE - sseL - sseR
-			if gain > bestGain {
-				bestGain = gain
-				bestFeature = f
-				bestThreshold = (keys[k].x + keys[k+1].x) / 2
-				bestLo, bestHi = keys[k].i, keys[k+1].i
+		c.bnds = scan(keys, ys, sumR, sumSqR, cfg.MinLeafSize, c.bnds[:0])
+		for _, b := range c.bnds {
+			if gain := parentSSE - b.sseL - b.sseR; gain > bestGain {
+				bestGain, bestFeature, bestK = gain, f, b.k
 			}
 		}
 	}
@@ -301,31 +294,25 @@ func (c *growCtx) grow(lo, hi, depth int) int32 {
 	if bestFeature < 0 || bestGain <= 1e-15 {
 		return c.leaf(val)
 	}
-	if c.bounds != nil && !(bestThreshold < X[bestHi][bestFeature]) {
+	keys, _ := c.list(bestFeature, lo, hi)
+	lower, upper := keys[bestK], keys[bestK+1]
+	bestThreshold := (lower.x + upper.x) / 2
+	if c.bounds != nil && !(bestThreshold < upper.x) {
 		c.inexact = true
 	}
 
 	// Mark each row's side from the split feature's own list, which
 	// holds the values the threshold compares; then partition idx
-	// stably in place: the left block keeps its order in place, the
-	// right block is staged in the scratch and copied behind it. The
-	// parent no longer reads its segment after this point, so the
-	// children own the two halves.
-	for _, kv := range c.list(bestFeature)[lo:hi] {
-		c.left[kv.i] = kv.x <= bestThreshold
-	}
-	part := c.part[:0]
-	nl := 0
-	for _, i := range idx {
-		if c.left[i] {
-			idx[nl] = i
-			nl++
-		} else {
-			part = append(part, i)
+	// stably in place. The parent no longer reads its segment after
+	// this point, so the children own the two halves.
+	for _, kv := range keys {
+		var l uint8
+		if kv.x <= bestThreshold {
+			l = 1
 		}
+		c.left[kv.i] = l
 	}
-	copy(idx[nl:], part)
-	c.part = part
+	nl := partitionRows(idx, c.left, c.part)
 	if nl == 0 || nl == len(idx) {
 		return c.leaf(val)
 	}
@@ -335,34 +322,117 @@ func (c *growCtx) grow(lo, hi, depth int) int32 {
 	// threshold sends right; a single-feature tree without NaNs thus
 	// never needs the staging list.
 	for f := 0; f < nf; f++ {
-		keys := c.list(f)[lo:hi]
+		keys, ys := c.list(f, lo, hi)
 		if f == bestFeature && !math.IsNaN(keys[0].x) {
 			continue
 		}
 		if c.kpart == nil {
-			c.kpart = make([]keyed, 0, len(c.idx))
+			c.kpart = make([]keyed, len(c.idx))
 		}
-		kpart := c.kpart[:0]
-		k := 0
-		for _, kv := range keys {
-			if c.left[kv.i] {
-				keys[k] = kv
-				k++
-			} else {
-				kpart = append(kpart, kv)
-			}
+		partitionList(keys, c.left, c.kpart)
+		for k, kv := range keys {
+			ys[k] = y[kv.i]
 		}
-		copy(keys[k:], kpart)
 	}
 	at := len(c.nodes)
 	c.nodes = append(c.nodes, treeNode{feature: bestFeature, threshold: bestThreshold, value: val})
 	if c.bounds != nil {
-		c.bounds[at] = [2]int{bestLo, bestHi}
+		c.bounds[at] = [2]int{lower.i, upper.i}
 	}
 	left := c.grow(lo, lo+nl, depth+1)
 	right := c.grow(lo+nl, hi, depth+1)
 	c.nodes[at].left, c.nodes[at].right = left, right
 	return int32(at)
+}
+
+// sums returns the sum of ys and the sum of their squares, in order,
+// and the sum of y over idx, in idx order: the node's mean sum, an
+// independent chain in the same pass.
+//
+//go:noinline
+func sums(ys, y []float64, idx []int) (s, sq, rows float64) {
+	idx = idx[:len(ys)]
+	for k, v := range ys {
+		s += v
+		sq += v * v
+		rows += y[idx[k]]
+	}
+	return s, sq, rows
+}
+
+// sseAround returns the sum of squared errors of y over idx around m,
+// in idx order.
+//
+//go:noinline
+func sseAround(y []float64, idx []int, m float64) float64 {
+	var s float64
+	for _, i := range idx {
+		d := y[i] - m
+		s += d * d
+	}
+	return s
+}
+
+// scan appends to out, in key order, every admissible boundary of the
+// sorted list keys with targets ys, whose sum and sum of squares are
+// sumR and sumSqR: a boundary lies between two distinct values and
+// leaves at least minLeaf keys on either side. Prefix sums give each
+// side's sum of squared errors in O(1).
+func scan(keys []keyed, ys []float64, sumR, sumSqR float64, minLeaf int, out []boundary) []boundary {
+	var sumL, sumSqL float64
+	ys = ys[:len(keys)]
+	for k := 0; k < len(keys)-1; k++ {
+		v := ys[k]
+		sumL += v
+		sumSqL += v * v
+		sumR -= v
+		sumSqR -= v * v
+		// Only split between distinct feature values.
+		if keys[k].x == keys[k+1].x {
+			continue
+		}
+		nl, nr := k+1, len(keys)-k-1
+		if nl < minLeaf || nr < minLeaf {
+			continue
+		}
+		out = append(out, boundary{k: k, sseL: sumSqL - sumL*sumL/float64(nl), sseR: sumSqR - sumR*sumR/float64(nr)})
+	}
+	return out
+}
+
+// partitionRows stably partitions idx by left, in place, and returns
+// the size of the left block. Every row is written to both blocks and
+// each block advances by its side's bit, so the loop has no branch;
+// part, at least as long as idx, stages the right block.
+//
+//go:noinline
+func partitionRows(idx []int, left []uint8, part []int) int {
+	part = part[:len(idx)]
+	nl, nr := 0, 0
+	for _, i := range idx {
+		b := int(left[i])
+		idx[nl] = i
+		part[nr] = i
+		nl += b
+		nr += 1 - b
+	}
+	copy(idx[nl:], part[:nr])
+	return nl
+}
+
+// partitionList stably partitions a key list by the side of each
+// key's row, as partitionRows does idx; kpart stages the right block.
+func partitionList(keys []keyed, left []uint8, kpart []keyed) {
+	kpart = kpart[:len(keys)]
+	nl, nr := 0, 0
+	for _, kv := range keys {
+		b := int(left[kv.i])
+		keys[nl] = kv
+		kpart[nr] = kv
+		nl += b
+		nr += 1 - b
+	}
+	copy(keys[nl:], kpart[:nr])
 }
 
 // Predict returns the tree's prediction for feature vector x.

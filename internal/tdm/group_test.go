@@ -300,6 +300,70 @@ func TestRandomChipsGroupLegally(t *testing.T) {
 	}
 }
 
+// nonParallelFraction returns the fraction of (candidate gate, member
+// gate) pairs that can never execute simultaneously — either
+// topologically (they share a qubit, step 2 of the grouping) or noisily
+// (their predicted mutual crosstalk exceeds the threshold, step 3). A
+// fraction of 1 means grouping the candidate costs no parallelism at
+// all; devices without gates are trivially non-parallel.
+func nonParallelFraction(gi *GateInfo, group []int, cand int, cfg Config) float64 {
+	pairs, np := 0, 0
+	for _, m := range group {
+		p, q := pairCounts(gi, m, cand, cfg)
+		pairs += p
+		np += q
+	}
+	return fraction(pairs, np)
+}
+
+// pairCounts returns nonParallelFraction's counts for the single
+// member m: the (candidate gate, member gate) pairs, and how many of
+// them can never execute simultaneously.
+func pairCounts(gi *GateInfo, m, cand int, cfg Config) (pairs, np int) {
+	if cfg.SparseQubitZ && (!gi.Dev.IsCoupler(cand) || !gi.Dev.IsCoupler(m)) {
+		// Surface-code mode: any pair involving a qubit is free.
+		return 0, 0
+	}
+	for _, gc := range gi.GatesOf[cand] {
+		for _, gm := range gi.GatesOf[m] {
+			if gm == gc {
+				continue
+			}
+			pairs++
+			if nonParallelGates(gi, gm, gc, cfg) {
+				np++
+			}
+		}
+	}
+	return pairs, np
+}
+
+// nonParallelGates reports whether member gate gm and candidate gate
+// gc can never execute simultaneously: topologically (they share a
+// qubit) or noisily (their predicted crosstalk exceeds the threshold).
+func nonParallelGates(gi *GateInfo, gm, gc int, cfg Config) bool {
+	return sharesQubit(gi.Gates[gm], gi.Gates[gc]) ||
+		cfg.Crosstalk != nil && gateCrosstalk(gi, gm, gc, cfg.Crosstalk) > cfg.NoiseThreshold
+}
+
+func sharesQubit(a, b chip.TwoQubitGate) bool {
+	return a.Q1 == b.Q1 || a.Q1 == b.Q2 || a.Q2 == b.Q1 || a.Q2 == b.Q2
+}
+
+// gateCrosstalk is the worst pairwise qubit crosstalk across two gates.
+func gateCrosstalk(gi *GateInfo, a, b int, xt CrosstalkFunc) float64 {
+	ga, gb := gi.Gates[a], gi.Gates[b]
+	max := 0.0
+	for _, qa := range [2]int{ga.Q1, ga.Q2} {
+		for _, qb := range [2]int{gb.Q1, gb.Q2} {
+			if v := xt(qa, qb); v > max {
+				max = v
+			}
+		}
+	}
+	return max
+}
+
 // groupLevelReference is the greedy search as first written: legality
 // and nonParallelFraction recomputed over the whole group for every
 // candidate at every growth step. groupLevel must group exactly as it
@@ -373,19 +437,35 @@ func groupLevelReference(gi *GateInfo, devs []int, capacity int, idx []float64, 
 	return groups
 }
 
+// nanXT is strong crosstalk with a NaN reading on every third qubit
+// pair; NaN never exceeds a threshold.
+func nanXT(i, j int) float64 {
+	if (i+j)%3 == 0 {
+		return math.NaN()
+	}
+	return 3 * decayXT(i, j)
+}
+
 // TestGroupLevelMatchesReference checks the incremental search against
 // groupLevelReference over every device of square, heavy-hex and
-// low-density chips and the Table 2 catalog, at both DEMUX capacities, with and without the
-// crosstalk term and in surface-code mode, and checks whole groupings
-// of the chip and of a region of it (Theta split and isolated devices
-// included) against the reference run on GroupDevices' own device
-// split.
+// low-density chips and the Table 2 catalog, at both DEMUX capacities,
+// with and without the crosstalk term, with asymmetric and NaN-valued
+// crosstalk, under a negative noise threshold and in surface-code
+// mode, and checks whole groupings of the chip and of a region of it
+// (Theta split and isolated devices included) against the reference
+// run on GroupDevices' own device split.
 func TestGroupLevelMatchesReference(t *testing.T) {
 	chips := append([]*chip.Chip{chip.Square(4, 4), chip.HeavyHexagon(2, 2), chip.LowDensity(4, 4)}, chip.Table2Chips()...)
 	sparse := DefaultConfig(decayXT)
 	sparse.SparseQubitZ = true
 	loose := DefaultConfig(decayXT)
 	loose.LossyLimit, loose.MinLossyFraction = 3, 0
+	// A worst crosstalk starts at 0, so a negative threshold makes
+	// every gate pair noisy, NaN readings included.
+	negative := DefaultConfig(decayXT)
+	negative.NoiseThreshold = -0.05
+	negativeNaN := DefaultConfig(nanXT)
+	negativeNaN.NoiseThreshold = -0.05
 	configs := map[string]Config{
 		"default": DefaultConfig(decayXT),
 		"nil-xt":  DefaultConfig(nil),
@@ -394,6 +474,16 @@ func TestGroupLevelMatchesReference(t *testing.T) {
 		"strong-xt": DefaultConfig(func(i, j int) float64 {
 			return 3 * decayXT(i, j)
 		}),
+		// Noisy one way only: the member's qubit must be the source.
+		"asymmetric-xt": DefaultConfig(func(i, j int) float64 {
+			if i < j {
+				return 4 * decayXT(i, j)
+			}
+			return decayXT(i, j) / 4
+		}),
+		"nan-xt":             DefaultConfig(nanXT),
+		"negative-threshold": negative,
+		"negative-nan-xt":    negativeNaN,
 	}
 	for _, c := range chips {
 		gi := AnalyzeGates(c)
@@ -404,7 +494,7 @@ func TestGroupLevelMatchesReference(t *testing.T) {
 		}
 		for name, cfg := range configs {
 			for _, capacity := range []int{2, 4} {
-				got := groupLevel(gi, devs, capacity, idx, cfg, newGateVerdicts(gi, devs))
+				got := groupLevel(gi, devs, capacity, idx, cfg, newNoiseGraph(gi, devs, nil, cfg))
 				want := groupLevelReference(gi, append([]int(nil), devs...), capacity, idx, cfg)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s capacity %d:\n got %v\nwant %v", c.Topology, name, capacity, got, want)

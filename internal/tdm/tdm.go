@@ -141,21 +141,29 @@ func AnalyzeGatesUsable(c *chip.Chip, usable func(chip.TwoQubitGate) bool) *Gate
 		gi.GatesOf[g.Q2] = append(gi.GatesOf[g.Q2], idx)
 		gi.GatesOf[dev.CouplerDevice(g.Coupler)] = append(gi.GatesOf[dev.CouplerDevice(g.Coupler)], idx)
 	}
-	for a := range gates {
-		for b := range gates {
-			if a == b {
-				continue
+	// The gates sharing a qubit with gate a are those on either of its
+	// qubits: a merge of the two ascending GatesOf lists, without
+	// repeats and without a itself, lists them in ascending order.
+	for a, g := range gates {
+		p, q := gi.GatesOf[g.Q1], gi.GatesOf[g.Q2]
+		var out []int
+		for len(p) > 0 || len(q) > 0 {
+			var b int
+			switch {
+			case len(q) == 0 || len(p) > 0 && p[0] < q[0]:
+				b, p = p[0], p[1:]
+			case len(p) == 0 || q[0] < p[0]:
+				b, q = q[0], q[1:]
+			default:
+				b, p, q = p[0], p[1:], q[1:]
 			}
-			if sharesQubit(gates[a], gates[b]) {
-				gi.NonCoex[a] = append(gi.NonCoex[a], b)
+			if b != a {
+				out = append(out, b)
 			}
 		}
+		gi.NonCoex[a] = out
 	}
 	return gi
-}
-
-func sharesQubit(a, b chip.TwoQubitGate) bool {
-	return a.Q1 == b.Q1 || a.Q1 == b.Q2 || a.Q2 == b.Q1 || a.Q2 == b.Q2
 }
 
 // GateDevices returns the three devices a gate occupies.

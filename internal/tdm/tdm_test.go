@@ -2,6 +2,7 @@ package tdm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/chip"
@@ -268,5 +269,26 @@ func TestValidateCatchesIllegalGroupings(t *testing.T) {
 	empty := &Grouping{Groups: []Group{{Devices: nil, Level: DemuxNone}}}
 	if empty.Validate(gi) == nil {
 		t.Error("empty group accepted")
+	}
+}
+
+// TestNonCoexMatchesScan checks the merged NonCoex lists against the
+// all-pairs scan they replace: gate b ≠ a joins a's list, in ascending
+// order, when the two share a qubit.
+func TestNonCoexMatchesScan(t *testing.T) {
+	chips := append([]*chip.Chip{chip.Square(4, 4), chip.HeavyHexagon(2, 2), chip.LowDensity(4, 4)}, chip.Table2Chips()...)
+	for _, c := range chips {
+		gi := AnalyzeGatesUsable(c, func(g chip.TwoQubitGate) bool { return g.Coupler%7 != 3 })
+		for a, ga := range gi.Gates {
+			var want []int
+			for b, gb := range gi.Gates {
+				if b != a && sharesQubit(ga, gb) {
+					want = append(want, b)
+				}
+			}
+			if !reflect.DeepEqual(gi.NonCoex[a], want) {
+				t.Errorf("%s gate %d: NonCoex %v, scan %v", c.Topology, a, gi.NonCoex[a], want)
+			}
+		}
 	}
 }
