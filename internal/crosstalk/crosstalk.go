@@ -11,13 +11,16 @@
 package crosstalk
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/chip"
+	"repro/internal/graphx"
 	"repro/internal/mlfit"
 	"repro/internal/parallel"
 	"repro/internal/xmon"
@@ -269,19 +272,86 @@ func (m *Model) PredictDistance(dEquiv float64) float64 {
 	return p
 }
 
-// Predictor binds a model to a chip, caching the chip's distance
-// structure so pairwise predictions are cheap. Binding a model to a
-// different chip than it was trained on is exactly the Figure 12
-// transfer experiment.
+// Predictor binds a model to a chip. Binding a model to a different
+// chip than it was trained on is exactly the Figure 12 transfer
+// experiment.
+//
+// The feature space is one-dimensional and a chip has few distinct
+// equivalent distances, so On lists the distinct d_equiv of the chip's
+// qubit pairs with their predictions, and indexes every pair into the
+// list: the bulk readers (Matrix, Pairs, Above) then read two arrays
+// per pair, without hashing. d_equiv is symmetric bit for bit: d_phy
+// squares the coordinate differences, and d_top multiplies the integer
+// hop and shortest-path counts, which are the same from either end.
+// All of it is computed in On, so a Predictor is safe for concurrent
+// use. Predict keeps the model's per-distance memo.
 type Predictor struct {
 	Model *Model
 	chip  *chip.Chip
-	top   [][]float64
+	// pair[i*n+j] (i != j) indexes d_equiv(i,j) in dist and its
+	// prediction in pred; dist holds the distinct values in order of
+	// first appearance.
+	pair       []int32
+	dist, pred []float64
 }
 
 // On binds the model to a chip.
 func (m *Model) On(c *chip.Chip) *Predictor {
-	return &Predictor{Model: m, chip: c, top: c.Graph().AllMultiPathDistances()}
+	n := c.NumQubits()
+	g := c.Graph()
+	sc, top := graphx.NewBFSScratch(n), make([]float64, n)
+	p := &Predictor{Model: m, chip: c, pair: make([]int32, n*n)}
+	// ord lists the ids of dist (indices into it) in ascending value
+	// order, for the binary search that finds a value's id.
+	dist, ord := make([]float64, 0, n), make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		g.MultiPathDistancesFrom(i, sc, top)
+		for j := i + 1; j < n; j++ {
+			t := top[j]
+			if math.IsInf(t, 1) {
+				t = float64(n)
+			}
+			d := m.Weights.WPhy*c.PhysicalDistance(i, j) + m.Weights.WTop*t
+			lo, hi := 0, len(ord)
+			for lo < hi {
+				if h := int(uint(lo+hi) >> 1); compareBits(dist[ord[h]], d) < 0 {
+					lo = h + 1
+				} else {
+					hi = h
+				}
+			}
+			at := lo
+			if at == len(ord) || math.Float64bits(dist[ord[at]]) != math.Float64bits(d) {
+				ord = slices.Insert(ord, at, int32(len(dist)))
+				dist = append(dist, d)
+			}
+			p.pair[i*n+j], p.pair[j*n+i] = ord[at], ord[at]
+		}
+	}
+	// The distance row is free now; it holds the predictions when they
+	// fit.
+	p.dist, p.pred = dist, top[:0]
+	if len(dist) > n {
+		p.pred = make([]float64, 0, len(dist))
+	}
+	for _, d := range dist {
+		p.pred = append(p.pred, m.PredictDistance(d))
+	}
+	return p
+}
+
+// compareBits orders float64s by value, and values that compare equal
+// (-0 and +0, or two NaNs) by their bits, so distinct bits never tie.
+func compareBits(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b || a != a && b != b: // equal values, or two NaNs
+		return cmp.Compare(math.Float64bits(a), math.Float64bits(b))
+	}
+	return cmp.Compare(a, b) // one NaN, below every number
 }
 
 // EquivDistance returns d_equiv(i,j) under the model's fitted weights.
@@ -289,11 +359,7 @@ func (p *Predictor) EquivDistance(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	t := p.top[i][j]
-	if math.IsInf(t, 1) {
-		t = float64(p.chip.NumQubits())
-	}
-	return p.Model.Weights.WPhy*p.chip.PhysicalDistance(i, j) + p.Model.Weights.WTop*t
+	return p.dist[p.pair[i*p.chip.NumQubits()+j]]
 }
 
 // Predict returns the predicted crosstalk between qubits i and j.
@@ -305,6 +371,46 @@ func (p *Predictor) Predict(i, j int) float64 {
 		o.predictions.Inc()
 	}
 	return p.Model.PredictDistance(p.EquivDistance(i, j))
+}
+
+// Pairs returns Predict as a function for callers that read many
+// pairs, many times, such as the TDM grouping. Its calls are not
+// counted one by one: Pairs counts the n(n-1)/2 predictions of one
+// Matrix, once.
+func (p *Predictor) Pairs() func(i, j int) float64 {
+	n := p.chip.NumQubits()
+	if o := observer.Load(); o != nil {
+		o.predictions.Add(int64(n * (n - 1) / 2))
+	}
+	pair, pred := p.pair, p.pred
+	return func(i, j int) float64 {
+		if i == j {
+			return 0
+		}
+		return pred[pair[i*n+j]]
+	}
+}
+
+// Above returns, for every qubit a, the qubits b != a whose predicted
+// crosstalk with a exceeds thr, ascending: a's are
+// nbr[start[a]:start[a+1]]. It compares the predictions Predict
+// returns, each distinct value once, and counts as no prediction.
+func (p *Predictor) Above(thr float64) (start, nbr []int32) {
+	n := p.chip.NumQubits()
+	above := make([]bool, len(p.pred))
+	for k, v := range p.pred {
+		above[k] = v > thr
+	}
+	start, nbr = make([]int32, n+1), make([]int32, 0, 4*n)
+	for i := 0; i < n; i++ {
+		for j, k := range p.pair[i*n : (i+1)*n] {
+			if j != i && above[k] {
+				nbr = append(nbr, int32(j))
+			}
+		}
+		start[i+1] = int32(len(nbr))
+	}
+	return start, nbr
 }
 
 // Matrix returns the full predicted pairwise crosstalk matrix. The
@@ -320,10 +426,15 @@ func (p *Predictor) Matrix() [][]float64 {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := p.Predict(i, j)
+			v := p.pred[p.pair[i*n+j]]
 			m[i][j] = v
 			m[j][i] = v
 		}
+	}
+	// Each unordered pair counts as one prediction, as if predicted
+	// through Predict.
+	if o := observer.Load(); o != nil {
+		o.predictions.Add(int64(n * (n - 1) / 2))
 	}
 	return m
 }

@@ -273,7 +273,13 @@ func (p *Pipeline) aliveQubits() []int {
 // usableDevices returns the TDM device ids the design must cover:
 // alive qubits plus usable couplers.
 func (p *Pipeline) usableDevices() []int {
-	devs := append([]int(nil), p.aliveQubits()...)
+	nq := p.Chip.NumQubits()
+	devs := make([]int, 0, nq+len(p.Chip.Couplers))
+	for q := 0; q < nq; q++ {
+		if !p.Faults.QubitDead(q) {
+			devs = append(devs, q)
+		}
+	}
 	for ci := range p.Chip.Couplers {
 		if p.Faults.CouplerUsable(p.Chip, ci) {
 			devs = append(devs, p.Gates.Dev.CouplerDevice(ci))

@@ -33,11 +33,10 @@ func tdmParams(b *build, k *stage.KeyBuilder) {
 // shared readout/Z lines, region by region. A fault plan drops unusable
 // gate sites from the parallelism analysis, removes broken/dead
 // couplers from the device sets and forces stuck-lossy devices onto
-// dedicated direct lines. The grouping reads ZZ crosstalk from a dense
-// matrix built once per execution: the greedy search asks for the same
-// few qubit pairs many times, and the matrix equals zz's pairwise
-// predictions bit for bit (d_equiv is symmetric). It is not kept on the
-// cached characterization, whose size the store already charged.
+// dedicated direct lines. The grouping reads ZZ crosstalk through
+// zz's uncounted pair lookup (crosstalk.Predictor.Pairs), which counts
+// as one matrix of predictions per execution, and its noisy qubit
+// pairs from zz's list of the pairs above the noise threshold.
 func runTDM(ctx context.Context, b *build, in []any) (any, error) {
 	opts := b.opts
 	c := get[*xmon.Device](in, nFabricate).Chip
@@ -49,8 +48,9 @@ func runTDM(ctx context.Context, b *build, in []any) (any, error) {
 		usableGate = func(g chip.TwoQubitGate) bool { return plan.GateUsable(c, g) }
 	}
 	gates := tdm.AnalyzeGatesUsable(c, usableGate)
-	zzm := zz.Matrix()
-	cfg := tdm.DefaultConfig(func(i, j int) float64 { return zzm[i][j] })
+	cfg := tdm.DefaultConfig(zz.Pairs())
+	start, noisy := zz.Above(cfg.NoiseThreshold)
+	cfg.Noisy = func(a int) []int32 { return noisy[start[a]:start[a+1]] }
 	cfg.Theta = opts.Theta
 	cfg.SparseQubitZ = opts.SparseQubitZ
 	if opts.TDMMinLossyFraction > 0 {
@@ -70,8 +70,14 @@ func runTDM(ctx context.Context, b *build, in []any) (any, error) {
 	regions := regionsOf(part, plan.AliveQubits(c.NumQubits()))
 	couplerRegions := couplerRegionsOf(part, c)
 	regionDevs := make([][]int, len(regions))
+	couplers := make([]int, len(regions))
+	for _, cr := range couplerRegions {
+		if cr >= 0 && cr < len(regions) {
+			couplers[cr]++
+		}
+	}
 	for ri, region := range regions {
-		devs := append([]int(nil), region...)
+		devs := append(make([]int, 0, len(region)+couplers[ri]), region...)
 		for ci, cr := range couplerRegions {
 			if cr == ri && plan.CouplerUsable(c, ci) {
 				devs = append(devs, gates.Dev.CouplerDevice(ci))
@@ -92,8 +98,13 @@ func runTDM(ctx context.Context, b *build, in []any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	for ri := range regions {
-		grouping.Groups = append(grouping.Groups, results[ri].Groups...)
+	total := 0
+	for _, r := range results {
+		total += len(r.Groups)
+	}
+	grouping.Groups = make([]tdm.Group, 0, total)
+	for _, r := range results {
+		grouping.Groups = append(grouping.Groups, r.Groups...)
 	}
 	return &tdmDesign{Gates: gates, Grouping: grouping}, nil
 }

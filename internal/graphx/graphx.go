@@ -102,10 +102,11 @@ type BFSScratch struct {
 
 // NewBFSScratch returns scratch sized for n-vertex graphs.
 func NewBFSScratch(n int) *BFSScratch {
+	ints := make([]int, 2*n)
 	return &BFSScratch{
-		dist:  make([]int, n),
+		dist:  ints[:n:n],
 		count: make([]int64, n),
-		queue: make([]int, n),
+		queue: ints[n:],
 	}
 }
 
@@ -237,21 +238,27 @@ func (g *Graph) AllMultiPathDistancesWorkers(workers int) [][]float64 {
 		scratch[w] = NewBFSScratch(g.n)
 	}
 	parallel.ForEachWorker(workers, g.n, func(worker, u int) {
-		dist, count := g.ShortestPathCountsScratch(u, scratch[worker])
 		row := flat[u*g.n : (u+1)*g.n : (u+1)*g.n]
-		for v := 0; v < g.n; v++ {
-			switch {
-			case u == v:
-				row[v] = 0
-			case dist[v] < 0:
-				row[v] = math.Inf(1)
-			default:
-				row[v] = float64(count[v]) * float64(dist[v])
-			}
-		}
+		g.MultiPathDistancesFrom(u, scratch[worker], row)
 		m[u] = row
 	})
 	return m
+}
+
+// MultiPathDistancesFrom fills row, of length n, with the multi-path
+// distances from u, the row u of AllMultiPathDistances, using sc.
+func (g *Graph) MultiPathDistancesFrom(u int, sc *BFSScratch, row []float64) {
+	dist, count := g.ShortestPathCountsScratch(u, sc)
+	for v := range row[:g.n] {
+		switch {
+		case u == v:
+			row[v] = 0
+		case dist[v] < 0:
+			row[v] = math.Inf(1)
+		default:
+			row[v] = float64(count[v]) * float64(dist[v])
+		}
+	}
 }
 
 // Components returns the connected components of g, each as a sorted

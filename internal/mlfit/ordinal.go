@@ -3,6 +3,7 @@ package mlfit
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -124,27 +125,37 @@ func (p *CVPlan) drawsFor(m int) []int32 {
 // fold seed, bit for bit. The members must form one ordinal class (see
 // OrdinalClasses); the first is the class representative.
 //
-// Every fold's forest is grown once, on the representative, and the
-// arena records each split's two boundary samples. A member's tree is
-// the representative's with each threshold rebuilt from the member's
-// own values of those samples; its held-out rows are routed through the
-// shared nodes and their predictions accumulated tree by tree, as
-// Forest.Predict does. That reproduces the member's own training
-// partitions only if every rebuilt midpoint stays strictly below the
-// upper boundary value; a member whose midpoint rounds up at any shared
-// split (or, in a class whose representative's does, every other
-// member) is re-run as a class of its own. The second result counts the
-// CVs grown: one plus one per such fallback.
+// Every fold's forest is grown once, on the representative: on its
+// per-rank bins with certified splits (binGrower) for a class without
+// NaNs, and by the row-level grower for a NaN column, which is always
+// a class of its own. The bins grower records each split's two
+// boundary samples. A member's tree is the representative's with each
+// threshold rebuilt from the member's own values of those samples; its
+// held-out rows are routed through the shared nodes and their
+// predictions accumulated tree by tree, as Forest.Predict does. That
+// reproduces the member's own training partitions only if every
+// rebuilt midpoint stays strictly below the upper boundary value; a
+// member whose midpoint rounds up at any shared split (or, in a class
+// whose representative's does, every other member) is re-run as a
+// class of its own. The second result counts the CVs grown: one plus
+// one per such fallback.
 //
 // The class's dense ranks, which route held-out rows, also order each
-// fold's root lists: restricted to the fold's training rows they sort
-// them exactly as compareKeyed does, so no fold sorts.
+// fold's root lists and bins: restricted to the fold's training rows
+// they sort them exactly as compareKeyed does, so no fold sorts.
 //
 // Held-out rows of one representative value hold one value in every
 // member, so they take one path through every tree: each distinct
 // held-out value is routed once, and its prediction sum stands for all
 // its rows.
 func (p *CVPlan) KFoldMSEShared(cols [][]float64, members []int, y []float64) ([]float64, int, error) {
+	return p.kFoldMSEShared(cols, members, y, nil)
+}
+
+// kFoldMSEShared is KFoldMSEShared; a non-nil fallbacks gains the
+// count of nodes the bins grower of every CV grown left to the
+// row-level search.
+func (p *CVPlan) kFoldMSEShared(cols [][]float64, members []int, y []float64, fallbacks *int) ([]float64, int, error) {
 	n, k, cfg := p.n, p.k, p.cfg
 	if len(members) == 0 {
 		return nil, 0, fmt.Errorf("mlfit: empty ordinal class")
@@ -188,14 +199,20 @@ func (p *CVPlan) KFoldMSEShared(cols [][]float64, members []int, y []float64) ([
 	floats = floats[(len(members)+1)*nte:]
 	trX, trY, teY := floats[:0:n], floats[n:n:2*n], floats[2*n:2*n]
 
-	// One arena and the fold buffers serve every fold; a member's
+	// One grower and the fold buffers serve every fold; a member's
 	// thresholds and predictions are rebuilt in reused scratch. A split
 	// sends every row of one value the same way, so each leaf holds
 	// whole values, at least one: a tree has at most nrank leaves.
-	c := newGrowCtx(n, 1, nrank, cfg.Tree, nil)
-	c.bounds = make([][2]int, cap(c.nodes))
+	// cmp.Compare ranks NaN first, so a NaN column has one at rank 0.
+	var c *growCtx
+	var g *binGrower
+	if math.IsNaN(rep[order[0]]) {
+		c = newGrowCtx(n, 1, nrank, cfg.Tree, nil)
+	} else {
+		g = newBinGrower(nrank, cfg.Tree)
+	}
 	tr, te := make([]int, 0, n), make([]int, 0, nte)
-	thresholds := make([]float64, cap(c.nodes))
+	thresholds := make([]float64, 2*nrank-1)
 	solo := make([]bool, len(members)) // members to re-run alone
 	mses := make([]float64, len(members))
 	for fold := 0; fold < k; fold++ {
@@ -220,45 +237,53 @@ func (p *CVPlan) KFoldMSEShared(cols [][]float64, members []int, y []float64) ([
 		nd := len(dist)
 		sums := sums[:len(members)*nd]
 		clear(sums)
-		c.bag(trX, trRank, nrank, trY, p.drawsFor(len(tr)), cfg, func(draw []int32) {
+		// addTree routes every member's held-out values through one
+		// grown tree. The representative's thresholds are the tree's
+		// own; every other member's are rebuilt from bounds, the
+		// sample indices of each split's boundary keys, and must stay
+		// below their upper boundary value. A NaN class has no other
+		// member, so its row-level trees record no bounds.
+		addTree := func(nodes []treeNode, bounds [][2]int32, inexact bool, draw []int32) {
 			for mi, m := range members {
-				// The representative's rebuilt thresholds are its
-				// tree's own; every other member must keep each
-				// rebuilt midpoint below its upper boundary value.
-				if mi > 0 && (c.inexact || solo[mi]) {
+				if mi > 0 && (inexact || solo[mi]) {
 					solo[mi] = true
 					continue
 				}
 				col := cols[m]
-				for j, nd := range c.nodes {
+				for j, nd := range nodes {
 					if nd.feature < 0 {
 						continue
 					}
-					lo, hi := col[tr[draw[c.bounds[j][0]]]], col[tr[draw[c.bounds[j][1]]]]
+					if mi == 0 {
+						thresholds[j] = nd.threshold
+						continue
+					}
+					lo, hi := col[tr[draw[bounds[j][0]]]], col[tr[draw[bounds[j][1]]]]
 					mid := (lo + hi) / 2
-					if mi > 0 && !(mid < hi) {
+					if !(mid < hi) {
 						solo[mi] = true
 						break
 					}
 					thresholds[j] = mid
 				}
-				if solo[mi] {
-					continue
-				}
-				ps := sums[mi*nd : (mi+1)*nd]
-				for d, row := range dist {
-					x, j := col[row], int32(0)
-					for c.nodes[j].feature >= 0 {
-						if x <= thresholds[j] {
-							j = c.nodes[j].left
-						} else {
-							j = c.nodes[j].right
-						}
-					}
-					ps[d] += c.nodes[j].value
+				if !solo[mi] {
+					route(nodes, thresholds, col, dist, sums[mi*nd:(mi+1)*nd])
 				}
 			}
-		})
+		}
+		draws := p.drawsFor(len(tr))
+		if c != nil {
+			c.bag(trX, trRank, nrank, trY, draws, cfg, func(draw []int32) {
+				addTree(c.nodes, nil, false, draw)
+			})
+		} else {
+			m := len(tr)
+			for t := 0; t < cfg.NumTrees; t++ {
+				draw := draws[t*m : (t+1)*m]
+				g.growTree(trX, trRank, trY, draw)
+				addTree(g.nodes, g.bounds, g.inexact, draw)
+			}
+		}
 		// Every held-out row's prediction is its value's sum: the same
 		// leaf values, added in the same tree order.
 		pred := pred[:len(te)]
@@ -273,18 +298,38 @@ func (p *CVPlan) KFoldMSEShared(cols [][]float64, members []int, y []float64) ([
 			mses[mi] += MSE(pred, teY)
 		}
 	}
+	if g != nil && fallbacks != nil {
+		*fallbacks += g.fallbacks
+	}
 	grown := 1
 	for mi, m := range members {
 		if !solo[mi] {
 			mses[mi] /= float64(k)
 			continue
 		}
-		single, g, err := p.KFoldMSEShared(cols, []int{m}, y)
+		single, gr, err := p.kFoldMSEShared(cols, []int{m}, y, fallbacks)
 		if err != nil {
 			return nil, 0, err
 		}
 		mses[mi] = single[0]
-		grown += g
+		grown += gr
 	}
 	return mses, grown, nil
+}
+
+// route adds to ps[d], for every held-out row dist[d], the value of the
+// leaf that col[dist[d]] reaches in nodes when split j sends x left
+// for x <= thresholds[j].
+func route(nodes []treeNode, thresholds, col []float64, dist []int32, ps []float64) {
+	for d, row := range dist {
+		x, j := col[row], int32(0)
+		for nodes[j].feature >= 0 {
+			if x <= thresholds[j] {
+				j = nodes[j].left
+			} else {
+				j = nodes[j].right
+			}
+		}
+		ps[d] += nodes[j].value
+	}
 }

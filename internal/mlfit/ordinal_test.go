@@ -174,13 +174,20 @@ func TestKFoldMSESharedValidation(t *testing.T) {
 // one ulp apart, constant or reversed — so the classes, the midpoint
 // fallback and the tie handling are all exercised. Two more columns
 // are classes of their own: one maps the base values 0 and 1 to -0
-// and +0, which tie, and one maps 15 to NaN.
+// and +0, which tie, and one maps 15 to NaN. Seeds include exactly
+// tied gains and all-equal targets, whose splits the bins grower
+// cannot certify.
 func FuzzKFoldMSEShared(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 7, 0, 0, 5, 9, 1, 4, 2, 2, 6, 3, 3, 8, 4, 1, 0, 6})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
 	f.Add([]byte{15, 1, 2, 7, 15, 0, 5, 9, 1, 4, 15, 2, 6, 3, 15, 8, 4, 1, 0, 6}) // NaN
 	f.Add([]byte{0, 1, 1, 7, 0, 0, 1, 9, 16, 4, 17, 2, 0, 3, 1, 8, 32, 1, 0, 6})  // ±0
 	f.Add([]byte{7, 1, 7, 7, 23, 0, 7, 9, 39, 4, 7, 2, 7, 3, 55, 8, 7, 1, 7, 6})  // all equal
+	// Mirrored targets over mirrored values: exactly tied gains.
+	f.Add([]byte{0, 16, 1, 40, 2, 72, 3, 72, 4, 40, 5, 16, 0, 16, 1, 40, 2, 72, 3, 72, 4, 40, 5, 16})
+	// One target everywhere: every gain is zero, within E of the 1e-15
+	// floor, so every split falls back to the row-level search.
+	f.Add([]byte{3, 7, 1, 7, 2, 7, 7, 7, 0, 7, 5, 7, 1, 7, 4, 7, 2, 7, 6, 7, 3, 7, 0, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := len(data) / 2
 		if n < 5 {

@@ -120,8 +120,9 @@ type boundary struct {
 	sseL, sseR float64
 }
 
-// growCtx is the growth arena of one FitForest, FitTree or
-// CVPlan.KFoldMSEShared call: the feature, row-index, key-list,
+// growCtx is the growth arena of one FitForest or FitTree call, or of
+// a CVPlan.KFoldMSEShared call on a NaN column (other columns grow on
+// bins, see binGrower): the feature, row-index, key-list,
 // partition and boundary scratch plus the node storage, shared by every
 // node of every tree grown on at most n rows.
 //
@@ -147,15 +148,6 @@ type growCtx struct {
 	left     []uint8    // left[i]: 1 if row i goes left at the current split
 	bnds     []boundary // one scanned list's admissible boundaries; lazy
 	nodes    []treeNode
-
-	// bounds, when non-nil, records for every split node (by node
-	// index) the rows of X holding the two adjacent sorted keys its
-	// threshold lies between, and inexact is set once a chosen
-	// threshold is not strictly below the upper key. KFoldMSEShared
-	// reads both to re-derive the tree for every column that ranks the
-	// rows alike.
-	bounds  [][2]int
-	inexact bool
 
 	// by and ints are the bootstrap buffers of bag: each tree's
 	// targets in sample order, and the counting buckets of one root
@@ -295,11 +287,7 @@ func (c *growCtx) grow(lo, hi, depth int) int32 {
 		return c.leaf(val)
 	}
 	keys, _ := c.list(bestFeature, lo, hi)
-	lower, upper := keys[bestK], keys[bestK+1]
-	bestThreshold := (lower.x + upper.x) / 2
-	if c.bounds != nil && !(bestThreshold < upper.x) {
-		c.inexact = true
-	}
+	bestThreshold := (keys[bestK].x + keys[bestK+1].x) / 2
 
 	// Mark each row's side from the split feature's own list, which
 	// holds the values the threshold compares; then partition idx
@@ -336,9 +324,6 @@ func (c *growCtx) grow(lo, hi, depth int) int32 {
 	}
 	at := len(c.nodes)
 	c.nodes = append(c.nodes, treeNode{feature: bestFeature, threshold: bestThreshold, value: val})
-	if c.bounds != nil {
-		c.bounds[at] = [2]int{lower.i, upper.i}
-	}
 	left := c.grow(lo, lo+nl, depth+1)
 	right := c.grow(lo+nl, hi, depth+1)
 	c.nodes[at].left, c.nodes[at].right = left, right

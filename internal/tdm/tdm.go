@@ -12,7 +12,7 @@ package tdm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -89,10 +89,15 @@ func (d Devices) CouplerID(dev int) int { return dev - d.chip.NumQubits() }
 
 // Name returns a readable device name (q3 or c7).
 func (d Devices) Name(dev int) string {
+	return string(d.AppendName(nil, dev))
+}
+
+// AppendName appends the device's Name to dst and returns the result.
+func (d Devices) AppendName(dst []byte, dev int) []byte {
 	if d.IsCoupler(dev) {
-		return "c" + strconv.Itoa(d.CouplerID(dev))
+		return strconv.AppendInt(append(dst, 'c'), int64(d.CouplerID(dev)), 10)
 	}
-	return "q" + strconv.Itoa(dev)
+	return strconv.AppendInt(append(dst, 'q'), int64(dev), 10)
 }
 
 // GateInfo is the static analysis of the chip's hardware 2q-gate sites
@@ -122,7 +127,7 @@ func AnalyzeGatesUsable(c *chip.Chip, usable func(chip.TwoQubitGate) bool) *Gate
 	dev := NewDevices(c)
 	gates := c.TwoQubitGates()
 	if usable != nil {
-		kept := gates[:0:0]
+		kept := gates[:0] // the chip's gate list is a fresh copy
 		for _, g := range gates {
 			if usable(g) {
 				kept = append(kept, g)
@@ -130,23 +135,55 @@ func AnalyzeGatesUsable(c *chip.Chip, usable func(chip.TwoQubitGate) bool) *Gate
 		}
 		gates = kept
 	}
+	// GatesOf and NonCoex are stored compressed: each table's lists are
+	// consecutive blocks of one backing array, each capped at its
+	// length, and an empty list is nil, so no two lists share a data
+	// pointer. Both tables' headers share one array too, as do both
+	// tables' entries.
+	nd := dev.Count()
+	start := make([]int, nd+1)
+	for _, g := range gates {
+		start[g.Q1+1]++
+		start[g.Q2+1]++
+		start[dev.CouplerDevice(g.Coupler)+1]++
+	}
+	for d := 0; d < nd; d++ {
+		start[d+1] += start[d]
+	}
+	// The gates sharing a qubit with gate a are those on either of its
+	// qubits, a itself excluded: at most |G(Q1)|+|G(Q2)|-2 of them.
+	total := 0
+	for _, g := range gates {
+		total += start[g.Q1+1] - start[g.Q1] + start[g.Q2+1] - start[g.Q2] - 2
+	}
+	lists := make([][]int, nd+len(gates))
 	gi := &GateInfo{
 		Dev:     dev,
 		Gates:   gates,
-		GatesOf: make([][]int, dev.Count()),
-		NonCoex: make([][]int, len(gates)),
+		GatesOf: lists[:nd:nd],
+		NonCoex: lists[nd:],
 	}
+	entries := make([]int, start[nd]+total)
+	of, co := entries[:start[nd]:start[nd]], entries[start[nd]:start[nd]]
 	for idx, g := range gates {
-		gi.GatesOf[g.Q1] = append(gi.GatesOf[g.Q1], idx)
-		gi.GatesOf[g.Q2] = append(gi.GatesOf[g.Q2], idx)
-		gi.GatesOf[dev.CouplerDevice(g.Coupler)] = append(gi.GatesOf[dev.CouplerDevice(g.Coupler)], idx)
+		for _, d := range [3]int{g.Q1, g.Q2, dev.CouplerDevice(g.Coupler)} {
+			of[start[d]] = idx
+			start[d]++
+		}
 	}
-	// The gates sharing a qubit with gate a are those on either of its
-	// qubits: a merge of the two ascending GatesOf lists, without
-	// repeats and without a itself, lists them in ascending order.
+	// start[d] now ends device d's block, which begins where d-1's ends.
+	for d, lo := 0, 0; d < nd; d++ {
+		if hi := start[d]; hi > lo {
+			gi.GatesOf[d] = of[lo:hi:hi]
+			lo = hi
+		}
+	}
+	// A merge of the two ascending GatesOf lists, without repeats and
+	// without a itself, lists the gates sharing a qubit with gate a in
+	// ascending order.
 	for a, g := range gates {
 		p, q := gi.GatesOf[g.Q1], gi.GatesOf[g.Q2]
-		var out []int
+		lo := len(co)
 		for len(p) > 0 || len(q) > 0 {
 			var b int
 			switch {
@@ -158,10 +195,12 @@ func AnalyzeGatesUsable(c *chip.Chip, usable func(chip.TwoQubitGate) bool) *Gate
 				b, p, q = p[0], p[1:], q[1:]
 			}
 			if b != a {
-				out = append(out, b)
+				co = append(co, b)
 			}
 		}
-		gi.NonCoex[a] = out
+		if hi := len(co); hi > lo {
+			gi.NonCoex[a] = co[lo:hi:hi]
+		}
 	}
 	return gi
 }
@@ -359,15 +398,17 @@ func levelFor(size int) DemuxLevel {
 	}
 }
 
-// sortedByIndex returns device ids sorted by ascending parallelism
-// index, ties broken by id for determinism.
-func sortedByIndex(devs []int, idx []float64) []int {
-	out := append([]int(nil), devs...)
-	sort.Slice(out, func(a, b int) bool {
-		if idx[out[a]] != idx[out[b]] {
-			return idx[out[a]] < idx[out[b]]
+// sortedByIndex sorts device ids, in place, by ascending parallelism
+// index, ties broken by id for determinism, and returns them.
+func sortedByIndex(out []int, idx []float64) []int {
+	slices.SortFunc(out, func(a, b int) int {
+		switch ia, ib := idx[a], idx[b]; {
+		case ia < ib:
+			return -1
+		case ia > ib:
+			return 1
 		}
-		return out[a] < out[b]
+		return a - b
 	})
 	return out
 }

@@ -435,17 +435,55 @@ func fromPipeline(p *experiments.Pipeline) (*DesignResult, error) {
 		res.Regions = p.Partition.Regions
 	}
 
+	// Every line's qubits, frequencies and device names are blocks of
+	// one backing array per kind, each capped at its length (an empty
+	// line keeps nil lists), and the names are substrings of one string.
+	nq, nd := 0, 0
 	for _, group := range p.FDM.Groups {
-		line := FDMLine{Qubits: append([]int(nil), group...)}
-		for _, q := range group {
-			line.FreqGHz = append(line.FreqGHz, p.FreqPlan.Freq[q])
+		nq += len(group)
+	}
+	for _, g := range p.TDM.Groups {
+		nd += len(g.Devices)
+	}
+	qubits, freqs := make([]int, 0, nq), make([]float64, 0, nq)
+	res.FDMLines = make([]FDMLine, 0, len(p.FDM.Groups))
+	for _, group := range p.FDM.Groups {
+		var line FDMLine
+		if lo := len(qubits); len(group) > 0 {
+			qubits = append(qubits, group...)
+			for _, q := range group {
+				freqs = append(freqs, p.FreqPlan.Freq[q])
+			}
+			hi := len(qubits)
+			line = FDMLine{Qubits: qubits[lo:hi:hi], FreqGHz: freqs[lo:hi:hi]}
 		}
 		res.FDMLines = append(res.FDMLines, line)
 	}
+	// Names are written into one builder grown to their total length up
+	// front, so it never reallocates and each name's substring of it
+	// stays put.
+	var tmp [24]byte
+	size := 0
+	for _, g := range p.TDM.Groups {
+		for _, d := range g.Devices {
+			size += len(p.Gates.Dev.AppendName(tmp[:0], d))
+		}
+	}
+	var all strings.Builder
+	all.Grow(size)
+	names := make([]string, 0, nd)
+	for _, g := range p.TDM.Groups {
+		for _, d := range g.Devices {
+			from := all.Len()
+			all.Write(p.Gates.Dev.AppendName(tmp[:0], d))
+			names = append(names, all.String()[from:])
+		}
+	}
+	res.TDMGroups = make([]TDMGroup, 0, len(p.TDM.Groups))
 	for _, g := range p.TDM.Groups {
 		tg := TDMGroup{Demux: g.Level.String(), ControlBits: g.Level.ControlBits()}
-		for _, d := range g.Devices {
-			tg.Devices = append(tg.Devices, p.Gates.Dev.Name(d))
+		if len(g.Devices) > 0 {
+			tg.Devices, names = names[:len(g.Devices):len(g.Devices)], names[len(g.Devices):]
 		}
 		res.TDMGroups = append(res.TDMGroups, tg)
 	}
