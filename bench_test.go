@@ -393,6 +393,24 @@ func BenchmarkTDMGrouping(b *testing.B) {
 	}
 }
 
+// BenchmarkFDMAllocate times the allocate stage alone: the greedy
+// two-level frequency allocation of one fixed 7×7 design's FDM
+// grouping, reading XY crosstalk through its predictor's pair table.
+func BenchmarkFDMAllocate(b *testing.B) {
+	p, err := experiments.BuildPipeline(chip.Square(7, 7), experiments.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	xt := p.PredXY.Pairs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fdm.Allocate(p.FDM, xt, fdm.DefaultAllocOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAStarRouting(b *testing.B) {
 	c := chip.Square(4, 4)
 	b.ReportAllocs()
