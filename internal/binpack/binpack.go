@@ -73,6 +73,14 @@ func (e *Enc) Ints(v []int) {
 	}
 }
 
+// Int32s appends a length-prefixed []int32.
+func (e *Enc) Int32s(v []int32) {
+	e.U32(uint32(len(v)))
+	for _, x := range v {
+		e.U32(uint32(x))
+	}
+}
+
 // Floats appends a length-prefixed []float64.
 func (e *Enc) Floats(v []float64) {
 	e.U32(uint32(len(v)))
@@ -225,6 +233,19 @@ func (d *Dec) Ints() []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = d.Int()
+	}
+	return out
+}
+
+// Int32s reads a length-prefixed []int32. A zero length yields nil.
+func (d *Dec) Int32s() []int32 {
+	n := d.length(4, "[]int32")
+	if n == 0 {
+		return nil
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(d.U32())
 	}
 	return out
 }

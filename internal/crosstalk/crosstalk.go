@@ -374,9 +374,10 @@ func (p *Predictor) Predict(i, j int) float64 {
 }
 
 // Pairs returns Predict as a function for callers that read many
-// pairs, many times, such as the TDM grouping. Its calls are not
-// counted one by one: Pairs counts the n(n-1)/2 predictions of one
-// Matrix, once.
+// pairs, many times, such as the TDM grouping and the frequency
+// allocation. It returns Predict's values, read from the pair table
+// without the memo's hashing. Its calls are not counted one by one:
+// Pairs counts the n(n-1)/2 predictions of one Matrix, once.
 func (p *Predictor) Pairs() func(i, j int) float64 {
 	n := p.chip.NumQubits()
 	if o := observer.Load(); o != nil {

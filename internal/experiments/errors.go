@@ -10,7 +10,7 @@ import "repro/internal/stage"
 //
 // Stage is the failing node of PipelineStageGraph — "fabricate",
 // "faults", "characterize-xy", "characterize-zz", "partition",
-// "fdm-group", "allocate", "anneal" or "tdm" — or, from
+// "tdm-gates", "fdm-group", "allocate", "anneal" or "tdm" — or, from
 // Pipeline.Validate, the check that failed: "validate", "partition",
 // "fdm-group", "allocate" or "tdm".
 type DesignError = stage.Error

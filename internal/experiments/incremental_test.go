@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/chip"
+	"repro/internal/faults"
 	"repro/internal/xmon"
 )
 
@@ -48,9 +50,10 @@ func TestRedesignColdWarmBitIdentity(t *testing.T) {
 
 // TestRedesignThetaInvalidatesOnlyTDM asserts the invalidation scope of
 // a Theta change: only the tdm stage re-executes (Theta appears in no
-// other stage's key), every upstream artifact is recalled, and in
-// particular zero crosstalk measurements or fits happen — the
-// acceptance criterion of the incremental engine.
+// other stage's key), every upstream artifact is recalled — the
+// Theta-independent tdm-gates analysis included — and in particular
+// zero crosstalk measurements or fits happen: the acceptance criterion
+// of the incremental engine.
 func TestRedesignThetaInvalidatesOnlyTDM(t *testing.T) {
 	opts := Options{Seed: 1, PartitionTargetSize: 16, Theta: 4, HasTheta: true}
 	d := NewDesigner(chip.Square(6, 6))
@@ -63,20 +66,26 @@ func TestRedesignThetaInvalidatesOnlyTDM(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := d.Report().Sub(before)
+	gatesHit := false
 	for _, st := range delta.Stages {
-		switch st.Name {
-		case StageTDM:
+		if st.Name == StageTDM {
 			if st.Misses != 1 {
 				t.Errorf("tdm stage executed %d times on the warm redesign, want 1", st.Misses)
 			}
-		default:
-			if st.Misses != 0 {
-				t.Errorf("stage %s re-executed on a Theta-only change (%d misses)", st.Name, st.Misses)
-			}
-			if st.Runs > 0 && st.Hits != st.Runs {
-				t.Errorf("stage %s: %d of %d runs missed the cache", st.Name, st.Runs-st.Hits, st.Runs)
-			}
+			continue
 		}
+		if st.Name == StageTDMGates {
+			gatesHit = st.Runs == 1 && st.Hits == 1
+		}
+		if st.Misses != 0 {
+			t.Errorf("stage %s re-executed on a Theta-only change (%d misses)", st.Name, st.Misses)
+		}
+		if st.Runs > 0 && st.Hits != st.Runs {
+			t.Errorf("stage %s: %d of %d runs missed the cache", st.Name, st.Runs-st.Hits, st.Runs)
+		}
+	}
+	if !gatesHit {
+		t.Error("the warm redesign did not recall the tdm-gates artifact exactly once")
 	}
 
 	// The declared stage graph agrees: tdm consumes the ZZ model, and
@@ -86,6 +95,43 @@ func TestRedesignThetaInvalidatesOnlyTDM(t *testing.T) {
 	}
 	if ds := PipelineStageGraph.Downstream(StageTDM); len(ds) != 0 {
 		t.Errorf("graph: tdm has downstream stages %v; a Theta change must invalidate them too", ds)
+	}
+}
+
+// TestRedesignTDMGatesLineage: the Theta-independent tdm-gates stage
+// re-executes, and tdm with it, when its fault or ZZ lineage moves: a
+// new fault spec, or a new sample cap for the characterization fits.
+func TestRedesignTDMGatesLineage(t *testing.T) {
+	base := Options{Seed: 1, PartitionTargetSize: 16}
+	d := NewDesigner(chip.Square(6, 6))
+	if _, err := d.Redesign(base); err != nil {
+		t.Fatal(err)
+	}
+	withFaults, fewerSamples := base, base
+	withFaults.Faults = faults.UniformSpec(0.02)
+	fewerSamples.MaxFitSamples = 400
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{{"fault spec", withFaults}, {"ZZ lineage", fewerSamples}} {
+		before := d.Report()
+		if _, err := d.Redesign(tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		misses := map[string]int{}
+		for _, st := range d.Report().Sub(before).Stages {
+			misses[st.Name] = st.Misses
+		}
+		for _, name := range []string{StageCharacterizeZZ, StageTDMGates, StageTDM} {
+			if misses[name] != 1 {
+				t.Errorf("%s change: stage %s executed %d times, want 1", tc.name, name, misses[name])
+			}
+		}
+	}
+	for _, upstream := range []string{StageFaults, StagePartition, StageCharacterizeZZ} {
+		if ds := PipelineStageGraph.Downstream(upstream); !slices.Contains(ds, StageTDMGates) || !slices.Contains(ds, StageTDM) {
+			t.Errorf("graph: Downstream(%s) = %v, want tdm-gates and tdm in it", upstream, ds)
+		}
 	}
 }
 

@@ -55,9 +55,10 @@ func TestGoldenArtifactKeys(t *testing.T) {
 				StageCharacterizeXY: "8a42560260d0068936b6101e2b02329fc344eec9a663145443b6136475c01e60",
 				StageCharacterizeZZ: "251c9253cd6e841156e6a89257d276ac3738f7c864f3380411820408dafb3459",
 				StagePartition:      "a71f92397554fb5f352f3262c0e332641a72ba3c17c82a626334bf5ba46b03ba",
+				StageTDMGates:       "97b116b37ca69e9b9095f42576a55c4e5621061ae163303ef36cd74b0bca7465",
 				StageFDMGroup:       "7f4333cbecfd00cd9b463cfce3301f88eeceadeedb1dc00fee2e7bd6a34dd680",
 				StageAllocate:       "e43a03afc7b47fb9beee01cd208735473d44d7f4bfa597a6067acd920b9b9f44",
-				StageTDM:            "087f319581f70914b5eef1d307982a212f543344a5d59515fddb57aacff744e1",
+				StageTDM:            "6d3cef342f6e6c9b7fd7bd917daa12726590c7fa944b4e89c87e75da65954e99",
 			},
 		},
 		{
@@ -70,10 +71,11 @@ func TestGoldenArtifactKeys(t *testing.T) {
 				StageCharacterizeXY: "008b743ce395cdeaf6791bcb940afd8b332dede9dd36ac896898323e9d9766a8",
 				StageCharacterizeZZ: "a7e4824cf35b38eec92967fa87d87eef5a9ac97b64332d7c4eaf5092a7a655b2",
 				StagePartition:      "488460669967b0192fec3c60a9b9f084d5a36d8ba05ede4162fa592ecdc33e00",
+				StageTDMGates:       "267b9413f9fbda6dc6d11ba5798f34c4a5b9f11b59b5140619ce36b38ccde217",
 				StageFDMGroup:       "c48a2705ce9d8ed0f32cd8eaa245c53e119d5a955a1fc7254812687a10b3979b",
 				StageAllocate:       "4b3bce991d45f1101733532cc9d00bf2876c4b38ebfbde95dd2009d14935a477",
 				StageAnneal:         "9cc818a9d0199680595f4fcb19b19132a46381ce156872a2f388201185241ffe",
-				StageTDM:            "f73912ae452b5f580df831f9538367218e77029428da58dfb98f7e3e4f7d2040",
+				StageTDM:            "022547aebd941933f8a8497bf2d1a8353eda8115ad4d70dc5147d9a7558eb908",
 			},
 		},
 		{
@@ -85,9 +87,10 @@ func TestGoldenArtifactKeys(t *testing.T) {
 				StageCharacterizeXY: "429df242271456e0d0faff12510b048b2efa2d68ce63aa04fc1a0845b424e3c4",
 				StageCharacterizeZZ: "ec646449f55b3d5d08d7a0423513f98f6649da4d09ebe7f62c315743d0ceb714",
 				StagePartition:      "f6d4bbd932e19423a1f7930407869ae91397419c32cc8685484f95b97ea300a9",
+				StageTDMGates:       "51c191efe708c7625087ec00a41a77a6c62a4a21dee367a91f1964c2d7561214",
 				StageFDMGroup:       "716fd52dd42716cad58c617ba064a169d9d5c3b91e11625a5ec269cdad72fa0b",
 				StageAllocate:       "8c79e98475e59e59ffa42a977a13f77d35b70e0489adf5a4b3076a6d328baef8",
-				StageTDM:            "0c1ccfa6873d33ae3d770b1f1f36a2e976bf500c243f1473188037ddeea34d34",
+				StageTDM:            "f30933de4b2c5eb1d57122de018ad5f3eb47ef46956b585f4ef6b95b7d5aeecb",
 			},
 		},
 	}

@@ -159,7 +159,7 @@ func TestAttachModelsRunsOnlyGroupingStages(t *testing.T) {
 			ran = append(ran, sp.Path)
 		}
 	}
-	want := []string{"attach-models/allocate", "attach-models/anneal", "attach-models/fdm-group", "attach-models/partition", "attach-models/tdm"}
+	want := []string{"attach-models/allocate", "attach-models/anneal", "attach-models/fdm-group", "attach-models/partition", "attach-models/tdm", "attach-models/tdm-gates"}
 	if !reflect.DeepEqual(ran, want) {
 		t.Errorf("attach-models spans = %v, want %v", ran, want)
 	}

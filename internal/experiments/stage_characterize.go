@@ -14,8 +14,9 @@ import (
 // characterization is the artifact of one characterize stage: a fitted
 // crosstalk model, its predictor bound to the measured device's chip
 // and the campaign's fault accounting. The predictor is cached with the
-// model because its lazy prediction memo (crosstalk.Model.predCache)
-// makes warm redesigns cheaper the more it is shared.
+// model because binding (crosstalk.Model.On) builds the pair table
+// that the design stages downstream read, so a redesign rebinds
+// nothing.
 type characterization struct {
 	Model *crosstalk.Model
 	Pred  *crosstalk.Predictor

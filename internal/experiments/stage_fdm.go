@@ -46,10 +46,13 @@ func runFDMGroup(ctx context.Context, b *build, in []any) (any, error) {
 }
 
 // runAllocate runs the greedy two-level frequency allocation. It reads
-// only the FDM grouping and the XY predictor, both already in its key.
+// only the FDM grouping and the XY predictor, both already in its key,
+// and reads XY crosstalk through the predictor's pair table
+// (crosstalk.Predictor.Pairs): Predict's values, counted as one matrix
+// of predictions per execution.
 func runAllocate(_ context.Context, _ *build, in []any) (any, error) {
 	return fdm.Allocate(get[*fdm.Grouping](in, nFDMGroup),
-		get[*characterization](in, nCharacterizeXY).Pred.Predict, fdm.DefaultAllocOptions())
+		get[*characterization](in, nCharacterizeXY).Pred.Pairs(), fdm.DefaultAllocOptions())
 }
 
 // annealParams keys the simulated-annealing refinement after the
@@ -57,13 +60,14 @@ func runAllocate(_ context.Context, _ *build, in []any) (any, error) {
 func annealParams(b *build, k *stage.KeyBuilder) { k.Int(b.opts.AnnealSteps).Int64(b.opts.Seed) }
 
 // runAnneal refines the allocated frequency plan with simulated
-// annealing. fdm.Anneal returns a fresh plan, so the cached input stays
+// annealing, reading XY crosstalk through the pair table as allocate
+// does. fdm.Anneal returns a fresh plan, so the cached input stays
 // immutable.
 func runAnneal(_ context.Context, b *build, in []any) (any, error) {
 	opts := fdm.DefaultAnnealOptions()
 	opts.Steps = b.opts.AnnealSteps
 	opts.Seed = b.opts.Seed
 	out, _, _, err := fdm.Anneal(get[*fdm.FrequencyPlan](in, nAllocate), get[*fdm.Grouping](in, nFDMGroup),
-		get[*characterization](in, nCharacterizeXY).Pred.Predict, opts)
+		get[*characterization](in, nCharacterizeXY).Pred.Pairs(), opts)
 	return out, err
 }

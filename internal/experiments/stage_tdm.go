@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/chip"
+	"repro/internal/crosstalk"
 	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/partition"
@@ -13,14 +15,95 @@ import (
 	"repro/internal/xmon"
 )
 
-// tdmDesign is the artifact of the tdm stage: the gate-site parallelism
-// analysis and the readout/Z grouping built from it.
-type tdmDesign struct {
-	Gates    *tdm.GateInfo
-	Grouping *tdm.Grouping
+// tdmGates is the artifact of the tdm-gates stage: everything the TDM
+// grouping reads that no tdm option changes. A Theta sweep recalls it
+// and re-runs only the grouping search.
+type tdmGates struct {
+	// Gates is the parallelism analysis of the usable gate sites.
+	Gates *tdm.GateInfo
+	// Qubit a's noisy out-neighbours, the qubits whose predicted ZZ
+	// crosstalk with a exceeds the grouping's noise threshold, are
+	// Noisy[NoisyStart[a]:NoisyStart[a+1]] (crosstalk.Predictor.Above).
+	NoisyStart, Noisy []int32
+	// Regions[ri] lists region ri's devices to group in tdm.SortByIndex
+	// order, and Isolated[ri] its stuck-lossy devices, ascending: the
+	// inputs of tdm.GroupSorted.
+	Regions, Isolated [][]int
 }
 
-// tdmParams keys the TDM stage after its fault, partition and ZZ-model
+// noisy lists qubit a's noisy out-neighbours (tdm.Config.Noisy).
+func (tg *tdmGates) noisy(a int) []int32 { return tg.Noisy[tg.NoisyStart[a]:tg.NoisyStart[a+1]] }
+
+// runTDMGates analyzes the usable gate sites, lists the noisy qubit
+// pairs and splits and sorts every region's devices for the grouping:
+// the Theta-independent part of TDM design, keyed by the fault,
+// partition and ZZ-model lineage alone. A fault plan drops unusable
+// gate sites from the parallelism analysis and broken or dead couplers
+// from the device sets, and marks stuck-lossy devices for dedicated
+// direct lines. The lists are checked against the ZZ predictor on
+// every local qubit's pairs, once per execution, where the grouping
+// itself checks one qubit per region on every run.
+func runTDMGates(_ context.Context, _ *build, in []any) (any, error) {
+	c := get[*xmon.Device](in, nFabricate).Chip
+	plan := get[*faults.Plan](in, nFaults)
+	zz := get[*characterization](in, nCharacterizeZZ).Pred
+	tg := prepareTDMGates(c, plan, get[*partition.Partition](in, nPartition), zz)
+	if err := tg.checkNoisy(zz); err != nil {
+		return nil, err
+	}
+	return tg, nil
+}
+
+// prepareTDMGates builds the tdm-gates artifact, unchecked.
+func prepareTDMGates(c *chip.Chip, plan *faults.Plan, part *partition.Partition, zz *crosstalk.Predictor) *tdmGates {
+	var usableGate func(chip.TwoQubitGate) bool
+	if plan != nil {
+		usableGate = func(g chip.TwoQubitGate) bool { return plan.GateUsable(c, g) }
+	}
+	gates := tdm.AnalyzeGatesUsable(c, usableGate)
+	tg := &tdmGates{Gates: gates}
+	tg.NoisyStart, tg.Noisy = zz.Above(tdm.DefaultConfig(nil).NoiseThreshold)
+	regions := regionsOf(part, plan.AliveQubits(c.NumQubits()))
+	couplerRegions := couplerRegionsOf(part, c)
+	idx := gates.AllParallelismIndices()
+	tg.Regions, tg.Isolated = make([][]int, len(regions)), make([][]int, len(regions))
+	for ri, region := range regions {
+		var rest, isolated []int
+		add := func(dev int, stuck bool) {
+			if stuck {
+				isolated = append(isolated, dev)
+			} else {
+				rest = append(rest, dev)
+			}
+		}
+		for _, q := range region {
+			add(q, plan.QubitStuckLossy(q))
+		}
+		for ci, cr := range couplerRegions {
+			if cr == ri && plan.CouplerUsable(c, ci) {
+				add(gates.Dev.CouplerDevice(ci), plan.CouplerStuckLossy(ci))
+			}
+		}
+		sort.Ints(isolated)
+		tg.Regions[ri], tg.Isolated[ri] = tdm.SortByIndex(rest, idx), isolated
+	}
+	return tg
+}
+
+// checkNoisy checks the noisy lists against zz on the pairs of every
+// local qubit of every region (tdm.CheckNoisy).
+func (tg *tdmGates) checkNoisy(zz *crosstalk.Predictor) error {
+	cfg := tdm.DefaultConfig(zz.Pairs())
+	cfg.Noisy = tg.noisy
+	for ri, devs := range tg.Regions {
+		if err := tdm.CheckNoisy(tg.Gates, devs, cfg); err != nil {
+			return fmt.Errorf("region %d: %w", ri, err)
+		}
+	}
+	return nil
+}
+
+// tdmParams keys the TDM stage after its tdm-gates and ZZ-model
 // lineage: exactly the options the stage reads. Theta lives here and
 // nowhere upstream, which is what makes a Theta sweep re-run only this
 // stage.
@@ -29,28 +112,18 @@ func tdmParams(b *build, k *stage.KeyBuilder) {
 		Float64(b.opts.TDMMinLossyFraction).Int(b.opts.TDMLossyLimit)
 }
 
-// runTDM analyzes gate parallelism and groups qubits and couplers onto
-// shared readout/Z lines, region by region. A fault plan drops unusable
-// gate sites from the parallelism analysis, removes broken/dead
-// couplers from the device sets and forces stuck-lossy devices onto
-// dedicated direct lines. The grouping reads ZZ crosstalk through
-// zz's uncounted pair lookup (crosstalk.Predictor.Pairs), which counts
-// as one matrix of predictions per execution, and its noisy qubit
-// pairs from zz's list of the pairs above the noise threshold.
+// runTDM groups qubits and couplers onto shared readout/Z lines,
+// region by region, from the tdm-gates artifact; stuck-lossy devices
+// close each region's plan as dedicated direct lines. The grouping
+// reads ZZ crosstalk through zz's uncounted pair lookup
+// (crosstalk.Predictor.Pairs), which counts as one matrix of
+// predictions per execution, and its noisy qubit pairs from the
+// tdm-gates lists.
 func runTDM(ctx context.Context, b *build, in []any) (any, error) {
 	opts := b.opts
-	c := get[*xmon.Device](in, nFabricate).Chip
-	plan := get[*faults.Plan](in, nFaults)
-	part := get[*partition.Partition](in, nPartition)
-	zz := get[*characterization](in, nCharacterizeZZ).Pred
-	var usableGate func(chip.TwoQubitGate) bool
-	if plan != nil {
-		usableGate = func(g chip.TwoQubitGate) bool { return plan.GateUsable(c, g) }
-	}
-	gates := tdm.AnalyzeGatesUsable(c, usableGate)
-	cfg := tdm.DefaultConfig(zz.Pairs())
-	start, noisy := zz.Above(cfg.NoiseThreshold)
-	cfg.Noisy = func(a int) []int32 { return noisy[start[a]:start[a+1]] }
+	tg := get[*tdmGates](in, nTDMGates)
+	cfg := tdm.DefaultConfig(get[*characterization](in, nCharacterizeZZ).Pred.Pairs())
+	cfg.Noisy = tg.noisy
 	cfg.Theta = opts.Theta
 	cfg.SparseQubitZ = opts.SparseQubitZ
 	if opts.TDMMinLossyFraction > 0 {
@@ -59,37 +132,10 @@ func runTDM(ctx context.Context, b *build, in []any) (any, error) {
 	if opts.TDMLossyLimit > 0 {
 		cfg.LossyLimit = opts.TDMLossyLimit
 	}
-	if plan != nil {
-		cfg.Isolate = func(dev int) bool {
-			if gates.Dev.IsCoupler(dev) {
-				return plan.CouplerStuckLossy(gates.Dev.CouplerID(dev))
-			}
-			return plan.QubitStuckLossy(dev)
-		}
-	}
-	regions := regionsOf(part, plan.AliveQubits(c.NumQubits()))
-	couplerRegions := couplerRegionsOf(part, c)
-	regionDevs := make([][]int, len(regions))
-	couplers := make([]int, len(regions))
-	for _, cr := range couplerRegions {
-		if cr >= 0 && cr < len(regions) {
-			couplers[cr]++
-		}
-	}
-	for ri, region := range regions {
-		devs := append(make([]int, 0, len(region)+couplers[ri]), region...)
-		for ci, cr := range couplerRegions {
-			if cr == ri && plan.CouplerUsable(c, ci) {
-				devs = append(devs, gates.Dev.CouplerDevice(ci))
-			}
-		}
-		regionDevs[ri] = devs
-	}
-	grouping := &tdm.Grouping{Theta: cfg.Theta}
-	results := make([]*tdm.Grouping, len(regions))
-	err := parallel.ForEachCtx(ctx, opts.Workers, len(regions), func(ri int) error {
+	results := make([]*tdm.Grouping, len(tg.Regions))
+	err := parallel.ForEachCtx(ctx, opts.Workers, len(tg.Regions), func(ri int) error {
 		var err error
-		results[ri], err = tdm.GroupDevices(gates, regionDevs[ri], cfg)
+		results[ri], err = tdm.GroupSorted(tg.Gates, tg.Regions[ri], tg.Isolated[ri], cfg)
 		if err != nil {
 			return fmt.Errorf("region %d: %w", ri, err)
 		}
@@ -102,9 +148,9 @@ func runTDM(ctx context.Context, b *build, in []any) (any, error) {
 	for _, r := range results {
 		total += len(r.Groups)
 	}
-	grouping.Groups = make([]tdm.Group, 0, total)
+	grouping := &tdm.Grouping{Theta: cfg.Theta, Groups: make([]tdm.Group, 0, total)}
 	for _, r := range results {
 		grouping.Groups = append(grouping.Groups, r.Groups...)
 	}
-	return &tdmDesign{Gates: gates, Grouping: grouping}, nil
+	return grouping, nil
 }

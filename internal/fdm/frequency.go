@@ -85,6 +85,13 @@ func pairCost(xt CrosstalkFunc, fi, fj float64, i, j int) float64 {
 // crosstalk objective. When a zone's cells are exhausted, the new qubit
 // reuses the occupied cell whose occupants have the lowest predicted
 // crosstalk to it (frequency reuse, the crowding rule).
+//
+// Every objective is a sum of pairCost terms xt·leakage(Δf). The
+// crosstalk factors and the leakage factors that repeat are read from
+// tables built once per group, and each sum adds the same products in
+// the same order as evaluating pairCost term by term, so the plan is
+// bit-identical to that evaluation; xt is called once per (member,
+// assigned qubit) pair instead of once per cell and candidate swap.
 func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan, error) {
 	zones := g.Capacity
 	if zones < 1 {
@@ -95,36 +102,69 @@ func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan,
 	if cellsPerZone < 1 {
 		return nil, fmt.Errorf("fdm: zone width %.3f GHz below cell width", hi0-lo0)
 	}
+	n, width := 0, 0 // qubits, and the widest group
+	for _, group := range g.Groups {
+		if len(group) > zones {
+			return nil, fmt.Errorf("fdm: group of %d exceeds %d zones", len(group), zones)
+		}
+		n += len(group)
+		width = max(width, len(group))
+	}
 
 	plan := &FrequencyPlan{
 		Zones:        zones,
 		CellsPerZone: cellsPerZone,
-		Freq:         make(map[int]float64),
-		Cell:         make(map[int]CellRef),
+		Freq:         make(map[int]float64, n),
+		Cell:         make(map[int]CellRef, n),
 	}
-	// occupants[zone][cell] lists qubits in the cell.
-	occupants := make([][][]int, zones)
-	for z := range occupants {
-		occupants[z] = make([][]int, cellsPerZone)
+	// A group's zones are a permutation of [0, len(group)), so the
+	// tables span width zones. All scratch is sized here, once.
+	// centre[z] is zone z's centre, the frequency the swap search
+	// scores a member at; leakIn[za*width+zb] is the leakage between
+	// the centres of zones za and zb.
+	centre := make([]float64, width)
+	for z := range centre {
+		lo, _ := ZoneBounds(zones, z)
+		centre[z] = lo + (hi0-lo0)/2
 	}
-	var assigned []int
+	leakIn := make([]float64, width*width)
+	for za := range centre {
+		for zb := range centre {
+			leakIn[za*width+zb] = leakage(centre[za] - centre[zb])
+		}
+	}
+	// assigned lists the placed qubits in placement order and freq
+	// their frequencies: freq[k] is always plan.Freq[assigned[k]].
+	// used[z*cellsPerZone+cell] marks an occupied cell.
+	assigned, freq := make([]int, 0, n), make([]float64, 0, n)
+	used := make([]bool, zones*cellsPerZone)
+	// Per group of m members placed after k0 qubits: xrow[a*n+k] is
+	// xt(group[a], assigned[k]) for every qubit placed before member a,
+	// xin[a*width+b] is xt(group[a], group[b]) for a < b, and
+	// leakX[z*n+k] (k < k0) is the leakage between zone z's centre and
+	// freq[k].
+	xrow := make([]float64, width*n)
+	xin := make([]float64, width*width)
+	leakX := make([]float64, width*n)
+	zoneOf := make([]int, width)
 
-	// cellFor picks the cell for qubit q in zone z: among free cells,
-	// the one minimizing the leakage-weighted predicted crosstalk
-	// against every qubit already assigned (anywhere — cells near a
-	// zone border are spectrally close to the next zone's cells). Under
-	// crowding, occupied cells compete too, and the cheapest reuse
-	// wins.
-	cellFor := func(q, z int) (int, bool) {
+	// cellFor picks the cell for qubit q in zone z, given xq[k] =
+	// xt(q, assigned[k]): among free cells, the one minimizing the
+	// leakage-weighted predicted crosstalk against every qubit already
+	// assigned (anywhere — cells near a zone border are spectrally
+	// close to the next zone's cells). Under crowding, occupied cells
+	// compete too, and the cheapest reuse wins.
+	cellFor := func(xq []float64, z int) (int, bool) {
 		bestFree, bestFreeCost := -1, math.Inf(1)
 		bestAny, bestAnyCost := 0, math.Inf(1)
+		lo, _ := ZoneBounds(zones, z)
 		for cell := 0; cell < cellsPerZone; cell++ {
-			f := CellFreq(zones, CellRef{Zone: z, Cell: cell})
+			f := lo + (float64(cell)+0.5)*CellWidthGHz // CellFreq
 			var cost float64
-			for _, o := range assigned {
-				cost += pairCost(xt, f, plan.Freq[o], q, o)
+			for k, x := range xq {
+				cost += x * leakage(f-freq[k])
 			}
-			free := len(occupants[z][cell]) == 0
+			free := !used[z*cellsPerZone+cell]
 			if free && cost < bestFreeCost {
 				bestFree, bestFreeCost = cell, cost
 			}
@@ -138,71 +178,97 @@ func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan,
 		return bestAny, true
 	}
 
-	// groupCost scores a candidate zone permutation for one group given
-	// everything already assigned.
-	groupCost := func(group []int, zoneOf []int) float64 {
-		var cost float64
-		freq := func(idx int) float64 {
-			z := zoneOf[idx]
-			lo, _ := ZoneBounds(zones, z)
-			return lo + (hi0-lo0)/2
-		}
-		for a := 0; a < len(group); a++ {
-			fa := freq(a)
-			// In-line: members of the same group share a physical line,
-			// so their mutual leakage always counts.
-			for b := a + 1; b < len(group); b++ {
-				cost += pairCost(xt, fa, freq(b), group[a], group[b])
-			}
-			if opts.CrossLine {
-				for _, o := range assigned {
-					cost += pairCost(xt, fa, plan.Freq[o], group[a], o)
-				}
-			}
-		}
-		return cost
-	}
-
 	for _, group := range g.Groups {
-		if len(group) > zones {
-			return nil, fmt.Errorf("fdm: group of %d exceeds %d zones", len(group), zones)
+		m, k0 := len(group), len(assigned)
+		for a, q := range group {
+			row := xrow[a*n : a*n+k0]
+			for k, o := range assigned {
+				row[k] = xt(q, o)
+			}
+			for b := a + 1; b < m; b++ {
+				xin[a*width+b] = xt(q, group[b])
+			}
 		}
-		// Initial zone assignment by position in the group.
-		zoneOf := make([]int, len(group))
-		for i := range group {
-			zoneOf[i] = i
+		for z := 0; z < m; z++ {
+			for k, f := range freq {
+				leakX[z*n+k] = leakage(centre[z] - f)
+			}
 		}
-		// Local search: swap zone assignments within the group while it
-		// improves the objective (constraint 3 / the q4<->q6 swap).
-		for pass := 0; pass < opts.SwapPasses; pass++ {
-			improved := false
-			for a := 0; a < len(group); a++ {
-				for b := a + 1; b < len(group); b++ {
-					before := groupCost(group, zoneOf)
-					zoneOf[a], zoneOf[b] = zoneOf[b], zoneOf[a]
-					if groupCost(group, zoneOf) < before {
-						improved = true
-					} else {
-						zoneOf[a], zoneOf[b] = zoneOf[b], zoneOf[a]
+		// groupCost scores the group's current zone permutation given
+		// everything already assigned: per member, its in-line terms,
+		// then its cross-line terms.
+		groupCost := func() float64 {
+			var cost float64
+			for a := 0; a < m; a++ {
+				za := zoneOf[a]
+				// In-line: members of the same group share a physical
+				// line, so their mutual leakage always counts.
+				for b := a + 1; b < m; b++ {
+					cost += xin[a*width+b] * leakIn[za*width+zoneOf[b]]
+				}
+				if opts.CrossLine {
+					leak := leakX[za*n : za*n+k0]
+					for k, x := range xrow[a*n : a*n+k0] {
+						cost += x * leak[k]
 					}
 				}
 			}
-			if !improved {
-				break
+			return cost
+		}
+		// Initial zone assignment by position in the group.
+		for i := 0; i < m; i++ {
+			zoneOf[i] = i
+		}
+		// Local search: swap zone assignments within the group while it
+		// improves the objective (constraint 3 / the q4<->q6 swap). The
+		// cost of the current permutation is carried between candidate
+		// swaps rather than re-scored: a rejected swap is undone, so
+		// scoring it again would yield the same value.
+		if opts.SwapPasses > 0 && m > 1 {
+			cost := groupCost()
+			for pass := 0; pass < opts.SwapPasses; pass++ {
+				improved := false
+				for a := 0; a < m; a++ {
+					for b := a + 1; b < m; b++ {
+						zoneOf[a], zoneOf[b] = zoneOf[b], zoneOf[a]
+						if c := groupCost(); c < cost {
+							cost, improved = c, true
+						} else {
+							zoneOf[a], zoneOf[b] = zoneOf[b], zoneOf[a]
+						}
+					}
+				}
+				if !improved {
+					break
+				}
 			}
 		}
-		// Commit: pick cells and final frequencies.
-		for i, q := range group {
-			z := zoneOf[i]
-			cell, reused := cellFor(q, z)
+		// Commit: pick cells and final frequencies. Member a's row
+		// gains the members placed before it.
+		for a, q := range group {
+			row := xrow[a*n : a*n+len(assigned)]
+			for k := k0; k < len(row); k++ {
+				row[k] = xt(q, assigned[k])
+			}
+			z := zoneOf[a]
+			cell, reused := cellFor(row, z)
 			if reused {
 				plan.Reused++
 			}
-			occupants[z][cell] = append(occupants[z][cell], q)
+			used[z*cellsPerZone+cell] = true
 			ref := CellRef{Zone: z, Cell: cell}
+			f := CellFreq(zones, ref)
+			if _, again := plan.Freq[q]; again {
+				// A qubit listed twice is read at its latest frequency.
+				for k, o := range assigned {
+					if o == q {
+						freq[k] = f
+					}
+				}
+			}
 			plan.Cell[q] = ref
-			plan.Freq[q] = CellFreq(zones, ref)
-			assigned = append(assigned, q)
+			plan.Freq[q] = f
+			assigned, freq = append(assigned, q), append(freq, f)
 		}
 	}
 	return plan, nil

@@ -29,7 +29,9 @@ func fuzzUnit(seed uint64, i, j int) float64 {
 // layer on arbitrary inputs: Group must produce a partition of [0, n)
 // with no line over capacity, and Allocate must place every line's
 // members in distinct zones (hence distinct frequency cells) with
-// in-zone frequencies. Both passes must also be deterministic.
+// in-zone frequencies. Both passes must also be deterministic, and
+// Allocate must match allocateReference bit for bit, under the default
+// options and under a swap budget and objective drawn from the seed.
 func FuzzGroupAllocate(f *testing.F) {
 	f.Add(uint64(1), 9, 3)
 	f.Add(uint64(42), 25, 5)
@@ -70,6 +72,20 @@ func FuzzGroupAllocate(f *testing.F) {
 		}
 		if err := plan.Validate(g); err != nil {
 			t.Fatalf("plan invariant violated (n=%d, cap=%d): %v", n, capacity, err)
+		}
+		varied := AllocOptions{SwapPasses: int(seed % 4), CrossLine: seed&4 == 0}
+		for _, opts := range []AllocOptions{DefaultAllocOptions(), varied} {
+			got, err := Allocate(g, xt, opts)
+			if err != nil {
+				t.Fatalf("Allocate(n=%d, cap=%d, %+v): %v", n, capacity, opts, err)
+			}
+			want, err := allocateReference(g, xt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := planDiff(got, want); d != "" {
+				t.Fatalf("Allocate(n=%d, cap=%d, %+v) differs from the reference: %s", n, capacity, opts, d)
+			}
 		}
 		// Explicitly: no two qubits on the same line may share a
 		// frequency cell (they would be indistinguishable on the wire).

@@ -45,8 +45,9 @@ type Config struct {
 	// every pair of local qubits, a sizable share of a pipeline's warm
 	// Theta-only redesign. A caller that can list the pairs cheaply
 	// (crosstalk.Predictor.Above) sets it. It must agree with
-	// Crosstalk: GroupDevices checks one local qubit's pairs and fails
-	// on a mismatch. A negative NoiseThreshold ignores it.
+	// Crosstalk: GroupDevices and GroupSorted check one local qubit's
+	// pairs and fail on a mismatch, and CheckNoisy checks every local
+	// qubit's. A negative NoiseThreshold ignores it.
 	Noisy func(a int) []int32
 	// Isolate, when non-nil, marks devices whose Z path is stuck-lossy
 	// (internal/faults): the device stays usable but must not sit
@@ -83,61 +84,161 @@ func DefaultConfig(xt CrosstalkFunc) Config {
 // mean (the balancing rule). Legality always holds: no two devices of
 // one hardware gate ever share a group.
 func GroupDevices(gi *GateInfo, devices []int, cfg Config) (*Grouping, error) {
-	if gi == nil {
-		return nil, fmt.Errorf("tdm: nil gate tables")
-	}
-	if len(devices) == 0 {
-		return nil, fmt.Errorf("tdm: empty device list (no devices to group)")
-	}
 	s := scratches.Get().(*scratch)
 	defer scratches.Put(s)
+	if err := s.index(gi, devices); err != nil {
+		return nil, err
+	}
+	rest, isolated := s.rest[:0], s.isolated[:0]
+	for _, d := range devices {
+		if cfg.Isolate != nil && cfg.Isolate(d) {
+			isolated = append(isolated, d)
+		} else {
+			rest = append(rest, d)
+		}
+	}
+	s.rest, s.isolated = rest, isolated
+	SortByIndex(rest, s.idx)
+	sort.Ints(isolated)
+	return s.group(gi, rest, isolated, cfg)
+}
+
+// GroupSorted is GroupDevices over a device split made ahead of time,
+// as the pipeline caches it: sorted lists the devices to group in
+// SortByIndex order, and isolated the stuck-lossy devices, ascending,
+// which close the plan as dedicated direct lines; cfg.Isolate is not
+// consulted. Neither list depends on Theta, and the devices at or below
+// Theta are a prefix of sorted, so a Theta sweep sorts nothing. The
+// grouping equals GroupDevices' over the same devices with an Isolate
+// that marks exactly isolated. Out-of-order lists are an error.
+func GroupSorted(gi *GateInfo, sorted, isolated []int, cfg Config) (*Grouping, error) {
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	if err := s.index(gi, sorted, isolated); err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(sorted); i++ {
+		if byIndex(s.idx, sorted[i-1], sorted[i]) > 0 {
+			return nil, fmt.Errorf("tdm: devices %d and %d out of parallelism-index order", sorted[i-1], sorted[i])
+		}
+	}
+	for i := 1; i < len(isolated); i++ {
+		if isolated[i-1] > isolated[i] {
+			return nil, fmt.Errorf("tdm: isolated devices %d and %d out of order", isolated[i-1], isolated[i])
+		}
+	}
+	return s.group(gi, sorted, isolated, cfg)
+}
+
+// index checks the device lists — gate tables present, at least one
+// device, every device in range and listed once — and records each
+// listed device's parallelism index in s.idx.
+func (s *scratch) index(gi *GateInfo, lists ...[]int) error {
+	if gi == nil {
+		return fmt.Errorf("tdm: nil gate tables")
+	}
+	total := 0
+	for _, devs := range lists {
+		total += len(devs)
+	}
+	if total == 0 {
+		return fmt.Errorf("tdm: empty device list (no devices to group)")
+	}
 	n := gi.Dev.Count()
 	seen := resize(&s.seen, n)
-	for _, d := range devices {
-		if d < 0 || d >= n {
-			return nil, fmt.Errorf("tdm: device %d out of range [0,%d)", d, n)
-		}
-		if seen[d] {
-			return nil, fmt.Errorf("tdm: duplicate device %d", d)
-		}
-		seen[d] = true
-	}
 	idx := resize(&s.idx, n) // read only at the given devices
-	for _, d := range devices {
-		idx[d] = gi.ParallelismIndex(d)
-	}
-
-	low, high, isolated := s.low[:0], s.high[:0], s.isolated[:0]
-	for _, d := range devices {
-		switch {
-		case cfg.Isolate != nil && cfg.Isolate(d):
-			isolated = append(isolated, d)
-		case idx[d] <= cfg.Theta:
-			low = append(low, d)
-		default:
-			high = append(high, d)
+	for _, devs := range lists {
+		for _, d := range devs {
+			if d < 0 || d >= n {
+				return fmt.Errorf("tdm: device %d out of range [0,%d)", d, n)
+			}
+			if seen[d] {
+				return fmt.Errorf("tdm: duplicate device %d", d)
+			}
+			seen[d] = true
+			idx[d] = gi.ParallelismIndex(d)
 		}
 	}
-	s.low, s.high, s.isolated = low, high, isolated
-	sortedByIndex(low, idx)
-	sortedByIndex(high, idx)
+	return nil
+}
 
+// group groups the indexed devices of sorted, in SortByIndex order,
+// and closes the plan with isolated's direct lines.
+func (s *scratch) group(gi *GateInfo, sorted, isolated []int, cfg Config) (*Grouping, error) {
+	cut := 0
+	for cut < len(sorted) && s.idx[sorted[cut]] <= cfg.Theta {
+		cut++
+	}
+	low, high := sorted[:cut:cut], sorted[cut:]
 	if err := s.buildNoise(gi, low, high, cfg); err != nil {
 		return nil, err
 	}
-	groups := s.groupLevel(gi, low, 4, idx, cfg, s.groups[:0])
-	groups = s.groupLevel(gi, high, 2, idx, cfg, groups)
+	groups := s.groupLevel(gi, low, 4, s.idx, cfg, s.groups[:0])
+	groups = s.groupLevel(gi, high, 2, s.idx, cfg, groups)
 	g := &Grouping{Theta: cfg.Theta, Groups: make([]Group, len(groups), len(groups)+len(isolated))}
 	copy(g.Groups, groups)
 	clear(groups) // the scratch keeps no reference into the result
 	s.groups = groups[:0]
 	// Stuck-lossy devices close the plan as dedicated direct lines, in
 	// id order for determinism.
-	sort.Ints(isolated)
 	for _, d := range isolated {
 		g.Groups = append(g.Groups, Group{Devices: []int{d}, Level: DemuxNone})
 	}
 	return g, nil
+}
+
+// CheckNoisy checks cfg.Noisy against cfg.Crosstalk on every pair a
+// grouping of devices reads: for every local qubit a (a qubit of one of
+// the devices' gates) and every other local qubit b, Noisy(a) lists b
+// exactly when Crosstalk(a, b) > NoiseThreshold. GroupDevices checks
+// the first local qubit's pairs on every call; a caller that caches
+// the lists checks them all here, once. A config that does not read
+// the lists passes.
+func CheckNoisy(gi *GateInfo, devices []int, cfg Config) error {
+	if !cfg.readsNoisy() {
+		return nil
+	}
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	local, qubits := resize(&s.local, gi.Dev.chip.NumQubits()), s.qubits[:0]
+	for _, d := range devices {
+		for _, g := range gi.GatesOf[d] {
+			for _, q := range [2]int{gi.Gates[g].Q1, gi.Gates[g].Q2} {
+				if !local[q] {
+					local[q] = true
+					qubits = append(qubits, q)
+				}
+			}
+		}
+	}
+	s.qubits = qubits
+	return s.checkNoisy(len(local), qubits, qubits, cfg)
+}
+
+// readsNoisy reports whether the grouping reads its noisy pairs from
+// cfg.Noisy.
+func (cfg *Config) readsNoisy() bool {
+	return cfg.Crosstalk != nil && cfg.Noisy != nil && !(cfg.NoiseThreshold < 0)
+}
+
+// checkNoisy checks cfg.Noisy(a) for every a of from against
+// cfg.Crosstalk on the qubits of to, of a chip of nq qubits.
+func (s *scratch) checkNoisy(nq int, from, to []int, cfg Config) error {
+	listed := resize(&s.listed, nq)
+	for _, a := range from {
+		for _, b := range cfg.Noisy(a) {
+			listed[b] = true
+		}
+		for _, b := range to {
+			if b != a && listed[b] != (cfg.Crosstalk(a, b) > cfg.NoiseThreshold) {
+				return fmt.Errorf("tdm: Noisy(%d) and Crosstalk disagree on qubit %d", a, b)
+			}
+		}
+		for _, b := range cfg.Noisy(a) {
+			listed[b] = false
+		}
+	}
+	return nil
 }
 
 // scratch is the working memory of one GroupDevices call. Scratches
@@ -148,7 +249,7 @@ type scratch struct {
 	idx                 []float64
 	bySeed              []int32
 	groups, level       []Group
-	low, high, isolated []int
+	rest, isolated      []int
 	qubits, near        []int
 	illegal             []int
 	on                  []uint64
@@ -244,7 +345,8 @@ type noiseGraph struct {
 
 // buildNoise builds the scratch's noise graph over the gates of the
 // devices of both levels. It fails when cfg.Noisy disagrees with
-// cfg.Crosstalk on the pairs of the first local qubit.
+// cfg.Crosstalk on the pairs of the first local qubit (CheckNoisy
+// checks them all).
 func (s *scratch) buildNoise(gi *GateInfo, low, high []int, cfg Config) error {
 	ng := &s.ng
 	nq := gi.Dev.chip.NumQubits()
@@ -308,16 +410,10 @@ func (s *scratch) buildNoise(gi *GateInfo, low, high []int, cfg Config) error {
 			dst[i] |= src[i]
 		}
 	}
-	noisy := cfg.Crosstalk != nil && cfg.Noisy != nil && !(cfg.NoiseThreshold < 0)
+	noisy := cfg.readsNoisy()
 	if noisy && len(qubits) > 0 {
-		a, listed := qubits[0], resize(&s.listed, nq)
-		for _, b := range cfg.Noisy(a) {
-			listed[b] = true
-		}
-		for _, b := range qubits {
-			if b != a && listed[b] != (cfg.Crosstalk(a, b) > cfg.NoiseThreshold) {
-				return fmt.Errorf("tdm: Noisy(%d) and Crosstalk disagree on qubit %d", a, b)
-			}
+		if err := s.checkNoisy(nq, qubits[:1], qubits, cfg); err != nil {
+			return err
 		}
 	}
 	for _, a := range qubits {

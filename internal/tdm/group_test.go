@@ -1,12 +1,14 @@
 package tdm
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/chip"
@@ -371,7 +373,7 @@ func gateCrosstalk(gi *GateInfo, a, b int, xt CrosstalkFunc) float64 {
 // candidate at every growth step. groupLevel must group exactly as it
 // does.
 func groupLevelReference(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Config) []Group {
-	remaining := sortedByIndex(slices.Clone(devs), idx)
+	remaining := SortByIndex(slices.Clone(devs), idx)
 	inGroup := make(map[int]bool)
 	var groups []Group
 
@@ -471,6 +473,42 @@ func TestNoisyMustAgreeWithCrosstalk(t *testing.T) {
 	}
 }
 
+// TestCheckNoisyChecksEveryLocalQubit corrupts the noisy list of the
+// last local qubit: GroupDevices' spot check of the first local qubit
+// misses it, and CheckNoisy rejects it.
+func TestCheckNoisyChecksEveryLocalQubit(t *testing.T) {
+	c := chip.Square(3, 3)
+	gi := AnalyzeGates(c)
+	devs := make([]int, gi.Dev.Count())
+	for i := range devs {
+		devs[i] = i
+	}
+	cfg := withNoisy(DefaultConfig(decayXT), c.NumQubits())
+	if err := CheckNoisy(gi, devs, cfg); err != nil {
+		t.Fatalf("agreeing lists rejected: %v", err)
+	}
+	last := c.NumQubits() - 1
+	lists := make([][]int32, c.NumQubits())
+	for a := range lists {
+		lists[a] = cfg.Noisy(a)
+	}
+	if len(lists[last]) == 0 {
+		t.Fatal("the last qubit has no noisy pair to drop")
+	}
+	lists[last] = lists[last][1:]
+	cfg.Noisy = func(a int) []int32 { return lists[a] }
+	if _, err := GroupDevices(gi, devs, cfg); err != nil {
+		t.Fatalf("the spot check reached the last qubit: %v", err)
+	}
+	if err := CheckNoisy(gi, devs, cfg); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("Noisy(%d)", last)) {
+		t.Fatalf("CheckNoisy = %v, want a disagreement on Noisy(%d)", err, last)
+	}
+	cfg.NoiseThreshold = -1 // the lists are not read
+	if err := CheckNoisy(gi, devs, cfg); err != nil {
+		t.Fatalf("lists the grouping ignores were checked: %v", err)
+	}
+}
+
 // nanXT is strong crosstalk with a NaN reading on every third qubit
 // pair; NaN never exceeds a threshold.
 func nanXT(i, j int) float64 {
@@ -487,7 +525,8 @@ func nanXT(i, j int) float64 {
 // crosstalk, under a negative noise threshold and in surface-code
 // mode, and checks whole groupings of the chip and of a region of it
 // (Theta split and isolated devices included) against the reference
-// run on GroupDevices' own device split.
+// run on GroupDevices' own device split, and GroupSorted's groupings
+// against GroupDevices'.
 func TestGroupLevelMatchesReference(t *testing.T) {
 	chips := append([]*chip.Chip{chip.Square(4, 4), chip.HeavyHexagon(2, 2), chip.LowDensity(4, 4)}, chip.Table2Chips()...)
 	sparse := DefaultConfig(decayXT)
@@ -540,7 +579,7 @@ func TestGroupLevelMatchesReference(t *testing.T) {
 		}
 		for name, cfg := range configs {
 			for _, capacity := range []int{2, 4} {
-				s, level := new(scratch), sortedByIndex(slices.Clone(devs), idx)
+				s, level := new(scratch), SortByIndex(slices.Clone(devs), idx)
 				if err := s.buildNoise(gi, level, nil, cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -578,6 +617,14 @@ func TestGroupLevelMatchesReference(t *testing.T) {
 					}
 					if !reflect.DeepEqual(g.Groups, want) {
 						t.Errorf("%s/%s isolate=%v region of %d: GroupDevices\n got %v\nwant %v", c.Topology, name, cfg.Isolate != nil, len(region), g.Groups, want)
+					}
+					sorted := SortByIndex(append(low, high...), idx)
+					gs, err := GroupSorted(gi, sorted, iso, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gs.Groups, g.Groups) {
+						t.Errorf("%s/%s isolate=%v region of %d: GroupSorted\n got %v\nwant %v", c.Topology, name, cfg.Isolate != nil, len(region), gs.Groups, g.Groups)
 					}
 				}
 			}

@@ -398,17 +398,22 @@ func levelFor(size int) DemuxLevel {
 	}
 }
 
-// sortedByIndex sorts device ids, in place, by ascending parallelism
-// index, ties broken by id for determinism, and returns them.
-func sortedByIndex(out []int, idx []float64) []int {
-	slices.SortFunc(out, func(a, b int) int {
-		switch ia, ib := idx[a], idx[b]; {
-		case ia < ib:
-			return -1
-		case ia > ib:
-			return 1
-		}
-		return a - b
-	})
-	return out
+// SortByIndex sorts device ids, in place, by ascending parallelism
+// index, ties broken by id for determinism, and returns them; idx[d] is
+// device d's index, as AllParallelismIndices lists it. It is the order
+// GroupDevices searches each level in, and GroupSorted's input order.
+func SortByIndex(devices []int, idx []float64) []int {
+	slices.SortFunc(devices, func(a, b int) int { return byIndex(idx, a, b) })
+	return devices
+}
+
+// byIndex orders devices a and b by parallelism index, then by id.
+func byIndex(idx []float64, a, b int) int {
+	switch ia, ib := idx[a], idx[b]; {
+	case ia < ib:
+		return -1
+	case ia > ib:
+		return 1
+	}
+	return a - b
 }

@@ -27,6 +27,31 @@ func TestGroupDevicesInputValidation(t *testing.T) {
 	}
 }
 
+func TestGroupSortedInputValidation(t *testing.T) {
+	c := chip.Square(3, 3)
+	gi := AnalyzeGates(c)
+	cfg := DefaultConfig(nil)
+	sorted := SortByIndex([]int{0, 1, 2, 3, 9, 10}, gi.AllParallelismIndices())
+	if _, err := GroupSorted(gi, sorted, []int{4, 5}, cfg); err != nil {
+		t.Fatalf("sorted lists rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name             string
+		sorted, isolated []int
+		want             string
+	}{
+		{"empty", nil, nil, "empty device list"},
+		{"out of range", []int{-1}, nil, "out of range"},
+		{"listed twice", sorted, []int{sorted[0]}, "duplicate device"},
+		{"unsorted", []int{sorted[1], sorted[0]}, nil, "out of parallelism-index order"},
+		{"unsorted isolated", nil, []int{5, 4}, "isolated devices 5 and 4 out of order"},
+	} {
+		if _, err := GroupSorted(gi, tc.sorted, tc.isolated, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestGroupDevicesIsolate: isolated (stuck-lossy) devices land alone on
 // direct lines; everything else still validates.
 func TestGroupDevicesIsolate(t *testing.T) {
