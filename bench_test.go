@@ -725,3 +725,34 @@ func BenchmarkDiskStoreHit(b *testing.B) {
 		b.Fatalf("only %d of %d iterations hit the disk tier", r.DiskHits, b.N)
 	}
 }
+
+// BenchmarkDiskRecallDesign times a restarted replica's read of one
+// 7×7 design: the cache's memory budget is one byte, so every stage of
+// every Redesign is recalled from the warm disk tier (read, CRC check,
+// decode) and none executes. It is the per-design cost the
+// warm-restart workload pays on a memory miss.
+func BenchmarkDiskRecallDesign(b *testing.B) {
+	cache, err := OpenSharedCache(CacheConfig{Dir: b.TempDir(), MaxBytes: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	designer := cache.Designer(NewSquareChip(7, 7))
+	opts := Options{Seed: 1}
+	if _, err := designer.Redesign(opts); err != nil {
+		b.Fatal(err)
+	}
+	before := cache.StageReport()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := designer.Redesign(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	for _, st := range cache.StageReport().Sub(before).Stages {
+		if st.Misses != 0 || st.DiskHits != b.N {
+			b.Fatalf("stage %s: %d executions and %d disk hits over %d redesigns, want 0 and %d", st.Name, st.Misses, st.DiskHits, b.N, b.N)
+		}
+	}
+}
