@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzPresortedTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzKFoldMSEShared -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/parallel -run NONE -fuzz FuzzSeededSource -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/experiments -run NONE -fuzz FuzzCharacterizationCodec -fuzztime $(FUZZTIME)
 
 # The benchmark-regression trajectory: run the full suite with
 # allocation reporting, snapshot it as $(OUT)/BENCH_<stamp>.json, and
@@ -104,15 +105,15 @@ bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -benchmem -cpu 1 . > /dev/null
 
 # CPU + heap profiles of the routing, anneal, 1M-sweep, crosstalk-fit,
-# frequency-allocation, TDM-grouping, full-pipeline and warm
-# Theta-redesign hot paths, written under $(OUT) with
+# frequency-allocation, TDM-grouping, full-pipeline, warm
+# Theta-redesign and disk-recall hot paths, written under $(OUT) with
 # the `go tool pprof -top` text of each beside them (CI uploads both as
 # artifacts). Like `bench`, they run at -cpu 1; each benchmark runs for
 # 2s, so even the slowest yields enough samples to rank its hot
 # functions. Samples attribute to pipeline stages via the runtime/pprof
 # labels the stage store applies.
 bench-profile: | $(OUT)
-	$(GO) test -run NONE -bench 'AStarRouting|AnnealedAllocation|ScaleSweep1M|DesignPipeline36Q|CrosstalkFit|FDMAllocate|TDMGrouping|ThetaSweepWarm' \
+	$(GO) test -run NONE -bench 'AStarRouting|AnnealedAllocation|ScaleSweep1M|DesignPipeline36Q|CrosstalkFit|FDMAllocate|TDMGrouping|ThetaSweepWarm|DiskRecallDesign' \
 		-benchtime 2s -benchmem -cpu 1 -o $(OUT)/bench.test \
 		-cpuprofile $(OUT)/bench.cpu.pprof -memprofile $(OUT)/bench.mem.pprof . > /dev/null
 	$(GO) tool pprof -top $(OUT)/bench.test $(OUT)/bench.cpu.pprof > $(OUT)/bench.cpu.top.txt

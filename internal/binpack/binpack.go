@@ -150,6 +150,12 @@ func (d *Dec) take(n int, what string) []byte {
 	return b
 }
 
+// Record reads the next n bytes as one fixed-width record, for a
+// decoder that takes several fields with one bounds check. The slice
+// aliases the input; it is nil once the decoder has failed, or when
+// fewer than n bytes remain (which fails it).
+func (d *Dec) Record(n int) []byte { return d.take(n, "record") }
+
 // U8 reads one byte.
 func (d *Dec) U8() uint8 {
 	b := d.take(1, "u8")

@@ -287,7 +287,7 @@ func (m *Model) PredictDistance(dEquiv float64) float64 {
 // use. Predict keeps the model's per-distance memo.
 type Predictor struct {
 	Model *Model
-	chip  *chip.Chip
+	n     int // qubit count of the bound chip
 	// pair[i*n+j] (i != j) indexes d_equiv(i,j) in dist and its
 	// prediction in pred; dist holds the distinct values in order of
 	// first appearance.
@@ -300,7 +300,7 @@ func (m *Model) On(c *chip.Chip) *Predictor {
 	n := c.NumQubits()
 	g := c.Graph()
 	sc, top := graphx.NewBFSScratch(n), make([]float64, n)
-	p := &Predictor{Model: m, chip: c, pair: make([]int32, n*n)}
+	p := &Predictor{Model: m, n: n, pair: make([]int32, n*n)}
 	// ord lists the ids of dist (indices into it) in ascending value
 	// order, for the binary search that finds a value's id.
 	dist, ord := make([]float64, 0, n), make([]int32, 0, n)
@@ -359,7 +359,7 @@ func (p *Predictor) EquivDistance(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	return p.dist[p.pair[i*p.chip.NumQubits()+j]]
+	return p.dist[p.pair[i*p.n+j]]
 }
 
 // Predict returns the predicted crosstalk between qubits i and j.
@@ -379,7 +379,7 @@ func (p *Predictor) Predict(i, j int) float64 {
 // without the memo's hashing. Its calls are not counted one by one:
 // Pairs counts the n(n-1)/2 predictions of one Matrix, once.
 func (p *Predictor) Pairs() func(i, j int) float64 {
-	n := p.chip.NumQubits()
+	n := p.n
 	if o := observer.Load(); o != nil {
 		o.predictions.Add(int64(n * (n - 1) / 2))
 	}
@@ -397,7 +397,7 @@ func (p *Predictor) Pairs() func(i, j int) float64 {
 // nbr[start[a]:start[a+1]]. It compares the predictions Predict
 // returns, each distinct value once, and counts as no prediction.
 func (p *Predictor) Above(thr float64) (start, nbr []int32) {
-	n := p.chip.NumQubits()
+	n := p.n
 	above := make([]bool, len(p.pred))
 	for k, v := range p.pred {
 		above[k] = v > thr
@@ -419,7 +419,7 @@ func (p *Predictor) Above(thr float64) (start, nbr []int32) {
 // unordered pair is predicted once and mirrored; the diagonal is zero
 // by definition. Rows share one flat n*n backing array.
 func (p *Predictor) Matrix() [][]float64 {
-	n := p.chip.NumQubits()
+	n := p.n
 	flat := make([]float64, n*n)
 	m := make([][]float64, n)
 	for i := 0; i < n; i++ {
@@ -444,7 +444,7 @@ func (p *Predictor) Matrix() [][]float64 {
 // qubit pair of the bound chip, the raw material for the Figure 12
 // noise-distribution comparison.
 func (p *Predictor) PredictedValues() []float64 {
-	n := p.chip.NumQubits()
+	n := p.n
 	vals := make([]float64, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

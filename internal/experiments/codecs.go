@@ -75,11 +75,11 @@ func StageCodecs() map[string]stage.Codec {
 				return nil, err
 			}
 			var e binpack.Enc
-			// The predictor binds the model to the measured chip; store
-			// the chip so decode can rebind (Model.On) without reaching
-			// outside the artifact.
-			ch.Pred.Chip().AppendBinary(&e)
+			// The pair table travels with the model, so a recall reads
+			// the predictions instead of rebinding the model to the chip
+			// (Model.On).
 			ch.Model.AppendBinary(&e)
+			ch.Pred.AppendBinary(&e)
 			s := ch.Stats
 			e.Int(s.Pairs)
 			e.Int(s.SkippedDead)
@@ -91,11 +91,11 @@ func StageCodecs() map[string]stage.Codec {
 		},
 		Decode: func(data []byte) (any, error) {
 			d := binpack.NewDec(data)
-			c, err := chip.DecodeBinary(d)
+			m, err := crosstalk.DecodeBinary(d)
 			if err != nil {
 				return nil, err
 			}
-			m, err := crosstalk.DecodeBinary(d)
+			pred, err := crosstalk.DecodePredictor(d, m)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +109,10 @@ func StageCodecs() map[string]stage.Codec {
 			if err := d.Err(); err != nil {
 				return nil, err
 			}
-			return &characterization{Model: m, Pred: m.On(c), Stats: s}, nil
+			if d.Remaining() != 0 {
+				return nil, fmt.Errorf("characterization artifact: %d trailing bytes", d.Remaining())
+			}
+			return &characterization{Model: m, Pred: pred, Stats: s}, nil
 		},
 	}
 	partitionCodec := stage.Codec{

@@ -16,9 +16,16 @@ import (
 	"repro/internal/xmon"
 )
 
-// captureArtifacts builds a design while recording every executed
-// stage's artifact value through the store's exec-wrapper seam.
+// captureArtifacts builds a design of a 5x5 square chip while
+// recording every executed stage's artifact value through the store's
+// exec-wrapper seam.
 func captureArtifacts(t *testing.T, opts Options) map[string]any {
+	t.Helper()
+	return captureArtifactsOn(t, chip.Square(5, 5), opts)
+}
+
+// captureArtifactsOn is captureArtifacts on the given chip.
+func captureArtifactsOn(t testing.TB, c *chip.Chip, opts Options) map[string]any {
 	t.Helper()
 	dc := NewDesignCacheWithStore(stage.NewStore())
 	var mu sync.Mutex
@@ -34,7 +41,7 @@ func captureArtifacts(t *testing.T, opts Options) map[string]any {
 			return v, err
 		}
 	})
-	if _, err := dc.Designer(chip.Square(5, 5)).RedesignCtx(context.Background(), opts); err != nil {
+	if _, err := dc.Designer(c).RedesignCtx(context.Background(), opts); err != nil {
 		t.Fatalf("build: %v", err)
 	}
 	return artifacts

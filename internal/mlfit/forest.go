@@ -173,6 +173,10 @@ func (f *Forest) PredictAll(X [][]float64) []float64 {
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.trees) }
 
+// NumFeatures returns the feature arity of the rows the forest was
+// fitted on, the width Predict reads.
+func (f *Forest) NumFeatures() int { return f.trees[0].nFeature }
+
 // KFoldMSE estimates generalization error by k-fold cross-validation:
 // it returns the mean held-out MSE over the k folds. The fold split is
 // deterministic in seed.

@@ -1,7 +1,9 @@
 package mlfit
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/binpack"
 )
@@ -71,12 +73,24 @@ func DecodeBinary(d *binpack.Dec) (*Forest, error) {
 	return f, nil
 }
 
-// decodeNode appends one preorder-encoded subtree to t.nodes.
+// nodeRecord is the encoded size of one node: the presence flag, then
+// feature, threshold and value at eight bytes each.
+const nodeRecord = 1 + 3*8
+
+// decodeNode appends one preorder-encoded subtree to t.nodes. It
+// takes each node's fields with one bounds check, reading them as
+// binpack's U8, Int and F64 would.
 func (t *Tree) decodeNode(d *binpack.Dec) error {
-	present := d.U8()
-	nd := treeNode{feature: d.Int(), threshold: d.F64(), value: d.F64()}
-	if err := d.Err(); err != nil {
-		return err
+	b := d.Record(nodeRecord)
+	if b == nil {
+		return d.Err()
+	}
+	le := binary.LittleEndian
+	present := b[0]
+	nd := treeNode{
+		feature:   int(int64(le.Uint64(b[1:9]))),
+		threshold: math.Float64frombits(le.Uint64(b[9:17])),
+		value:     math.Float64frombits(le.Uint64(b[17:25])),
 	}
 	if present != 1 {
 		return fmt.Errorf("mlfit: node %d has presence flag %d", len(t.nodes), present)

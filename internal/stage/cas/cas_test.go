@@ -276,3 +276,31 @@ func TestOversizedNameCountsWriteError(t *testing.T) {
 		t.Fatalf("oversized name: %+v", st)
 	}
 }
+
+// sanitizeComponent returns safe components unchanged and rewrites any
+// other rune as one '_'; the reserved names gain a '_' prefix.
+func TestSanitizeComponent(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"", "_"},
+		{".", "_."},
+		{"..", "_.."},
+		{"tmp", "_tmp"},
+		{"TMP", "TMP"},
+		{"tmpx", "tmpx"},
+		{"characterize-xy", "characterize-xy"},
+		{string(testKey), string(testKey)},
+		{"a_b.C-9", "a_b.C-9"},
+		{"a/b", "a_b"},
+		{"../x", ".._x"},
+		{"a b\x00c", "a_b_c"},
+		{"héllo", "h_llo"},
+		{"日本", "__"},
+		{"\xff\xfe", "__"},
+		{"t\xffmp", "t_mp"},
+		{"/", "_"},
+	} {
+		if got := sanitizeComponent(tc.in); got != tc.want {
+			t.Errorf("sanitizeComponent(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 )
 
-// On-disk artifact format, version 1:
+// On-disk artifact format, version 2:
 //
 //	offset  size  field
 //	0       4     magic "YTCA"
@@ -25,9 +25,15 @@ import (
 // and any mismatch — like any truncation or checksum failure — reads
 // as a miss. Trailing bytes after the payload are rejected too: a
 // concatenated or doubly-written file is not a valid artifact.
+//
+// The version names the payload encodings as well as the header, since
+// a payload does not describe itself. Version 2 changed the
+// characterization payload (it carries the predictor's pair table in
+// place of the chip), so a version-1 file is dropped and its stage
+// re-executes rather than being decoded under the wrong layout.
 const (
 	magic         = "YTCA"
-	formatVersion = 1
+	formatVersion = 2
 	headerMin     = 4 + 4 + 2 + 2 // magic + crc + version + name length
 )
 

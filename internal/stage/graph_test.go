@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // rendezvous returns a pair of callbacks that each block until the
@@ -269,5 +270,45 @@ func TestRunOpensOneSpanPerNode(t *testing.T) {
 	}
 	if want := []string{"design", "design/ran"}; !reflect.DeepEqual(paths, want) {
 		t.Errorf("span paths = %v, want %v", paths, want)
+	}
+}
+
+// TestRunAllHitWaveRunsInline: a wave whose every key is a completed
+// artifact in memory runs on the calling goroutine instead of fanning
+// out, and still returns the cached artifacts; a wave with a miss fans
+// out as before.
+func TestRunAllHitWaveRunsInline(t *testing.T) {
+	reg := obs.New()
+	parallel.Observe(reg)
+	defer parallel.Observe(nil)
+	calls := reg.Counter("parallel/calls")
+	g := MustGraph(sumNode("a", 1, nil), sumNode("b", 2, nil, "a"), sumNode("c", 3, nil, "a"))
+	s := NewStore()
+	cold, err := g.Run(context.Background(), s, nil, 10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("cold build fanned out %d times, want 1", got)
+	}
+	warm, err := g.Run(context.Background(), s, nil, 10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("all-hit build fanned out %d more times, want 0", got-1)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("all-hit build = %v, want %v", warm, cold)
+	}
+	if r := s.Report(); r.Hits != 3 || r.Misses != 3 {
+		t.Errorf("hits %d misses %d, want 3 and 3", r.Hits, r.Misses)
+	}
+	// Another build misses every key, so the [b c] wave fans out again.
+	if _, err := g.Run(context.Background(), s, nil, 11, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("a build with misses fanned out %d times in all, want 2", got)
 	}
 }

@@ -149,12 +149,15 @@ func (g *Graph[B]) Downstream(name string) []string {
 // consecutive declared nodes (given and skipped ones aside) with no
 // input inside the wave. A wave of two or more runs through
 // parallel.ForEachCtx capped at workers, so at workers == 1 in
-// declaration order. Each executed node runs through s.Do under a span
-// named after it beneath root, and any failure, ctx ending between
-// waves included, comes back as an *Error naming the node.
+// declaration order, unless every one of its keys is already a
+// completed artifact in memory: then it runs inline in declaration
+// order, as fanning out hits would cost more than it saves. Each
+// executed node runs through s.Do under a span named after it beneath
+// root, and any failure, ctx ending between waves included, comes back
+// as an *Error naming the node.
 func (g *Graph[B]) Run(ctx context.Context, s *Store, root *obs.Span, b B, workers int, given ...Given) ([]any, error) {
 	keys, in := make([]Key, len(g.nodes)), make([]any, len(g.nodes))
-	exec := func(i int) error {
+	key := func(i int) {
 		n := &g.nodes[i]
 		k := NewKey(n.Name)
 		for _, j := range g.inputs[i] {
@@ -164,6 +167,12 @@ func (g *Graph[B]) Run(ctx context.Context, s *Store, root *obs.Span, b B, worke
 			n.Params(b, k)
 		}
 		keys[i] = k.Done()
+	}
+	exec := func(i int) error {
+		n := &g.nodes[i]
+		if keys[i] == "" {
+			key(i)
+		}
 		w := 1
 		if n.Parallel {
 			w = parallel.Workers(workers)
@@ -183,8 +192,22 @@ func (g *Graph[B]) Run(ctx context.Context, s *Store, root *obs.Span, b B, worke
 		if err := ctx.Err(); err != nil {
 			return &Error{Stage: first, Err: err}
 		}
-		if len(wave) == 1 {
-			return exec(wave[0])
+		// A wave of memory hits runs inline: fanning it out costs more
+		// than the hits do. The peek keys the wave in declaration order
+		// until a node misses. With no completed artifact in memory no
+		// node can hit, so a cold store's wave keys inside the fan-out.
+		hits := len(wave) > 1 && s.totalEntries.Load() > 0
+		for k := 0; hits && k < len(wave); k++ {
+			key(wave[k])
+			hits = s.resident(keys[wave[k]])
+		}
+		if len(wave) == 1 || hits {
+			for _, i := range wave {
+				if err := exec(i); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 		// Create the wave's stats rows in declaration order before
 		// fanning out, so the report's row order never depends on which

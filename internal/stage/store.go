@@ -567,6 +567,24 @@ func (s *Store) Get(key Key) (any, bool) {
 	return e.val, true
 }
 
+// resident reports whether key names a completed artifact in the
+// memory tier, without counting a lookup or refreshing its recency.
+func (s *Store) resident(key Key) bool {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	e, ok := sh.entries[key]
+	sh.mu.Unlock()
+	if !ok {
+		return false
+	}
+	select {
+	case <-e.ready:
+		return e.err == nil
+	default:
+		return false
+	}
+}
+
 // Len returns the number of cached artifacts (completed or in flight).
 func (s *Store) Len() int {
 	n := 0
