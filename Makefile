@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/faults -run NONE -fuzz FuzzPlanExclusion -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stage -run NONE -fuzz FuzzArtifactKey -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stage/cas -run NONE -fuzz FuzzCASHeader -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stage/cas -run NONE -fuzz FuzzCASGet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hypo -run NONE -fuzz FuzzExperimentSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mlfit -run NONE -fuzz FuzzForestDecode -fuzztime $(FUZZTIME)

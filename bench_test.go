@@ -684,8 +684,8 @@ func BenchmarkYield(b *testing.B) {
 
 // BenchmarkDiskStoreHit times one warm-tier recall: a store whose
 // memory budget evicts everything immediately, so every Do falls
-// through to the on-disk CAS (header validation, CRC check, decode,
-// recency touch). This is the per-stage cost a restarted process pays
+// through to the on-disk CAS (sized read, header validation, CRC
+// check, decode). This is the per-stage cost a restarted process pays
 // instead of re-executing the stage.
 func BenchmarkDiskStoreHit(b *testing.B) {
 	back, err := cas.Open(b.TempDir(), cas.Config{})
@@ -698,21 +698,21 @@ func BenchmarkDiskStoreHit(b *testing.B) {
 		// waiters have it, forcing the next Do back to the disk tier.
 		MaxBytes: 1,
 		Backend:  back,
-		Codecs: map[string]stage.Codec{"bench": {
-			Encode: func(v any) ([]byte, error) { return v.([]byte), nil },
-			Decode: func(data []byte) (any, error) { return data, nil },
-		}},
 	})
+	codec := stage.Codec{
+		Encode: func(dst []byte, v any) ([]byte, error) { return append(dst, v.([]byte)...), nil },
+		Decode: func(data []byte) (any, error) { return bytes.Clone(data), nil },
+	}
 	ctx := context.Background()
 	key := stage.NewKey("bench-disk").Int(1).Done()
 	exec := func(context.Context) (any, error) { return payload, nil }
-	if _, _, err := st.Do(ctx, "bench", key, 1, exec); err != nil {
+	if _, _, err := st.Do(ctx, "bench", key, 1, codec, exec); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, cached, err := st.Do(ctx, "bench", key, 1, exec)
+		v, cached, err := st.Do(ctx, "bench", key, 1, codec, exec)
 		if err != nil {
 			b.Fatal(err)
 		}

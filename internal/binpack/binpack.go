@@ -23,6 +23,10 @@ type Enc struct {
 	buf []byte
 }
 
+// NewEnc returns an encoder that appends to dst, so a codec can encode
+// into a caller's buffer.
+func NewEnc(dst []byte) *Enc { return &Enc{buf: dst} }
+
 // Bytes returns the encoded buffer.
 func (e *Enc) Bytes() []byte { return e.buf }
 

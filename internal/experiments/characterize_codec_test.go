@@ -58,7 +58,7 @@ func sameReads(t *testing.T, label string, got, want *crosstalk.Predictor, n int
 // model bound afresh to the device's chip (Model.On): XY and ZZ, a
 // square and a hexagon chip, with and without injected faults.
 func TestCharacterizationRecallReadsLikeOn(t *testing.T) {
-	codec := StageCodecs()[StageCharacterizeXY]
+	codec := characterizeCodec
 	key := stage.NewKey("characterization-recall").Done()
 	for _, c := range []*chip.Chip{chip.Square(4, 4), chip.Hexagon(2, 3)} {
 		for _, spec := range []faults.Spec{{}, faults.UniformSpec(0.05)} {
@@ -70,7 +70,7 @@ func TestCharacterizationRecallReadsLikeOn(t *testing.T) {
 					label += "/faults"
 				}
 				ch := arts[name].(*characterization)
-				data, err := codec.Encode(ch)
+				data, err := codec.Encode(nil, ch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,7 +84,7 @@ func TestCharacterizationRecallReadsLikeOn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				payload, ok := r.Get(name, key)
+				payload, ok := r.Get(name, key, nil)
 				if !ok {
 					t.Fatalf("%s: the written artifact misses", label)
 				}
@@ -117,7 +117,7 @@ func writeVersion1(t *testing.T, path string, c *chip.Chip) {
 	for range 2 {
 		off += 2 + int(binary.LittleEndian.Uint16(data[off:]))
 	}
-	v, err := StageCodecs()[StageCharacterizeXY].Decode(data[off+8:])
+	v, err := characterizeCodec.Decode(data[off+8:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +213,10 @@ func TestCharacterizationVersion1FileMisses(t *testing.T) {
 // exactly its bytes, and every reader of an accepted predictor answers
 // on every pair without panicking.
 func FuzzCharacterizationCodec(f *testing.F) {
-	codec := StageCodecs()[StageCharacterizeXY]
+	codec := characterizeCodec
 	arts := captureArtifactsOn(f, chip.Square(3, 3), Options{Seed: 1})
 	for _, name := range []string{StageCharacterizeXY, StageCharacterizeZZ} {
-		data, err := codec.Encode(arts[name])
+		data, err := codec.Encode(nil, arts[name])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func FuzzCharacterizationCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := codec.Encode(v)
+		re, err := codec.Encode(nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}

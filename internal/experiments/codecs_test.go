@@ -47,7 +47,23 @@ func captureArtifactsOn(t testing.TB, c *chip.Chip, opts Options) map[string]any
 	return artifacts
 }
 
-// TestStageCodecsRoundTrip drives every registered codec with the real
+// stageCodecs maps every stage of PipelineStageGraph onto the codec the
+// graph runs it with. Every stage depends on fabricate, so fabricate
+// and its downstream name them all.
+func stageCodecs(t testing.TB) map[string]stage.Codec {
+	t.Helper()
+	names := append([]string{StageFabricate}, PipelineStageGraph.Downstream(StageFabricate)...)
+	if len(names) != PipelineStageGraph.Len() {
+		t.Fatalf("%d stages reached from fabricate, %d declared", len(names), PipelineStageGraph.Len())
+	}
+	codecs := make(map[string]stage.Codec, len(names))
+	for _, name := range names {
+		codecs[name] = PipelineStageGraph.Codec(name)
+	}
+	return codecs
+}
+
+// TestStageCodecsRoundTrip drives every stage's codec with the real
 // artifact its stage produces and checks the stage.Codec law:
 // re-encoding the decoded value reproduces the original bytes exactly.
 // The options force the rich variants — a non-nil fault plan, a real
@@ -60,12 +76,7 @@ func TestStageCodecsRoundTrip(t *testing.T) {
 		AnnealSteps:         50,
 		PartitionTargetSize: 9,
 	})
-	codecs := StageCodecs()
-	if len(codecs) != PipelineStageGraph.Len() {
-		t.Errorf("%d codecs registered for %d pipeline stages — a stage would silently stay memory-only",
-			len(codecs), PipelineStageGraph.Len())
-	}
-	for name, codec := range codecs {
+	for name, codec := range stageCodecs(t) {
 		v, ok := artifacts[name]
 		if !ok {
 			t.Errorf("stage %s produced no artifact under the rich options", name)
@@ -81,7 +92,7 @@ func TestStageCodecsRoundTrip(t *testing.T) {
 // partition) must persist their nil-ness.
 func TestStageCodecsRoundTripNilArtifacts(t *testing.T) {
 	artifacts := captureArtifacts(t, Options{Seed: 3})
-	codecs := StageCodecs()
+	codecs := stageCodecs(t)
 
 	if v := artifacts[StageFaults]; v != any((*faults.Plan)(nil)) {
 		t.Fatalf("fault-free build produced %#v, not a typed-nil plan", v)
@@ -108,11 +119,11 @@ func TestStageCodecsRoundTripNilArtifacts(t *testing.T) {
 
 // A codec handed another stage's artifact must refuse, not encode
 // garbage: the type assertion is the last line of defense against a
-// mis-registered codec map.
+// codec declared on the wrong node.
 func TestStageCodecsRejectForeignArtifacts(t *testing.T) {
-	codecs := StageCodecs()
+	codecs := stageCodecs(t)
 	for name, codec := range codecs {
-		if _, err := codec.Encode(42); err == nil {
+		if _, err := codec.Encode(nil, 42); err == nil {
 			t.Errorf("stage %s encoded an int artifact", name)
 		}
 	}
@@ -122,7 +133,7 @@ func TestStageCodecsRejectForeignArtifacts(t *testing.T) {
 // is a cache miss, never a panic or a half-built artifact.
 func TestStageCodecsDecodeMalformed(t *testing.T) {
 	inputs := [][]byte{nil, {}, {0x01}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
-	for name, codec := range StageCodecs() {
+	for name, codec := range stageCodecs(t) {
 		for _, data := range inputs {
 			if _, err := codec.Decode(data); err == nil {
 				t.Errorf("stage %s decoded %d garbage bytes without error", name, len(data))
@@ -144,7 +155,7 @@ func TestTDMGatesCodecRoundTrip(t *testing.T) {
 	opts := Options{Seed: 3, Faults: faults.UniformSpec(0.05), PartitionTargetSize: 9}
 	artifacts := captureArtifacts(t, opts)
 	tg := artifacts[StageTDMGates].(*tdmGates)
-	v, err := StageCodecs()[StageTDMGates].RoundTrip(tg)
+	v, err := stageCodecs(t)[StageTDMGates].RoundTrip(tg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +190,8 @@ func TestTDMGatesCodecRoundTrip(t *testing.T) {
 		t.Errorf("grouping from the decoded artifact differs:\n got %v\nwant %v", groupings[1], groupings[0])
 	}
 
-	corrupt := StageCodecs()[StageTDMGates]
-	data, err := corrupt.Encode(&tdmGates{Gates: tg.Gates, NoisyStart: tg.NoisyStart[1:], Noisy: tg.Noisy})
+	corrupt := stageCodecs(t)[StageTDMGates]
+	data, err := corrupt.Encode(nil, &tdmGates{Gates: tg.Gates, NoisyStart: tg.NoisyStart[1:], Noisy: tg.Noisy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +201,7 @@ func TestTDMGatesCodecRoundTrip(t *testing.T) {
 	nq := tg.Gates.Dev.Chip().NumQubits()
 	start := make([]int32, nq+1)
 	start[nq] = 1 // the last qubit lists one qubit, off the chip
-	data, err = corrupt.Encode(&tdmGates{Gates: tg.Gates, NoisyStart: start, Noisy: []int32{int32(nq)}})
+	data, err = corrupt.Encode(nil, &tdmGates{Gates: tg.Gates, NoisyStart: start, Noisy: []int32{int32(nq)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,23 +56,23 @@ const (
 // wave: XY ∥ ZZ characterization, and tdm-gates alongside allocate (or
 // anneal).
 var PipelineStageGraph = stage.MustGraph([]stage.Node[*build]{
-	nFabricate: {Name: StageFabricate, Params: fabricateParams, Run: runFabricate},
+	nFabricate: {Name: StageFabricate, Params: fabricateParams, Run: runFabricate, Codec: deviceCodec},
 	nFaults: {Name: StageFaults, Inputs: []string{StageFabricate},
-		Params: faultsParams, Run: runFaults},
+		Params: faultsParams, Run: runFaults, Codec: faultsCodec},
 	nCharacterizeXY: characterizeNode(StageCharacterizeXY, xmon.XY, streamMeasureXY, streamSubsampleXY),
 	nCharacterizeZZ: characterizeNode(StageCharacterizeZZ, xmon.ZZ, streamMeasureZZ, streamSubsampleZZ),
 	nPartition: {Name: StagePartition, Inputs: []string{StageFaults, StageCharacterizeXY},
-		Params: partitionParams, Run: runPartition},
+		Params: partitionParams, Run: runPartition, Codec: partitionCodec},
 	nFDMGroup: {Name: StageFDMGroup, Inputs: []string{StagePartition, StageCharacterizeXY}, Parallel: true,
-		Params: fdmGroupParams, Run: runFDMGroup},
+		Params: fdmGroupParams, Run: runFDMGroup, Codec: fdmCodec},
 	nAllocate: {Name: StageAllocate, Inputs: []string{StageFDMGroup, StageCharacterizeXY},
-		Run: runAllocate},
+		Run: runAllocate, Codec: freqPlanCodec},
 	nAnneal: {Name: StageAnneal, Inputs: []string{StageAllocate},
-		Skip: func(b *build) bool { return b.opts.AnnealSteps <= 0 }, Params: annealParams, Run: runAnneal},
+		Skip: func(b *build) bool { return b.opts.AnnealSteps <= 0 }, Params: annealParams, Run: runAnneal, Codec: freqPlanCodec},
 	nTDMGates: {Name: StageTDMGates, Inputs: []string{StageFaults, StagePartition, StageCharacterizeZZ},
-		Run: runTDMGates},
+		Run: runTDMGates, Codec: tdmGatesCodec},
 	nTDM: {Name: StageTDM, Inputs: []string{StageTDMGates, StageCharacterizeZZ}, Parallel: true,
-		Params: tdmParams, Run: runTDM},
+		Params: tdmParams, Run: runTDM, Codec: tdmCodec},
 }...)
 
 // build is one run of PipelineStageGraph: normalized options, the
@@ -286,15 +286,13 @@ func NewDesignCacheWithStore(store *stage.Store) *DesignCache {
 // diskBytes; 0 = unbounded): a restarted process, or a replica pointed
 // at the same directory, recalls warm artifacts instead of
 // re-characterizing. memCfg bounds the memory tier exactly as in
-// NewDesignCacheWithStore; its Backend and Codecs fields are
-// overwritten.
+// NewDesignCacheWithStore; its Backend field is overwritten.
 func OpenDesignCache(dir string, memCfg stage.Config, diskBytes int64) (*DesignCache, error) {
 	backend, err := cas.Open(dir, cas.Config{MaxBytes: diskBytes})
 	if err != nil {
 		return nil, err
 	}
 	memCfg.Backend = backend
-	memCfg.Codecs = StageCodecs()
 	return NewDesignCacheWithStore(stage.NewStoreWith(memCfg)), nil
 }
 

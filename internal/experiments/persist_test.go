@@ -124,10 +124,20 @@ func TestReplicasShareOneCacheDir(t *testing.T) {
 	}
 }
 
-// With codecs stripped to a subset, the covered stages persist and the
-// rest silently stay memory-only — a partial-codec store degrades to
+// fabricateOnly is a warm tier that keeps fabricate's artifacts and
+// drops every other write, as any backend may drop any entry.
+type fabricateOnly struct{ stage.Backend }
+
+func (b fabricateOnly) Put(name string, key stage.Key, data []byte) {
+	if name == StageFabricate {
+		b.Backend.Put(name, key, data)
+	}
+}
+
+// With a warm tier that holds only some stages' artifacts, those are
+// recalled and the rest re-execute — a partially warm store degrades to
 // partial warmth, never to an error.
-func TestPartialCodecsDegradeGracefully(t *testing.T) {
+func TestPartialWarmTierDegradesGracefully(t *testing.T) {
 	ctx := context.Background()
 	opts := persistOpts()
 	dir := t.TempDir()
@@ -137,11 +147,7 @@ func TestPartialCodecsDegradeGracefully(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		only := map[string]stage.Codec{StageFabricate: StageCodecs()[StageFabricate]}
-		return NewDesignCacheWithStore(stage.NewStoreWith(stage.Config{
-			Backend: dc.Store().Backend(),
-			Codecs:  only,
-		}))
+		return NewDesignCacheWithStore(stage.NewStoreWith(stage.Config{Backend: fabricateOnly{dc.Store().Backend()}}))
 	}
 	if _, err := open().Designer(chip.Square(4, 4)).RedesignCtx(ctx, opts); err != nil {
 		t.Fatal(err)
@@ -152,7 +158,7 @@ func TestPartialCodecsDegradeGracefully(t *testing.T) {
 	}
 	rep := second.Report()
 	if rep.DiskHits != 1 {
-		t.Fatalf("fabricate-only codec map took %d disk hits, want 1", rep.DiskHits)
+		t.Fatalf("fabricate-only warm tier took %d disk hits, want 1", rep.DiskHits)
 	}
 	if rep.Misses != PipelineStageGraph.Len()-1 {
 		t.Fatalf("uncovered stages: %d misses, want %d", rep.Misses, PipelineStageGraph.Len()-1)

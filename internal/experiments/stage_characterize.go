@@ -53,6 +53,7 @@ func characterizeNode(name string, kind xmon.CrosstalkKind, measureStream, subSt
 			}
 			return &characterization{Model: m, Pred: m.On(dev.Chip), Stats: stats}, nil
 		},
+		Codec: characterizeCodec,
 	}
 }
 

@@ -20,9 +20,14 @@ import (
 // previous Put stored; anything doubtful (truncation, bad checksum,
 // wrong key) must be reported as a miss, never an error. All methods
 // must be safe for concurrent use.
+//
+// Buffers belong to the caller: the Store recalls through and encodes
+// into pooled buffers and reuses each once the call returns, so
+// neither Get nor Put may retain the slice it was handed.
 type Backend interface {
-	// Get returns the stored encoding of (name, key), or ok=false.
-	Get(name string, key Key) (data []byte, ok bool)
+	// Get appends the stored encoding of (name, key) to dst and returns
+	// the extended slice, or ok=false.
+	Get(name string, key Key, dst []byte) (data []byte, ok bool)
 	// Put stores the encoding of (name, key). Best-effort: errors are
 	// swallowed (and surfaced in Stats) because a failed write only
 	// costs a future re-execution.
@@ -58,33 +63,48 @@ type BackendStats struct {
 //
 // which is what makes a disk-recalled artifact design-equivalent to
 // the freshly executed one: every downstream stage reads the artifact
-// only through values the encoding preserves. Stages without a codec
-// simply stay memory-only.
+// only through values the encoding preserves. The encoding's length is
+// also what the memory tier charges an artifact.
+//
+// Encode appends v's encoding to dst and returns the extended slice.
+// Decode must not retain data: the store decodes out of a pooled
+// buffer it reuses as soon as Decode returns.
 type Codec struct {
-	Encode func(v any) ([]byte, error)
+	Encode func(dst []byte, v any) ([]byte, error)
 	Decode func(data []byte) (any, error)
 }
 
 // RoundTrip is the property-test harness of the codec law: it encodes
-// v, decodes the bytes and re-encodes the decoded value, failing
-// unless the two encodings are byte-identical. It returns the decoded
-// value so tests can additionally compare semantics (predictions,
-// group structure) against the original.
+// v, decodes a copy of the bytes, overwrites the copy, and re-encodes
+// the decoded value after a prefix, failing unless the re-encoding
+// leaves the prefix alone and matches the first byte for byte. A
+// decoded value that aliased its input would read the overwritten
+// bytes, so the harness also enforces that Decode retains nothing. It
+// returns the decoded value so tests can additionally compare semantics
+// (predictions, group structure) against the original.
 func (c Codec) RoundTrip(v any) (any, error) {
-	first, err := c.Encode(v)
+	first, err := c.Encode(nil, v)
 	if err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
-	decoded, err := c.Decode(first)
+	scratch := bytes.Clone(first)
+	decoded, err := c.Decode(scratch)
 	if err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
 	}
-	second, err := c.Encode(decoded)
+	for i := range scratch {
+		scratch[i] ^= 0xff
+	}
+	const prefix = "prefix"
+	second, err := c.Encode([]byte(prefix), decoded)
 	if err != nil {
 		return nil, fmt.Errorf("re-encode: %w", err)
 	}
-	if !bytes.Equal(first, second) {
-		return decoded, fmt.Errorf("codec is lossy: re-encoding the decoded value changed %d bytes -> %d bytes", len(first), len(second))
+	if !bytes.HasPrefix(second, []byte(prefix)) {
+		return decoded, fmt.Errorf("codec does not append: the re-encoding overwrote its destination")
+	}
+	if second = second[len(prefix):]; !bytes.Equal(first, second) {
+		return decoded, fmt.Errorf("codec is lossy or retains its input: re-encoding the decoded value changed %d bytes -> %d bytes", len(first), len(second))
 	}
 	return decoded, nil
 }

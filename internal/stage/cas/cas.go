@@ -17,10 +17,23 @@
 // reports a miss, never an error, so corruption only ever costs a
 // re-execution and the next write repairs the entry.
 //
+// A hit costs one open, one read and one close: Get reads the file's
+// indexed size plus one byte straight into the caller's buffer, so a
+// file that grew since it was indexed shows as an overlong read and is
+// re-read whole, as is a file the index does not know (another process
+// wrote it). A short read fails validation like any truncation. Get
+// appends the payload to the caller's buffer, and neither Get nor Put
+// keeps the slice it was handed (the stage.Backend buffer contract).
+// The memory tier above charges a recalled artifact that payload's
+// length plus its key's, in encoded bytes like every other artifact.
+//
 // A byte budget (Config.MaxBytes) is enforced by LRU garbage
-// collection over file recency: hits refresh an artifact's mtime, so
-// recency survives process restarts, and the oldest artifacts are
-// unlinked first when the directory outgrows the budget.
+// collection over file recency: every hit refreshes the artifact's
+// recency in the index, and the oldest artifacts are unlinked first
+// when the directory outgrows the budget. Recency survives process
+// restarts through file mtimes, to one second: a hit rewrites the mtime
+// only when the last one it wrote (or found at Open) is a second old or
+// more, which spares the system call on every hit of a hot artifact.
 package cas
 
 import (
@@ -49,10 +62,15 @@ type Config struct {
 	MaxBytes int64
 }
 
+// touchInterval is the recency granularity that survives a restart: a
+// hit rewrites the file's mtime only once the persisted one is this old.
+const touchInterval = int64(time.Second)
+
 // fileEnt is the in-memory index row of one artifact file.
 type fileEnt struct {
-	size int64
-	used int64 // unix nanoseconds of last write or hit
+	size    int64
+	used    int64 // unix nanoseconds of last write or hit
+	touched int64 // unix nanoseconds of the file's mtime as last written or indexed
 }
 
 // Store is an on-disk artifact backend. Safe for concurrent use, and
@@ -112,7 +130,8 @@ func Open(dir string, cfg Config) (*Store, error) {
 		if err != nil {
 			return nil
 		}
-		s.entries[rel] = &fileEnt{size: info.Size(), used: info.ModTime().UnixNano()}
+		mtime := info.ModTime().UnixNano()
+		s.entries[rel] = &fileEnt{size: info.Size(), used: mtime, touched: mtime}
 		s.bytes += info.Size()
 		return nil
 	})
@@ -166,42 +185,78 @@ func rewriteComponent(c string) string {
 	return b.String()
 }
 
-// relPath maps (name, key) onto the artifact's path relative to root,
-// with a two-character fan-out level so one stage's artifacts do not
-// pile into a single directory.
-func relPath(name string, key stage.Key) string {
-	k := sanitizeComponent(string(key))
+// path maps (name, key) onto the artifact's absolute path,
+// root/<name>/<key[:2]>/<key>, built in one allocation; the part after
+// root and its separator is the index key. The two-character fan-out
+// level keeps one stage's artifacts from piling into a single
+// directory. Sanitized components hold no separator and no dot
+// segment, so the concatenation is the path filepath.Join would build.
+func (s *Store) path(name string, key stage.Key) (path, rel string) {
+	n, k := sanitizeComponent(name), sanitizeComponent(string(key))
 	fan := "__"
 	if len(k) >= 2 {
 		fan = k[:2]
 	}
-	return filepath.Join(sanitizeComponent(name), fan, k)
+	var b strings.Builder
+	b.Grow(len(s.root) + len(n) + len(fan) + len(k) + 3)
+	for _, c := range [...]string{s.root, n, fan} {
+		b.WriteString(c)
+		b.WriteByte(filepath.Separator)
+	}
+	b.WriteString(k)
+	path = b.String()
+	return path, path[len(s.root)+1:]
 }
 
-// Get implements stage.Backend: it returns the stored payload of
-// (name, key) or a miss. A file that exists but fails validation is
-// deleted (corruption never survives a read) and reported as a miss; a
-// valid hit refreshes the artifact's recency on disk and in the index.
-func (s *Store) Get(name string, key stage.Key) ([]byte, bool) {
-	rel := relPath(name, key)
-	path := filepath.Join(s.root, rel)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
+// Get implements stage.Backend: it appends the stored payload of
+// (name, key) to dst, or reports a miss. A file that exists but fails
+// validation is deleted (corruption never survives a read) and
+// reported as a miss; a valid hit refreshes the artifact's recency in
+// the index, and on disk once a second.
+func (s *Store) Get(name string, key stage.Key, dst []byte) ([]byte, bool) {
+	path, rel := s.path(name, key)
+	s.mu.Lock()
+	size := int64(-1)
+	if e, ok := s.entries[rel]; ok {
+		size = e.size
 	}
-	payload, err := decodeEntry(data, name, string(key))
+	s.mu.Unlock()
+	n0 := len(dst)
+	var err error
+	grown := false
+	if size >= 0 {
+		dst, grown, err = readSized(path, int(size), dst)
+	}
+	if size < 0 || grown {
+		// Unindexed or grown since indexed: read the file whole.
+		var data []byte
+		if data, err = os.ReadFile(path); err == nil {
+			dst = append(dst[:n0], data...)
+		}
+	}
+	if err != nil {
+		return dst[:n0], false
+	}
+	payload, err := decodeEntry(dst[n0:], name, string(key))
 	if err != nil {
 		s.drop(rel, path)
-		return nil, false
+		return dst[:n0], false
 	}
 	now := time.Now()
-	os.Chtimes(path, now, now) // best-effort: recency survives restarts
+	touch := true
 	s.mu.Lock()
 	if e, ok := s.entries[rel]; ok {
 		e.used = now.UnixNano()
+		if touch = e.used-e.touched >= touchInterval; touch {
+			e.touched = e.used
+		}
 	}
 	s.mu.Unlock()
-	return payload, true
+	if touch {
+		os.Chtimes(path, now, now) // best-effort: recency survives restarts
+	}
+	// The payload moves down over the header it followed.
+	return dst[:n0+copy(dst[n0:], payload)], true
 }
 
 // drop removes a failed-validation file and its index row.
@@ -225,8 +280,7 @@ func (s *Store) Put(name string, key stage.Key, data []byte) {
 		s.countWriteError()
 		return
 	}
-	rel := relPath(name, key)
-	path := filepath.Join(s.root, rel)
+	path, rel := s.path(name, key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		s.countWriteError()
 		return
@@ -249,12 +303,12 @@ func (s *Store) Put(name string, key stage.Key, data []byte) {
 		s.countWriteError()
 		return
 	}
-	size := int64(len(blob))
+	size, now := int64(len(blob)), time.Now().UnixNano()
 	s.mu.Lock()
 	if old, ok := s.entries[rel]; ok {
 		s.bytes -= old.size
 	}
-	s.entries[rel] = &fileEnt{size: size, used: time.Now().UnixNano()}
+	s.entries[rel] = &fileEnt{size: size, used: now, touched: now}
 	s.bytes += size
 	s.gcLocked()
 	s.mu.Unlock()

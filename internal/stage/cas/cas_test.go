@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,21 +39,25 @@ func TestPutGetRoundTrip(t *testing.T) {
 	s := openStore(t, dir, Config{})
 	payload := []byte("artifact bytes")
 	s.Put("fabricate", testKey, payload)
-	got, ok := s.Get("fabricate", testKey)
+	got, ok := s.Get("fabricate", testKey, nil)
 	if !ok {
 		t.Fatal("fresh write missed")
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload corrupted: %q != %q", got, payload)
 	}
+	// Get appends to the caller's buffer and leaves its prefix alone.
+	if got, ok := s.Get("fabricate", testKey, []byte("pre:")); !ok || string(got) != "pre:"+string(payload) {
+		t.Fatalf("Get into a buffer: %q, %v", got, ok)
+	}
 	if st := s.Stats(); st.Entries != 1 || st.Bytes <= int64(len(payload)) {
 		t.Fatalf("stats after one write: %+v", st)
 	}
 	// A different key or stage name must miss without touching the hit.
-	if _, ok := s.Get("fabricate", testKey+"x"); ok {
+	if _, ok := s.Get("fabricate", testKey+"x", nil); ok {
 		t.Error("unknown key hit")
 	}
-	if _, ok := s.Get("faults", testKey); ok {
+	if _, ok := s.Get("faults", testKey, nil); ok {
 		t.Error("unknown stage hit")
 	}
 }
@@ -78,7 +83,7 @@ func TestWritesAreAtomicAndTmpIsCleaned(t *testing.T) {
 	if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
 		t.Fatalf("reopen kept %d temp leftovers", len(ents))
 	}
-	if _, ok := s2.Get("fabricate", testKey); !ok {
+	if _, ok := s2.Get("fabricate", testKey, nil); !ok {
 		t.Fatal("committed artifact lost across reopen")
 	}
 }
@@ -96,7 +101,7 @@ func TestWarmReopenInheritsIndex(t *testing.T) {
 		t.Fatalf("reopen lost index state: %+v != %+v", after, before)
 	}
 	for _, name := range []string{"fabricate", "faults"} {
-		if _, ok := s2.Get(name, testKey); !ok {
+		if _, ok := s2.Get(name, testKey, nil); !ok {
 			t.Errorf("%s artifact missed after reopen", name)
 		}
 	}
@@ -117,6 +122,7 @@ func TestCorruptionReadsAsMissAndRepairs(t *testing.T) {
 		dropped bool // counted as corrupt (file existed but failed validation)
 	}{
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, true},
+		{"one-byte-short", func(b []byte) []byte { return b[:len(b)-1] }, true},
 		{"bad-crc", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }, true},
 		{"wrong-version", func(b []byte) []byte {
 			binary.LittleEndian.PutUint16(b[8:10], 99)
@@ -134,7 +140,7 @@ func TestCorruptionReadsAsMissAndRepairs(t *testing.T) {
 			dir := t.TempDir()
 			s := openStore(t, dir, Config{})
 			s.Put("fabricate", testKey, []byte("v"))
-			path := filepath.Join(dir, layoutVersion, string(relPath("fabricate", testKey)))
+			path, _ := s.path("fabricate", testKey)
 			valid, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("artifact file missing: %v", err)
@@ -142,7 +148,7 @@ func TestCorruptionReadsAsMissAndRepairs(t *testing.T) {
 			if err := os.WriteFile(path, tc.mutate(append([]byte(nil), valid...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.Get("fabricate", testKey); ok {
+			if got, ok := s.Get("fabricate", testKey, nil); ok {
 				t.Fatalf("corrupt file read as hit: %q", got)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -153,12 +159,106 @@ func TestCorruptionReadsAsMissAndRepairs(t *testing.T) {
 			}
 			// The next write repairs the entry.
 			s.Put("fabricate", testKey, []byte("v2"))
-			got, ok := s.Get("fabricate", testKey)
+			got, ok := s.Get("fabricate", testKey, nil)
 			if !ok || string(got) != "v2" {
 				t.Fatalf("write after corruption did not repair: %q, %v", got, ok)
 			}
 		})
 	}
+}
+
+// A file that grew past its indexed size shows as an overlong sized
+// read and is read again in full.
+func TestGetReadsGrownFileInFull(t *testing.T) {
+	s := openStore(t, t.TempDir(), Config{})
+	s.Put("fabricate", testKey, []byte("v"))
+	path, _ := s.path("fabricate", testKey)
+	longer := []byte("a payload longer than the indexed one")
+	if err := os.WriteFile(path, encodeEntry("fabricate", string(testKey), longer), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("fabricate", testKey, nil); !ok || !bytes.Equal(got, longer) {
+		t.Fatalf("grown file: %q, %v", got, ok)
+	}
+}
+
+// A file another Store wrote into the shared directory is not in this
+// store's index; it is still a hit.
+func TestGetReadsFileOfSecondStore(t *testing.T) {
+	dir := t.TempDir()
+	reader := openStore(t, dir, Config{})
+	writer := openStore(t, dir, Config{})
+	writer.Put("faults", testKey, []byte("plan"))
+	if got, ok := reader.Get("faults", testKey, nil); !ok || string(got) != "plan" {
+		t.Fatalf("second store's artifact: %q, %v", got, ok)
+	}
+}
+
+// Recency reaches the file's mtime at most once a second: a hit on an
+// hour-old file rewrites its mtime, and an immediate second hit leaves
+// it as the first one wrote it.
+func TestGetRefreshesMtimeOncePerSecond(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir, Config{})
+	s.Put("fabricate", testKey, []byte("device"))
+	path, _ := s.path("fabricate", testKey)
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	mtime := func() time.Time {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.ModTime()
+	}
+	s2 := openStore(t, dir, Config{})
+	if _, ok := s2.Get("fabricate", testKey, nil); !ok {
+		t.Fatal("aged artifact missed")
+	}
+	first := mtime()
+	if first.Sub(old) < 59*time.Minute {
+		t.Fatalf("hit left the aged mtime at %v", first)
+	}
+	if _, ok := s2.Get("fabricate", testKey, nil); !ok {
+		t.Fatal("second hit missed")
+	}
+	if second := mtime(); !second.Equal(first) {
+		t.Fatalf("second hit within a second rewrote the mtime: %v -> %v", first, second)
+	}
+}
+
+// Concurrent hits share index rows (recency, the touch time) with
+// writes of the same keys; run under -race this checks they are
+// synchronized, and every hit still returns its exact payload.
+func TestConcurrentGetsAndPuts(t *testing.T) {
+	s := openStore(t, t.TempDir(), Config{})
+	keyN := func(i int) stage.Key { return testKey[:63] + stage.Key(rune('0'+i)) }
+	for i := 0; i < 4; i++ {
+		s.Put("s", keyN(i), []byte{byte(i)})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 0, 64)
+			for i := 0; i < 200; i++ {
+				k := (g + i) % 4
+				if i%50 == 0 {
+					s.Put("s", keyN(k), []byte{byte(k)})
+				}
+				got, ok := s.Get("s", keyN(k), buf[:0])
+				if !ok || len(got) != 1 || got[0] != byte(k) {
+					t.Errorf("goroutine %d: key %d read %v, %v", g, k, got, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestGCEvictsLeastRecentlyUsed(t *testing.T) {
@@ -175,7 +275,7 @@ func TestGCEvictsLeastRecentlyUsed(t *testing.T) {
 	s.Put("s", keyN(3), payload)
 	time.Sleep(2 * time.Millisecond)
 	// Refresh 1's recency so 2 is now the oldest.
-	if _, ok := s.Get("s", keyN(1)); !ok {
+	if _, ok := s.Get("s", keyN(1), nil); !ok {
 		t.Fatal("artifact 1 missing before GC")
 	}
 	time.Sleep(2 * time.Millisecond)
@@ -184,11 +284,11 @@ func TestGCEvictsLeastRecentlyUsed(t *testing.T) {
 	if st := s.Stats(); st.GCEvictions != 1 || st.Bytes > st.MaxBytes {
 		t.Fatalf("gc accounting: %+v", st)
 	}
-	if _, ok := s.Get("s", keyN(2)); ok {
+	if _, ok := s.Get("s", keyN(2), nil); ok {
 		t.Error("least-recently-used artifact survived GC")
 	}
 	for _, i := range []byte{1, 3, 4} {
-		if _, ok := s.Get("s", keyN(i)); !ok {
+		if _, ok := s.Get("s", keyN(i), nil); !ok {
 			t.Errorf("artifact %d evicted out of LRU order", i)
 		}
 	}
@@ -206,14 +306,15 @@ func TestGCRecencySurvivesReopen(t *testing.T) {
 	s.Put("s", keyN(2), payload)
 	// Age artifact 2 far into the past via its file mtime.
 	old := time.Now().Add(-time.Hour)
-	os.Chtimes(filepath.Join(dir, layoutVersion, relPath("s", keyN(2))), old, old)
+	aged, _ := s.path("s", keyN(2))
+	os.Chtimes(aged, old, old)
 
 	s2 := openStore(t, dir, Config{MaxBytes: 2 * one})
 	s2.Put("s", keyN(3), payload) // over budget: must evict the aged 2
-	if _, ok := s2.Get("s", keyN(2)); ok {
+	if _, ok := s2.Get("s", keyN(2), nil); ok {
 		t.Error("aged artifact survived GC after reopen")
 	}
-	if _, ok := s2.Get("s", keyN(1)); !ok {
+	if _, ok := s2.Get("s", keyN(1), nil); !ok {
 		t.Error("recent artifact evicted after reopen")
 	}
 }
@@ -223,7 +324,7 @@ func TestHostileNamesStayInsideRoot(t *testing.T) {
 	s := openStore(t, dir, Config{})
 	for _, name := range []string{"../escape", "a/b/c", "..", "tmp", "", "weird name!"} {
 		s.Put(name, testKey, []byte(name))
-		got, ok := s.Get(name, testKey)
+		got, ok := s.Get(name, testKey, nil)
 		if !ok || string(got) != name {
 			t.Errorf("round trip for hostile name %q: %q, %v", name, got, ok)
 		}
@@ -249,13 +350,13 @@ func TestSanitizedPathCollisionMisses(t *testing.T) {
 	s := openStore(t, dir, Config{})
 	s.Put("a/b", testKey, []byte("first"))
 	s.Put("a_b", testKey, []byte("second")) // same sanitized path
-	if got, ok := s.Get("a/b", testKey); ok {
+	if got, ok := s.Get("a/b", testKey, nil); ok {
 		t.Fatalf("collided read served the wrong artifact: %q", got)
 	}
 	// The collided read dropped the file, so the survivor misses too —
 	// but a rewrite repairs it.
 	s.Put("a_b", testKey, []byte("second"))
-	if got, ok := s.Get("a_b", testKey); !ok || string(got) != "second" {
+	if got, ok := s.Get("a_b", testKey, nil); !ok || string(got) != "second" {
 		t.Fatalf("repair after collision: %q, %v", got, ok)
 	}
 }

@@ -2,6 +2,7 @@ package cas
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -42,6 +43,47 @@ func FuzzCASHeader(f *testing.F) {
 		}
 		if _, err := decodeEntry(blob, "stage", "other"); err == nil {
 			t.Fatal("wrong artifact key accepted")
+		}
+	})
+}
+
+// FuzzCASGet writes arbitrary bytes at an indexed artifact path under an
+// arbitrary recorded size. Get must never panic, and it must serve
+// exactly the payload of a valid file and miss on any other one,
+// deleting it.
+func FuzzCASGet(f *testing.F) {
+	valid := encodeEntry("s", string(testKey), []byte("payload"))
+	f.Add(valid, int64(len(valid)))
+	f.Add(valid, int64(len(valid)-1))
+	f.Add(valid, int64(len(valid)+1))
+	f.Add(valid, int64(-1))
+	f.Add(valid, int64(0))
+	f.Add(valid[:len(valid)-1], int64(len(valid)))
+	f.Add([]byte(nil), int64(0))
+	s, err := Open(f.TempDir(), Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	path, rel := s.path("s", testKey)
+	f.Fuzz(func(t *testing.T, data []byte, size int64) {
+		s.Put("s", testKey, []byte("x")) // index the path
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		s.entries[rel].size = size % (1 << 20) // negative reads as unindexed
+		s.mu.Unlock()
+		want, werr := decodeEntry(data, "s", string(testKey))
+		got, ok := s.Get("s", testKey, []byte("pre"))
+		switch {
+		case ok != (werr == nil):
+			t.Fatalf("Get hit=%v on a file whose validation says %v", ok, werr)
+		case ok && string(got) != "pre"+string(want):
+			t.Fatalf("Get served %q, want %q", got, "pre"+string(want))
+		case !ok:
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("an invalid file survived the read")
+			}
 		}
 	})
 }

@@ -84,10 +84,10 @@ func decodeEntry(data []byte, wantName, wantKey string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cas: artifact key: %w", err)
 	}
-	if wantName != "" && name != wantName {
+	if wantName != "" && string(name) != wantName {
 		return nil, fmt.Errorf("cas: stage name mismatch (%q != %q)", name, wantName)
 	}
-	if wantKey != "" && key != wantKey {
+	if wantKey != "" && string(key) != wantKey {
 		return nil, fmt.Errorf("cas: artifact key mismatch")
 	}
 	if len(data)-off < 8 {
@@ -101,15 +101,16 @@ func decodeEntry(data []byte, wantName, wantKey string) ([]byte, error) {
 	return data[off:], nil
 }
 
-// takeString16 reads a uint16-length-prefixed string at off.
-func takeString16(data []byte, off int) (string, int, error) {
+// takeString16 reads a uint16-length-prefixed string at off, aliasing
+// data, so a hit's identity check copies nothing.
+func takeString16(data []byte, off int) ([]byte, int, error) {
 	if len(data)-off < 2 {
-		return "", off, fmt.Errorf("truncated length at offset %d", off)
+		return nil, off, fmt.Errorf("truncated length at offset %d", off)
 	}
 	n := int(binary.LittleEndian.Uint16(data[off : off+2]))
 	off += 2
 	if len(data)-off < n {
-		return "", off, fmt.Errorf("truncated string (%d of %d bytes)", len(data)-off, n)
+		return nil, off, fmt.Errorf("truncated string (%d of %d bytes)", len(data)-off, n)
 	}
-	return string(data[off : off+n]), off + n, nil
+	return data[off : off+n], off + n, nil
 }

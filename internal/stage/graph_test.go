@@ -43,6 +43,7 @@ func sumNode(name string, v int, hook func(), inputs ...string) Node[int] {
 			}
 			return v + b, nil
 		},
+		Codec: textCodec,
 	}
 }
 
@@ -94,7 +95,7 @@ func TestRunSequentialAtOneWorker(t *testing.T) {
 		return Node[int]{Name: name, Inputs: inputs, Run: func(context.Context, int, []any) (any, error) {
 			order = append(order, name)
 			return name, nil
-		}}
+		}, Codec: textCodec}
 	}
 	g := MustGraph(node("a"), node("b", "a"), node("c", "a"), node("d", "b"), node("e"))
 	if _, err := g.Run(context.Background(), NewStore(), nil, 0, 1); err != nil {
@@ -127,7 +128,7 @@ func TestRunGivenAndSkipped(t *testing.T) {
 	reader := Node[int]{Name: "p", Inputs: []string{"src"}, Run: func(_ context.Context, _ int, in []any) (any, error) {
 		mark("p", p1)()
 		return in[0].(int) + 10, nil
-	}}
+	}, Codec: textCodec}
 	g := MustGraph(
 		sumNode("src", 1, mark("src", nil)),
 		reader,
@@ -164,7 +165,7 @@ func TestRunNamesFailingNode(t *testing.T) {
 	after := false
 	g := MustGraph(
 		sumNode("a", 1, nil),
-		Node[int]{Name: "b", Inputs: []string{"a"}, Run: func(context.Context, int, []any) (any, error) { return nil, boom }},
+		Node[int]{Name: "b", Inputs: []string{"a"}, Run: func(context.Context, int, []any) (any, error) { return nil, boom }, Codec: textCodec},
 		sumNode("c", 3, nil, "a"),
 		sumNode("d", 4, func() { after = true }, "b"),
 	)

@@ -46,6 +46,9 @@ type Node[B any] struct {
 	// declaration index. It reads only its inputs and their upstream,
 	// all of which its key chains.
 	Run func(ctx context.Context, b B, in []any) (any, error)
+	// Codec encodes the artifact Run produces: the memory tier charges
+	// its encoded length and the warm tier stores it. Required.
+	Codec Codec
 }
 
 // Given supplies a node's key and artifact for one run in place of
@@ -84,7 +87,8 @@ type Graph[B any] struct {
 }
 
 // NewGraph validates the declarations: names must be unique and
-// non-empty, and inputs must reference earlier nodes.
+// non-empty, every node needs a codec, and inputs must reference
+// earlier nodes.
 func NewGraph[B any](nodes ...Node[B]) (*Graph[B], error) {
 	g := &Graph[B]{nodes: nodes, index: make(map[string]int, len(nodes))}
 	for i, n := range nodes {
@@ -93,6 +97,9 @@ func NewGraph[B any](nodes ...Node[B]) (*Graph[B], error) {
 		}
 		if _, dup := g.index[n.Name]; dup {
 			return nil, fmt.Errorf("stage: duplicate stage %q", n.Name)
+		}
+		if n.Codec.Encode == nil || n.Codec.Decode == nil {
+			return nil, fmt.Errorf("stage: %q has no codec", n.Name)
 		}
 		ins := make([]int, len(n.Inputs))
 		for j, in := range n.Inputs {
@@ -119,6 +126,16 @@ func MustGraph[B any](nodes ...Node[B]) *Graph[B] {
 
 // Len returns the number of declared nodes.
 func (g *Graph[B]) Len() int { return len(g.nodes) }
+
+// Codec returns the named node's codec, the zero Codec for an
+// undeclared name.
+func (g *Graph[B]) Codec(name string) Codec {
+	i, ok := g.index[name]
+	if !ok {
+		return Codec{}
+	}
+	return g.nodes[i].Codec
+}
 
 // Downstream returns every node whose artifact (transitively) depends
 // on the named node, in declaration order — exactly the set a changed
@@ -178,7 +195,7 @@ func (g *Graph[B]) Run(ctx context.Context, s *Store, root *obs.Span, b B, worke
 			w = parallel.Workers(workers)
 		}
 		span := root.Child(n.Name)
-		v, _, err := s.Do(ctx, n.Name, keys[i], w, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
+		v, _, err := s.Do(ctx, n.Name, keys[i], w, n.Codec, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
 		span.End()
 		if err != nil {
 			return &Error{Stage: n.Name, Err: err}

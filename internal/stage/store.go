@@ -63,29 +63,24 @@ type ExecWrapper func(name string, key Key, fn func(context.Context) (any, error
 // Config bounds a Store. The zero value reproduces the historical
 // unbounded behavior.
 type Config struct {
-	// MaxBytes caps the estimated memory footprint of cached artifacts.
-	// When an insertion pushes a shard over its share of the budget the
-	// least-recently-used completed artifacts are evicted until it fits
-	// (an artifact larger than the budget is evicted immediately after
-	// being handed to its waiters). 0 disables eviction.
+	// MaxBytes caps the cached artifacts' charge: each is charged the
+	// length of its codec encoding plus the length of its key, which
+	// the entry retains. When an insertion pushes a shard over its
+	// share of the budget the least-recently-used completed artifacts
+	// are evicted until it fits (an artifact larger than the budget is
+	// evicted immediately after being handed to its waiters). 0
+	// disables eviction.
 	MaxBytes int64
 	// Shards spreads keys over independently locked cache shards so
 	// concurrent requests do not serialize on one mutex. Each shard
 	// owns MaxBytes/Shards of the budget. 0 selects a default of 8;
 	// sharding never affects artifact values, only lock granularity.
 	Shards int
-	// SizeOf estimates an artifact's memory footprint for accounting.
-	// Nil selects EstimateSize.
-	SizeOf func(any) int64
 	// Backend is the optional warm tier (typically internal/stage/cas):
 	// memory misses probe it before executing, and successful
 	// executions of codec-equipped stages write through to it. Nil
 	// keeps the store memory-only (the historical behavior).
 	Backend Backend
-	// Codecs maps stage names to their artifact codecs. Only stages
-	// with a codec participate in the warm tier; others are memory-only
-	// regardless of Backend. Ignored when Backend is nil.
-	Codecs map[string]Codec
 }
 
 // entry is one memoized artifact. ready is closed once val/err are
@@ -121,7 +116,7 @@ type shard struct {
 // not cached — a later Do with the same key retries.
 //
 // A Store built by NewStoreWith with a positive MaxBytes is bounded:
-// artifacts are accounted by estimated size and evicted LRU-first, so
+// artifacts are accounted by encoded size and evicted LRU-first, so
 // a long-running process (the youtiao-serve server in particular) can
 // share one store across every request without growing without bound.
 // Eviction only forgets an artifact — values already handed out remain
@@ -135,7 +130,6 @@ type Store struct {
 	shards      []*shard
 	seed        maphash.Seed
 	maxPerShard int64
-	sizeOf      func(any) int64
 
 	statsMu sync.Mutex
 	stats   map[string]*Stats
@@ -145,10 +139,8 @@ type Store struct {
 	totalEntries atomic.Int64
 	evictions    atomic.Int64
 
-	// backend is the optional warm tier; codecs maps stage names onto
-	// their artifact encodings. Both are fixed at construction.
+	// backend is the optional warm tier, fixed at construction.
 	backend Backend
-	codecs  map[string]Codec
 
 	diskHits     atomic.Int64
 	diskMisses   atomic.Int64
@@ -177,19 +169,14 @@ func NewStoreWith(cfg Config) *Store {
 	s := &Store{
 		shards:  make([]*shard, nshards),
 		seed:    maphash.MakeSeed(),
-		sizeOf:  cfg.SizeOf,
 		stats:   make(map[string]*Stats),
 		backend: cfg.Backend,
-		codecs:  cfg.Codecs,
 	}
 	if cfg.MaxBytes > 0 {
 		s.maxPerShard = cfg.MaxBytes / int64(nshards)
 		if s.maxPerShard == 0 {
 			s.maxPerShard = 1
 		}
-	}
-	if s.sizeOf == nil {
-		s.sizeOf = EstimateSize
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{entries: make(map[Key]*entry)}
@@ -345,10 +332,13 @@ func (s *Store) evictLocked(sh *shard) int {
 // Do returns the artifact for key, executing fn to produce it on a
 // cache miss. The boolean reports whether the artifact came from the
 // cache. workers is recorded as the stage's worker budget (purely
-// instrumentation — it never affects the artifact). Errors are
-// returned to every concurrent waiter but never cached; a panicking fn
-// is recovered into a *PanicError with the same contract.
-func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn func(context.Context) (any, error)) (any, bool, error) {
+// instrumentation — it never affects the artifact). codec charges the
+// artifact to the memory budget and carries it to and from the warm
+// tier; a zero Codec keeps the artifact memory-only, charged by its key
+// alone. Errors are returned to every concurrent waiter but never
+// cached; a panicking fn is recovered into a *PanicError with the same
+// contract.
+func (s *Store) Do(ctx context.Context, name string, key Key, workers int, codec Codec, fn func(context.Context) (any, error)) (any, bool, error) {
 	r := s.obsv.Load()
 	s.statsMu.Lock()
 	s.statLocked(name).Runs++
@@ -388,18 +378,10 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 	// onto one execution, and a decoded artifact is installed in the
 	// memory tier like an executed one (it may be evicted and recalled
 	// again later).
-	if v, ok := s.diskLoad(r, name, key); ok {
-		e.val = v
-		e.size = s.sizeOf(v)
+	if v, size, ok := s.diskLoad(r, name, key, codec); ok {
+		e.val, e.size = v, size
 		close(e.ready)
-		sh.mu.Lock()
-		e.cached = true
-		sh.pushFront(e)
-		sh.bytes += e.size
-		s.totalBytes.Add(e.size)
-		s.totalEntries.Add(1)
-		evicted := s.evictLocked(sh)
-		sh.mu.Unlock()
+		evicted := s.install(sh, e)
 
 		s.statsMu.Lock()
 		s.statLocked(name).DiskHits++
@@ -418,10 +400,11 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 	v, err := runProtected(ctx, name, key, fn)
 	dur := time.Since(start)
 	e.val, e.err = v, err
+	var enc *[]byte
 	if err == nil {
-		// Size the artifact before any waiter can see it: waiters may
-		// fill its lazy caches, which the size walk reads.
-		e.size = s.sizeOf(v)
+		// Encode before any waiter can see the artifact, so the
+		// encoding never races a waiter filling its lazy caches.
+		enc, e.size = s.encode(r, codec, key, v)
 	}
 	close(e.ready)
 
@@ -435,16 +418,7 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 		}
 		return nil, false, err
 	}
-
-	var evicted int
-	sh.mu.Lock()
-	e.cached = true
-	sh.pushFront(e)
-	sh.bytes += e.size
-	s.totalBytes.Add(e.size)
-	s.totalEntries.Add(1)
-	evicted = s.evictLocked(sh)
-	sh.mu.Unlock()
+	evicted := s.install(sh, e)
 
 	s.statsMu.Lock()
 	st := s.statLocked(name)
@@ -457,64 +431,106 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 	if evicted > 0 {
 		r.Counter("stage/evictions").Add(int64(evicted))
 	}
-	s.diskStore(r, name, key, v)
+	if enc != nil {
+		s.diskStore(r, name, key, *enc)
+		putBuf(enc)
+	}
 	s.publishGauges(r)
 	r.Histogram("stage/" + name).Observe(dur)
 	return v, false, nil
 }
 
-// diskLoad probes the warm tier for (name, key), decoding on success.
-// Anything short of a valid artifact — no backend, no codec for the
-// stage, a backend miss or a decode failure — is a miss; decode
-// failures additionally count as decode_errors (the backend already
-// dropped the corrupt file, so the next write repairs it).
-func (s *Store) diskLoad(r *obs.Registry, name string, key Key) (any, bool) {
-	if s.backend == nil {
-		return nil, false
+// install links a completed entry at its shard's MRU end, charges its
+// size and evicts past the budget, returning how many were evicted.
+func (s *Store) install(sh *shard, e *entry) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e.cached = true
+	sh.pushFront(e)
+	sh.bytes += e.size
+	s.totalBytes.Add(e.size)
+	s.totalEntries.Add(1)
+	return s.evictLocked(sh)
+}
+
+// bufs pools the buffers artifacts are encoded into and recalled
+// through. Neither a Codec's Decode nor a Backend retains a buffer past
+// the call it was handed to, so a buffer is free again once that call
+// returns, and neither an insert nor a disk hit allocates one.
+var bufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf bounds the buffer a pool slot keeps, so one huge
+// artifact does not pin its buffer.
+const maxPooledBuf = 4 << 20
+
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxPooledBuf {
+		bufs.Put(b)
 	}
-	codec, ok := s.codecs[name]
-	if !ok || codec.Decode == nil {
-		return nil, false
+}
+
+// encode appends v's encoding to a pooled buffer and returns the buffer
+// with the artifact's charge: the encoding's length plus the key's,
+// which the entry retains. Without a codec, or when the encoding fails
+// (counted as a decode error; the artifact then stays out of the warm
+// tier), the artifact is charged its key alone and no buffer returns.
+func (s *Store) encode(r *obs.Registry, codec Codec, key Key, v any) (*[]byte, int64) {
+	if codec.Encode == nil {
+		return nil, int64(len(key))
+	}
+	buf := bufs.Get().(*[]byte)
+	data, err := codec.Encode((*buf)[:0], v)
+	if err != nil {
+		putBuf(buf)
+		s.decodeErrors.Add(1)
+		r.Counter("stage/decode_errors").Inc()
+		return nil, int64(len(key))
+	}
+	*buf = data
+	return buf, int64(len(data) + len(key))
+}
+
+// diskLoad probes the warm tier for (name, key), decoding on success,
+// and returns the artifact with its charge: the payload's length plus
+// the key's. Anything short of a valid artifact — no backend, no codec,
+// a backend miss or a decode failure — is a miss; decode failures
+// additionally count as decode_errors (the backend already dropped the
+// corrupt file, so the next write repairs it).
+func (s *Store) diskLoad(r *obs.Registry, name string, key Key, codec Codec) (any, int64, bool) {
+	if s.backend == nil || codec.Decode == nil {
+		return nil, 0, false
 	}
 	start := time.Now()
-	data, ok := s.backend.Get(name, key)
+	buf := bufs.Get().(*[]byte)
+	defer putBuf(buf)
+	data, ok := s.backend.Get(name, key, (*buf)[:0])
 	if !ok {
 		s.diskMisses.Add(1)
 		r.Counter("stage/disk_misses").Inc()
-		return nil, false
+		return nil, 0, false
 	}
+	*buf = data
 	v, err := codec.Decode(data)
 	if err != nil {
 		s.decodeErrors.Add(1)
 		s.diskMisses.Add(1)
 		r.Counter("stage/decode_errors").Inc()
 		r.Counter("stage/disk_misses").Inc()
-		return nil, false
+		return nil, 0, false
 	}
 	s.diskHits.Add(1)
 	r.Counter("stage/disk_hits").Inc()
 	r.Histogram("stage/disk_read").Observe(time.Since(start))
-	return v, true
+	return v, int64(len(data) + len(key)), true
 }
 
-// diskStore writes an executed artifact through to the warm tier.
-// Best-effort: an encode failure only costs the persistence of this
-// one artifact (it stays memory-cached), never the build.
-func (s *Store) diskStore(r *obs.Registry, name string, key Key, v any) {
+// diskStore writes an executed artifact's encoding through to the warm
+// tier. Best-effort: a lost write only costs a future re-execution.
+func (s *Store) diskStore(r *obs.Registry, name string, key Key, data []byte) {
 	if s.backend == nil {
 		return
 	}
-	codec, ok := s.codecs[name]
-	if !ok || codec.Encode == nil {
-		return
-	}
 	start := time.Now()
-	data, err := codec.Encode(v)
-	if err != nil {
-		s.decodeErrors.Add(1)
-		r.Counter("stage/decode_errors").Inc()
-		return
-	}
 	s.backend.Put(name, key, data)
 	r.Histogram("stage/disk_write").Observe(time.Since(start))
 }
@@ -596,7 +612,8 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Bytes returns the estimated memory footprint of the cached artifacts.
+// Bytes returns the cached artifacts' charge: their encoded lengths
+// plus their key lengths.
 func (s *Store) Bytes() int64 { return s.totalBytes.Load() }
 
 // Evictions returns how many artifacts the budget has evicted.

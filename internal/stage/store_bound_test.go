@@ -1,6 +1,7 @@
 package stage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,9 +18,27 @@ func keyN(i int) Key {
 	return NewKey("bound-test").Int(i).Done()
 }
 
-// payload is a recognizable artifact with a predictable footprint.
-func payload(n int) []float64 {
-	return make([]float64, n)
+// payload is a recognizable artifact with a predictable charge.
+func payload(n int) []byte {
+	return make([]byte, n)
+}
+
+// bytesCodec persists byte-slice artifacts verbatim.
+var bytesCodec = Codec{
+	Encode: func(dst []byte, v any) ([]byte, error) {
+		b, ok := v.([]byte)
+		if !ok {
+			return nil, fmt.Errorf("not bytes: %T", v)
+		}
+		return append(dst, b...), nil
+	},
+	Decode: func(data []byte) (any, error) { return bytes.Clone(data), nil },
+}
+
+// charge is what a bounded store charges payload(n) under a keyN key:
+// the encoding's length plus the key's.
+func charge(n int) int64 {
+	return int64(n + len(keyN(0)))
 }
 
 // TestBoundedStoreEvictsLRU fills a bounded store past its budget and
@@ -27,12 +46,12 @@ func payload(n int) []float64 {
 // artifacts are the ones forgotten, and the eviction counter matches.
 func TestBoundedStoreEvictsLRU(t *testing.T) {
 	// One shard so the LRU order is global and the test deterministic.
-	per := EstimateSize(payload(128))
+	per := charge(128)
 	s := NewStoreWith(Config{MaxBytes: 4*per + per/2, Shards: 1})
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
-		_, _, err := s.Do(ctx, "produce", keyN(i), 1, func(context.Context) (any, error) {
+		_, _, err := s.Do(ctx, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
 			return payload(128), nil
 		})
 		if err != nil {
@@ -48,6 +67,10 @@ func TestBoundedStoreEvictsLRU(t *testing.T) {
 	if int64(s.Len())+s.Evictions() != 10 {
 		t.Fatalf("Len() %d + Evictions() %d != 10 inserts", s.Len(), s.Evictions())
 	}
+	// Each resident artifact is charged its encoding plus its key.
+	if got, want := s.Bytes(), int64(s.Len())*per; got != want {
+		t.Fatalf("Bytes() = %d, want %d for %d artifacts", got, want, s.Len())
+	}
 	// The most recent artifact must still be cached, the very first gone.
 	if _, ok := s.Get(keyN(9)); !ok {
 		t.Fatal("most recently inserted artifact was evicted")
@@ -61,12 +84,12 @@ func TestBoundedStoreEvictsLRU(t *testing.T) {
 // overflowing the budget: the touched artifact must survive eviction
 // while untouched peers of the same age are dropped.
 func TestBoundedStoreTouchPromotes(t *testing.T) {
-	per := EstimateSize(payload(128))
+	per := charge(128)
 	s := NewStoreWith(Config{MaxBytes: 3 * per, Shards: 1})
 	ctx := context.Background()
 	mk := func(i int) {
 		t.Helper()
-		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, func(context.Context) (any, error) {
+		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
 			return payload(128), nil
 		}); err != nil {
 			t.Fatalf("Do %d: %v", i, err)
@@ -93,14 +116,14 @@ func TestBoundedStoreTouchPromotes(t *testing.T) {
 func TestBoundedStoreOversizedArtifact(t *testing.T) {
 	s := NewStoreWith(Config{MaxBytes: 256, Shards: 1})
 	ctx := context.Background()
-	v, hit, err := s.Do(ctx, "produce", keyN(0), 1, func(context.Context) (any, error) {
+	v, hit, err := s.Do(ctx, "produce", keyN(0), 1, bytesCodec, func(context.Context) (any, error) {
 		return payload(4096), nil
 	})
 	if err != nil || hit {
 		t.Fatalf("Do = hit %v err %v", hit, err)
 	}
-	if len(v.([]float64)) != 4096 {
-		t.Fatalf("artifact truncated: %d elements", len(v.([]float64)))
+	if len(v.([]byte)) != 4096 {
+		t.Fatalf("artifact truncated: %d elements", len(v.([]byte)))
 	}
 	if _, ok := s.Get(keyN(0)); ok {
 		t.Fatal("oversized artifact was cached past the budget")
@@ -113,13 +136,13 @@ func TestBoundedStoreOversizedArtifact(t *testing.T) {
 // TestBoundedStoreObsCounters routes a bounded store into a registry
 // and checks the eviction counter and occupancy gauges are published.
 func TestBoundedStoreObsCounters(t *testing.T) {
-	per := EstimateSize(payload(128))
+	per := charge(128)
 	s := NewStoreWith(Config{MaxBytes: 2 * per, Shards: 1})
 	reg := obs.New()
 	s.Observe(reg)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, func(context.Context) (any, error) {
+		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
 			return payload(128), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -142,7 +165,7 @@ func TestBoundedStoreObsCounters(t *testing.T) {
 // quiescent point and all values round-trip correctly. Run under -race
 // this also exercises the sharded locking.
 func TestBoundedStoreConcurrentCap(t *testing.T) {
-	per := EstimateSize(payload(64))
+	per := charge(64)
 	s := NewStoreWith(Config{MaxBytes: 8 * per, Shards: 4})
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -152,14 +175,14 @@ func TestBoundedStoreConcurrentCap(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := keyN(i % 32)
-				v, _, err := s.Do(ctx, "produce", k, 1, func(context.Context) (any, error) {
+				v, _, err := s.Do(ctx, "produce", k, 1, bytesCodec, func(context.Context) (any, error) {
 					return payload(64), nil
 				})
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if len(v.([]float64)) != 64 {
+				if len(v.([]byte)) != 64 {
 					t.Errorf("goroutine %d: wrong artifact", g)
 					return
 				}
@@ -210,7 +233,7 @@ func TestStorePanicReachesAllWaiters(t *testing.T) {
 	const waiters = 8
 	errs := make(chan error, waiters+1)
 	go func() {
-		_, _, err := s.Do(ctx, "boom", k, 1, func(context.Context) (any, error) {
+		_, _, err := s.Do(ctx, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
 			execs.Add(1)
 			close(started)
 			<-release
@@ -224,7 +247,7 @@ func TestStorePanicReachesAllWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := s.Do(ctx, "boom", k, 1, func(context.Context) (any, error) {
+			_, _, err := s.Do(ctx, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
 				execs.Add(1)
 				return nil, nil
 			})
@@ -250,7 +273,7 @@ func TestStorePanicReachesAllWaiters(t *testing.T) {
 	}
 
 	// The failure is not cached: a retry executes and succeeds.
-	v, hit, err := s.Do(ctx, "boom", k, 1, func(context.Context) (any, error) {
+	v, hit, err := s.Do(ctx, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
 		execs.Add(1)
 		return "recovered", nil
 	})
@@ -280,7 +303,7 @@ func TestStoreFailurePropagatesToAllWaiters(t *testing.T) {
 	const waiters = 16
 	errs := make(chan error, waiters+1)
 	go func() {
-		_, _, err := s.Do(ctx, "flaky", k, 1, func(context.Context) (any, error) {
+		_, _, err := s.Do(ctx, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
 			execs.Add(1)
 			close(started)
 			<-release // hold the flight open until every waiter joined
@@ -295,7 +318,7 @@ func TestStoreFailurePropagatesToAllWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, hit, err := s.Do(ctx, "flaky", k, 1, func(context.Context) (any, error) {
+			_, hit, err := s.Do(ctx, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
 				execs.Add(1)
 				return nil, errors.New("waiter executed — single flight broken")
 			})
@@ -344,7 +367,7 @@ func TestStoreFailurePropagatesToAllWaiters(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("failed artifact present in cache")
 	}
-	v, hit, err := s.Do(ctx, "flaky", k, 1, func(context.Context) (any, error) {
+	v, hit, err := s.Do(ctx, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
 		execs.Add(1)
 		return 42, nil
 	})
@@ -362,7 +385,7 @@ func TestUnboundedStoreNeverEvicts(t *testing.T) {
 	s := NewStore()
 	ctx := context.Background()
 	for i := 0; i < 100; i++ {
-		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, func(context.Context) (any, error) {
+		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
 			return payload(256), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -389,7 +412,7 @@ func TestStoreWrapIntercepts(t *testing.T) {
 			return nil, errors.New("injected")
 		}
 	})
-	_, _, err := s.Do(ctx, "wrapped", keyN(7), 1, func(context.Context) (any, error) {
+	_, _, err := s.Do(ctx, "wrapped", keyN(7), 1, bytesCodec, func(context.Context) (any, error) {
 		return "real", nil
 	})
 	if err == nil || err.Error() != "injected" {
@@ -399,7 +422,7 @@ func TestStoreWrapIntercepts(t *testing.T) {
 		t.Fatalf("wrapper saw (%q, %q)", sawName, sawKey)
 	}
 	s.Wrap(nil)
-	v, _, err := s.Do(ctx, "wrapped", keyN(7), 1, func(context.Context) (any, error) {
+	v, _, err := s.Do(ctx, "wrapped", keyN(7), 1, bytesCodec, func(context.Context) (any, error) {
 		return "real", nil
 	})
 	if err != nil || v != "real" {

@@ -12,7 +12,8 @@ import (
 
 // memBackend is an in-memory stage.Backend for tiered-store tests: the
 // disk semantics (shared across stores, byte blobs in, byte blobs out)
-// without the filesystem.
+// without the filesystem. It copies on Put and Get, as the buffer
+// contract requires.
 type memBackend struct {
 	mu   sync.Mutex
 	m    map[string][]byte
@@ -22,12 +23,12 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{m: make(map[string][]byte)} }
 
-func (b *memBackend) Get(name string, key Key) ([]byte, bool) {
+func (b *memBackend) Get(name string, key Key, dst []byte) ([]byte, bool) {
 	b.gets.Add(1)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	v, ok := b.m[name+"/"+string(key)]
-	return v, ok
+	return append(dst, v...), ok
 }
 
 func (b *memBackend) Put(name string, key Key, data []byte) {
@@ -49,21 +50,18 @@ func (b *memBackend) Stats() BackendStats {
 
 // stringCodec persists string artifacts verbatim.
 var stringCodec = Codec{
-	Encode: func(v any) ([]byte, error) {
+	Encode: func(dst []byte, v any) ([]byte, error) {
 		s, ok := v.(string)
 		if !ok {
 			return nil, fmt.Errorf("not a string: %T", v)
 		}
-		return []byte(s), nil
+		return append(dst, s...), nil
 	},
 	Decode: func(data []byte) (any, error) { return string(data), nil },
 }
 
 func tieredStore(b Backend) *Store {
-	return NewStoreWith(Config{
-		Backend: b,
-		Codecs:  map[string]Codec{"work": stringCodec},
-	})
+	return NewStoreWith(Config{Backend: b})
 }
 
 func TestTieredWriteThroughAndCrossStoreRecall(t *testing.T) {
@@ -72,7 +70,7 @@ func TestTieredWriteThroughAndCrossStoreRecall(t *testing.T) {
 	key := NewKey("tiered").Int(1).Done()
 
 	a := tieredStore(backend)
-	v, cached, err := a.Do(ctx, "work", key, 1, func(context.Context) (any, error) { return "artifact", nil })
+	v, cached, err := a.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "artifact", nil })
 	if err != nil || cached || v != "artifact" {
 		t.Fatalf("first Do: %v, %v, %v", v, cached, err)
 	}
@@ -83,7 +81,7 @@ func TestTieredWriteThroughAndCrossStoreRecall(t *testing.T) {
 	// A second store over the same backend — a fresh process — recalls
 	// from disk without executing.
 	b := tieredStore(backend)
-	v, cached, err = b.Do(ctx, "work", key, 1, func(context.Context) (any, error) {
+	v, cached, err = b.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) {
 		t.Error("stage executed despite warm backend")
 		return nil, errors.New("unreachable")
 	})
@@ -97,10 +95,14 @@ func TestTieredWriteThroughAndCrossStoreRecall(t *testing.T) {
 	if b.DiskHits() != 1 || b.DiskMisses() != 0 {
 		t.Fatalf("store counters: %d disk hits, %d disk misses", b.DiskHits(), b.DiskMisses())
 	}
+	// A disk hit is charged its payload plus its key, as the write was.
+	if got, want := b.Bytes(), int64(len("artifact")+len(key)); got != want || a.Bytes() != want {
+		t.Fatalf("charges: recall %d, write %d, want %d", got, a.Bytes(), want)
+	}
 	// A decoded artifact installs in the memory tier: the next call is
 	// a plain memory hit, not a second disk read.
 	reads := backend.gets.Load()
-	if _, cached, _ := b.Do(ctx, "work", key, 1, nil); !cached {
+	if _, cached, _ := b.Do(ctx, "work", key, 1, stringCodec, nil); !cached {
 		t.Fatal("memory tier missed after disk recall")
 	}
 	if backend.gets.Load() != reads {
@@ -115,7 +117,7 @@ func TestTieredDiskMissExecutes(t *testing.T) {
 	backend := newMemBackend()
 	s := tieredStore(backend)
 	ran := false
-	_, cached, err := s.Do(context.Background(), "work", NewKey("t").Int(2).Done(), 1,
+	_, cached, err := s.Do(context.Background(), "work", NewKey("t").Int(2).Done(), 1, stringCodec,
 		func(context.Context) (any, error) { ran = true; return "v", nil })
 	if err != nil || cached || !ran {
 		t.Fatalf("cold Do: cached=%v ran=%v err=%v", cached, ran, err)
@@ -132,14 +134,14 @@ func TestTieredDecodeErrorIsMissAndRepairs(t *testing.T) {
 	ctx := context.Background()
 	backend := newMemBackend()
 	key := NewKey("t").Int(3).Done()
-	failing := map[string]Codec{"work": {
+	failing := Codec{
 		Encode: stringCodec.Encode,
 		Decode: func([]byte) (any, error) { return nil, errors.New("corrupt") },
-	}}
+	}
 	backend.Put("work", key, []byte("stored"))
 
-	s := NewStoreWith(Config{Backend: backend, Codecs: failing})
-	v, cached, err := s.Do(ctx, "work", key, 1, func(context.Context) (any, error) { return "fresh", nil })
+	s := NewStoreWith(Config{Backend: backend})
+	v, cached, err := s.Do(ctx, "work", key, 1, failing, func(context.Context) (any, error) { return "fresh", nil })
 	if err != nil || cached || v != "fresh" {
 		t.Fatalf("decode-failure Do: %v, %v, %v", v, cached, err)
 	}
@@ -148,7 +150,7 @@ func TestTieredDecodeErrorIsMissAndRepairs(t *testing.T) {
 	}
 	// The successful execution wrote through, repairing the entry for
 	// stores whose codec can read it.
-	if data, ok := backend.Get("work", key); !ok || string(data) != "fresh" {
+	if data, ok := backend.Get("work", key, nil); !ok || string(data) != "fresh" {
 		t.Fatalf("write-through did not repair: %q, %v", data, ok)
 	}
 }
@@ -158,7 +160,7 @@ func TestStageWithoutCodecStaysMemoryOnly(t *testing.T) {
 	s := tieredStore(backend)
 	runs := 0
 	do := func(st *Store) {
-		_, _, err := st.Do(context.Background(), "uncodec", NewKey("t").Int(4).Done(), 1,
+		_, _, err := st.Do(context.Background(), "uncodec", NewKey("t").Int(4).Done(), 1, Codec{},
 			func(context.Context) (any, error) { runs++; return "v", nil })
 		if err != nil {
 			t.Fatal(err)
@@ -177,11 +179,12 @@ func TestStageWithoutCodecStaysMemoryOnly(t *testing.T) {
 
 func TestEncodeErrorSkipsWriteButServes(t *testing.T) {
 	backend := newMemBackend()
-	s := NewStoreWith(Config{Backend: backend, Codecs: map[string]Codec{"work": {
-		Encode: func(any) ([]byte, error) { return nil, errors.New("unencodable") },
+	s := NewStoreWith(Config{Backend: backend})
+	unencodable := Codec{
+		Encode: func([]byte, any) ([]byte, error) { return nil, errors.New("unencodable") },
 		Decode: stringCodec.Decode,
-	}}})
-	v, _, err := s.Do(context.Background(), "work", NewKey("t").Int(5).Done(), 1,
+	}
+	v, _, err := s.Do(context.Background(), "work", NewKey("t").Int(5).Done(), 1, unencodable,
 		func(context.Context) (any, error) { return "v", nil })
 	if err != nil || v != "v" {
 		t.Fatalf("Do with failing encoder: %v, %v", v, err)
@@ -201,7 +204,7 @@ func TestDiskHitBypassesExecWrapper(t *testing.T) {
 	backend := newMemBackend()
 	key := NewKey("t").Int(6).Done()
 	a := tieredStore(backend)
-	if _, _, err := a.Do(ctx, "work", key, 1, func(context.Context) (any, error) { return "v", nil }); err != nil {
+	if _, _, err := a.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,7 +212,7 @@ func TestDiskHitBypassesExecWrapper(t *testing.T) {
 	b.Wrap(func(name string, key Key, fn func(context.Context) (any, error)) func(context.Context) (any, error) {
 		return func(context.Context) (any, error) { return nil, errors.New("chaos: every execution fails") }
 	})
-	v, cached, err := b.Do(ctx, "work", key, 1, func(context.Context) (any, error) { return "v", nil })
+	v, cached, err := b.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
 	if err != nil || !cached || v != "v" {
 		t.Fatalf("disk hit went through the wrapper: %v, %v, %v", v, cached, err)
 	}
@@ -221,7 +224,7 @@ func TestConcurrentCallersCoalesceOneDiskRead(t *testing.T) {
 	ctx := context.Background()
 	backend := newMemBackend()
 	key := NewKey("t").Int(7).Done()
-	tieredStore(backend).Do(ctx, "work", key, 1, func(context.Context) (any, error) { return "v", nil })
+	tieredStore(backend).Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
 	reads := backend.gets.Load()
 
 	s := tieredStore(backend)
@@ -231,7 +234,7 @@ func TestConcurrentCallersCoalesceOneDiskRead(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := s.Do(ctx, "work", key, 1, func(context.Context) (any, error) {
+			v, _, err := s.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) {
 				return nil, errors.New("must not execute")
 			})
 			if err != nil || v != "v" {
@@ -253,11 +256,11 @@ func TestReportCountsDiskHits(t *testing.T) {
 	ctx := context.Background()
 	backend := newMemBackend()
 	key := NewKey("t").Int(8).Done()
-	tieredStore(backend).Do(ctx, "work", key, 1, func(context.Context) (any, error) { return "v", nil })
+	tieredStore(backend).Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
 
 	s := tieredStore(backend)
 	before := s.Report()
-	s.Do(ctx, "work", key, 1, nil)
+	s.Do(ctx, "work", key, 1, stringCodec, nil)
 	rep := s.Report()
 	if rep.DiskHits != 1 {
 		t.Fatalf("report DiskHits = %d, want 1", rep.DiskHits)
@@ -277,7 +280,7 @@ func TestBackendStatsAccessors(t *testing.T) {
 	if s.Backend() != Backend(backend) {
 		t.Fatal("Backend() accessor lost the backend")
 	}
-	s.Do(context.Background(), "work", NewKey("t").Int(9).Done(), 1,
+	s.Do(context.Background(), "work", NewKey("t").Int(9).Done(), 1, stringCodec,
 		func(context.Context) (any, error) { return "v", nil })
 	if bs := s.BackendStats(); bs.Entries != 1 || bs.Bytes == 0 {
 		t.Fatalf("BackendStats: %+v", bs)
@@ -295,10 +298,26 @@ func TestCodecRoundTripHarness(t *testing.T) {
 	}
 	calls := 0
 	unstable := Codec{
-		Encode: func(v any) ([]byte, error) { calls++; return []byte(fmt.Sprintf("call-%d", calls)), nil },
+		Encode: func(dst []byte, v any) ([]byte, error) { calls++; return fmt.Appendf(dst, "call-%d", calls), nil },
 		Decode: func(data []byte) (any, error) { return string(data), nil },
 	}
 	if _, err := unstable.RoundTrip("x"); err == nil {
 		t.Fatal("unstable encoding passed RoundTrip")
+	}
+	// A decoder that keeps its input reads the overwritten copy back.
+	retaining := Codec{
+		Encode: func(dst []byte, v any) ([]byte, error) { return append(dst, v.([]byte)...), nil },
+		Decode: func(data []byte) (any, error) { return data, nil },
+	}
+	if _, err := retaining.RoundTrip([]byte("kept")); err == nil {
+		t.Fatal("a decoder retaining its input passed RoundTrip")
+	}
+	// An encoder that ignores its destination is not append-form.
+	overwriting := Codec{
+		Encode: func(_ []byte, v any) ([]byte, error) { return []byte(v.(string)), nil },
+		Decode: stringCodec.Decode,
+	}
+	if _, err := overwriting.RoundTrip("a longer artifact"); err == nil {
+		t.Fatal("an encoder overwriting its destination passed RoundTrip")
 	}
 }

@@ -300,9 +300,10 @@ type StageExecWrapper = stage.ExecWrapper
 
 // CacheConfig bounds a SharedCache.
 type CacheConfig struct {
-	// MaxBytes caps the estimated memory of cached stage artifacts;
-	// least-recently-used artifacts are evicted past it. 0 disables
-	// the bound (the historical grow-without-bound behavior).
+	// MaxBytes caps the cached stage artifacts' charge, each its
+	// encoded length plus its key's; least-recently-used artifacts are
+	// evicted past it. 0 disables the bound (the historical
+	// grow-without-bound behavior).
 	MaxBytes int64
 	// Shards spreads the cache over independently locked shards (0
 	// selects a default). Purely a concurrency knob — artifact values
@@ -328,7 +329,8 @@ type CacheConfig struct {
 type CacheStats struct {
 	// Entries counts cached artifacts (completed or in flight).
 	Entries int `json:"entries"`
-	// Bytes is the estimated footprint of cached artifacts.
+	// Bytes is the cached artifacts' charge: encoded lengths plus key
+	// lengths.
 	Bytes int64 `json:"bytes"`
 	// MaxBytes is the configured budget (0 = unbounded).
 	MaxBytes int64 `json:"maxBytes"`
