@@ -21,7 +21,8 @@
 // indexed size plus one byte straight into the caller's buffer, so a
 // file that grew since it was indexed shows as an overlong read and is
 // re-read whole, as is a file the index does not know (another process
-// wrote it). A short read fails validation like any truncation. Get
+// wrote it); its first valid read indexes it and charges it to the
+// budget. A short read fails validation like any truncation. Get
 // appends the payload to the caller's buffer, and neither Get nor Put
 // keeps the slice it was handed (the stage.Backend buffer contract).
 // The memory tier above charges a recalled artifact that payload's
@@ -250,6 +251,14 @@ func (s *Store) Get(name string, key stage.Key, dst []byte) ([]byte, bool) {
 		if touch = e.used-e.touched >= touchInterval; touch {
 			e.touched = e.used
 		}
+	} else {
+		// Another process wrote the file: index it, so later hits take
+		// the sized read and touch it once a second, and charge it to
+		// this store's budget.
+		size := int64(len(dst) - n0)
+		s.entries[rel] = &fileEnt{size: size, used: now.UnixNano(), touched: now.UnixNano()}
+		s.bytes += size
+		s.gcLocked()
 	}
 	s.mu.Unlock()
 	if touch {

@@ -192,6 +192,35 @@ func TestGetReadsFileOfSecondStore(t *testing.T) {
 	if got, ok := reader.Get("faults", testKey, nil); !ok || string(got) != "plan" {
 		t.Fatalf("second store's artifact: %q, %v", got, ok)
 	}
+	path, rel := reader.path("faults", testKey)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first hit indexed the file at its size, so a second hit takes
+	// the sized read.
+	reader.mu.Lock()
+	e, indexed := reader.entries[rel]
+	reader.mu.Unlock()
+	if !indexed || e.size != info.Size() {
+		t.Fatalf("index row after first hit: %+v (indexed %v), want size %d", e, indexed, info.Size())
+	}
+	// A second hit within touchInterval leaves the mtime alone.
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reader.Get("faults", testKey, nil); !ok || string(got) != "plan" {
+		t.Fatalf("second hit: %q, %v", got, ok)
+	}
+	if after, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if !after.ModTime().Equal(old) {
+		t.Fatalf("second hit rewrote the mtime to %v, want %v", after.ModTime(), old)
+	}
+	if got := reader.Stats().Bytes; got != info.Size() {
+		t.Fatalf("Stats().Bytes = %d, want the file's %d", got, info.Size())
+	}
 }
 
 // Recency reaches the file's mtime at most once a second: a hit on an
