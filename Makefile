@@ -28,7 +28,7 @@ COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal
 SIMSCALE ?= 4
 SIMDURATION ?= 300s
 
-.PHONY: build vet fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full clean
+.PHONY: build vet perfbench-vet fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full clean
 
 # Generated run products (bench logs, coverage profiles, manifests) all
 # land under $(OUT), which is ignored wholesale; the committed
@@ -41,6 +41,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module (a local replace of this one, so it needs
+# no network); vetting and building it catches a public-API change that
+# breaks the benchmark harness. The build discards its binary.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 # Fails (listing the files) when any file needs gofmt.
 fmt-check:
