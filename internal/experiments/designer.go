@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"time"
 
 	"repro/internal/chip"
 	"repro/internal/faults"
@@ -92,20 +93,21 @@ type build struct {
 // get returns artifact i of a run, asserted to its stage's type.
 func get[T any](in []any, i int) T { return in[i].(T) }
 
-// runGraph executes PipelineStageGraph for b through store under a root
-// span named span, routing the store's cache counters into b's
-// registry. Every obs call is nil-safe, so the disabled path costs a
-// handful of nil checks.
-func runGraph(ctx context.Context, store *stage.Store, span string, b *build, given ...stage.Given) ([]any, error) {
-	store.Observe(b.opts.Obs)
-	root := b.opts.Obs.StartSpan(span)
-	defer root.End()
-	return PipelineStageGraph.Run(ctx, store, root, b, b.opts.Workers, given...)
+// runGraph executes PipelineStageGraph for b through store, counting
+// the build's stage outcomes into b's registry and timing the whole
+// build into its histogram hist ("build/design", "build/attach-models").
+// Every obs call is nil-safe, so the disabled path costs a handful of
+// nil checks.
+func runGraph(ctx context.Context, store *stage.Store, hist string, b *build, given ...stage.Given) ([]any, error) {
+	start := time.Now()
+	in, err := PipelineStageGraph.Run(ctx, store, b.opts.Obs, b, b.opts.Workers, given...)
+	b.opts.Obs.Histogram(hist).Observe(time.Since(start))
+	return in, err
 }
 
 // design runs the full flow for b and assembles its Pipeline.
 func design(ctx context.Context, store *stage.Store, b *build, given ...stage.Given) (*Pipeline, error) {
-	in, err := runGraph(ctx, store, "design", b, given...)
+	in, err := runGraph(ctx, store, "build/design", b, given...)
 	if err != nil {
 		return nil, err
 	}

@@ -16,9 +16,9 @@ import (
 // calibration fault accounting, the crosstalk fit, the quantum
 // simulators, the routing arena and the anneal's sparse neighbor
 // structure. Pass nil to uninstall. Per-build instrumentation (stage
-// cache counters, stage latency histograms and the design span tree)
-// is wired separately through Options.Obs, which follows the build
-// rather than the process.
+// outcome counters, stage and build latency histograms) is wired
+// separately through Options.Obs, which follows the build rather than
+// the process.
 func Observe(r *obs.Registry) {
 	parallel.Observe(r)
 	faults.Observe(r)

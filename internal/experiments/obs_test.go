@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chip"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/stage"
 )
 
 // designSnapshot runs a full faulted design at the given worker count
@@ -30,8 +33,8 @@ func designSnapshot(t *testing.T, workers int) obs.Snapshot {
 	return reg.Snapshot().StripTimings()
 }
 
-// The observability determinism contract: every counter, histogram
-// count and span count of a design is a pure function of (chip,
+// The observability determinism contract: every counter and histogram
+// count of a design is a pure function of (chip,
 // options, seed) — the worker budget moves only timings and gauges,
 // which StripTimings removes.
 func TestDesignSnapshotWorkerInvariant(t *testing.T) {
@@ -46,17 +49,8 @@ func TestDesignSnapshotWorkerInvariant(t *testing.T) {
 	if seq.Counters["faults/pairs"] == 0 {
 		t.Error("faults/pairs stayed 0 across a faulted calibration campaign")
 	}
-	var sawDesignSpan bool
-	for _, sp := range seq.Spans {
-		if sp.Path == "design" {
-			sawDesignSpan = true
-		}
-		if sp.WallNs != 0 {
-			t.Errorf("span %s kept wall time %d after StripTimings", sp.Path, sp.WallNs)
-		}
-	}
-	if !sawDesignSpan {
-		t.Error("no design root span recorded")
+	if h := seq.Histograms["build/design"]; h.Count != 1 || h.SumNs != 0 {
+		t.Errorf("build/design histogram = %+v, want one build with its timing stripped", h)
 	}
 }
 
@@ -101,6 +95,51 @@ func TestOptionsDigestExcludesExecutionKnobs(t *testing.T) {
 	} {
 		if other.Digest() == base.Digest() {
 			t.Errorf("%s change left the digest unchanged", name)
+		}
+	}
+}
+
+// Concurrent builds on one shared cache each count their own stage
+// outcomes into the registry they carry. Build A is held inside its
+// partition stage until build B, a different chip on the same store,
+// has finished; every stage outcome of A (before and after B) must
+// still land in A's registry, and B's in B's.
+func TestConcurrentBuildsCountIntoOwnRegistries(t *testing.T) {
+	dc := NewDesignCache()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	dc.Store().Wrap(func(name string, _ stage.Key, fn func(context.Context) (any, error)) func(context.Context) (any, error) {
+		if name != StagePartition || !held.CompareAndSwap(false, true) {
+			return fn
+		}
+		return func(ctx context.Context) (any, error) {
+			close(entered)
+			<-release
+			return fn(ctx)
+		}
+	})
+	ra, rb := obs.New(), obs.New()
+	errA := make(chan error, 1)
+	go func() {
+		_, err := dc.Designer(chip.Square(3, 3)).Redesign(Options{Seed: 1, Obs: ra})
+		errA <- err
+	}()
+	<-entered
+	_, errB := dc.Designer(chip.Square(3, 4)).Redesign(Options{Seed: 2, Obs: rb})
+	close(release)
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	if errB != nil {
+		t.Fatal(errB)
+	}
+	// A fault-free build without anneal executes nine stages.
+	const executed = 9
+	for name, r := range map[string]*obs.Registry{"A": ra, "B": rb} {
+		c := r.Snapshot().Counters
+		if got := c["stage/hits"] + c["stage/misses"] + c["stage/disk_hits"]; got != executed {
+			t.Errorf("build %s's registry counted %d stage outcomes (%d hits, %d misses), want %d",
+				name, got, c["stage/hits"], c["stage/misses"], executed)
 		}
 	}
 }

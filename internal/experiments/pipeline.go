@@ -90,14 +90,17 @@ type Options struct {
 	// stream deterministically; there is no wall-clock backoff).
 	// 0 selects the default (3); negative disables retries.
 	RetryBudget int
-	// Obs, when non-nil, receives this build's instrumentation: stage
-	// cache hit/miss counters, per-stage latency histograms and the
-	// design span tree. It is pure observation — normalized() leaves it
-	// untouched, no artifact key digests it (Digest excludes it
-	// alongside Workers), and the designed system is bit-identical with
-	// or without it. Package-level counters (worker pool, calibration
-	// faults, fit, simulators) are process-global; route them into the
-	// same registry with Observe.
+	// Obs, when non-nil, receives this build's instrumentation: the
+	// outcome counters of its own stage invocations (a shared store
+	// counts each build into the registry that build carries), one
+	// latency histogram per executed stage ("stage/<name>"), the
+	// build's wall time ("build/design") and the store's occupancy
+	// gauges as the build ends. It is pure observation — normalized()
+	// leaves it untouched, no artifact key digests it (Digest excludes
+	// it alongside Workers), and the designed system is bit-identical
+	// with or without it. Package-level counters (worker pool,
+	// calibration faults, fit, simulators) are process-global; route
+	// them into the same registry with Observe.
 	Obs *obs.Registry
 }
 
@@ -242,7 +245,7 @@ func (p *Pipeline) AttachModels(xy, zz *crosstalk.Model) error {
 	// The plan is given as drawn; key it as a draw at the raw seed.
 	faultsK := stage.NewKey(StageFaults).Key(base)
 	faultsParams(&build{opts: p.Opts, seed: p.Opts.Seed}, faultsK)
-	in, err := runGraph(context.Background(), stage.NewStore(), "attach-models", &build{opts: p.Opts, seed: p.Opts.Seed + 13},
+	in, err := runGraph(context.Background(), stage.NewStore(), "build/attach-models", &build{opts: p.Opts, seed: p.Opts.Seed + 13},
 		stage.Given{Name: StageFabricate, Key: base, Val: p.Device},
 		stage.Given{Name: StageFaults, Key: faultsK.Done(), Val: p.Faults},
 		stage.Given{Name: StageCharacterizeXY, Key: attachedModelKey(base, "xy", xy), Val: &characterization{Model: xy, Pred: p.PredXY}},

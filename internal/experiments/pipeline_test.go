@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/chip"
@@ -140,10 +141,7 @@ func TestAttachModelsRunsOnlyGroupingStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := map[string]int64{}
-	for _, sp := range reg.Snapshot().Spans {
-		before[sp.Path] = sp.Count
-	}
+	before := reg.Snapshot().Histograms
 	if err := p.AttachModels(donor.ModelXY, donor.ModelZZ); err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +152,14 @@ func TestAttachModelsRunsOnlyGroupingStages(t *testing.T) {
 		t.Errorf("attached-model design invalid: %v", err)
 	}
 	var ran []string
-	for _, sp := range reg.Snapshot().Spans {
-		if sp.Count > before[sp.Path] && sp.Path != "attach-models" {
-			ran = append(ran, sp.Path)
+	for name, h := range reg.Snapshot().Histograms {
+		if h.Count > before[name].Count {
+			ran = append(ran, name)
 		}
 	}
-	want := []string{"attach-models/allocate", "attach-models/anneal", "attach-models/fdm-group", "attach-models/partition", "attach-models/tdm", "attach-models/tdm-gates"}
+	sort.Strings(ran)
+	want := []string{"build/attach-models", "stage/allocate", "stage/anneal", "stage/fdm-group", "stage/partition", "stage/tdm", "stage/tdm-gates"}
 	if !reflect.DeepEqual(ran, want) {
-		t.Errorf("attach-models spans = %v, want %v", ran, want)
+		t.Errorf("attach-models timed %v, want %v", ran, want)
 	}
 }

@@ -1,9 +1,8 @@
 // Package obs is the dependency-free observability core of the YOUTIAO
 // pipeline: atomic counters and gauges, fixed-bucket latency histograms
-// with quantile estimation, and a lightweight span tracer with
-// parent/child structure, all collected behind a Registry that renders
-// stable-JSON Snapshots (see snapshot.go) and an expvar-style HTTP
-// handler (see http.go).
+// with quantile estimation, all collected behind a Registry that
+// renders stable-JSON Snapshots (see snapshot.go) and an expvar-style
+// HTTP handler (see http.go).
 //
 // Two contracts shape the design:
 //
@@ -17,8 +16,8 @@
 //     pure functions of the work performed — invariant in the worker
 //     count, the scheduler and the wall clock — so two runs at the same
 //     options and seed produce byte-identical counter sections.
-//     Gauges, histogram quantiles and span wall times measure the
-//     execution itself and differ run to run; Snapshot.StripTimings
+//     Gauges and histogram quantiles and sums measure the execution
+//     itself and differ run to run; Snapshot.StripTimings
 //     removes exactly those fields, which is what lets CI diff two run
 //     manifests. Observability never feeds back into the design:
 //     nothing in this package participates in artifact keys or RNG
@@ -110,7 +109,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    map[string]*spanStat
 }
 
 // New returns an empty, enabled registry.
@@ -119,7 +117,6 @@ func New() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		spans:    make(map[string]*spanStat),
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 )
@@ -53,61 +52,9 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram recorded")
 	}
-	sp := r.StartSpan("a")
-	sp.Child("b").End()
-	sp.End()
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || snap.Spans != nil {
+	if len(snap.Counters) != 0 || snap.Gauges != nil || snap.Histograms != nil {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
-	}
-}
-
-func TestSpanTreeAndOrdering(t *testing.T) {
-	r := New()
-	root := r.StartSpan("design")
-	for i := 0; i < 3; i++ {
-		c := root.Child("tdm")
-		c.End()
-	}
-	root.Child("fabricate").End()
-	root.End()
-
-	snap := r.Snapshot()
-	var paths []string
-	counts := map[string]int64{}
-	for _, sp := range snap.Spans {
-		paths = append(paths, sp.Path)
-		counts[sp.Path] = sp.Count
-	}
-	want := []string{"design", "design/fabricate", "design/tdm"}
-	if !reflect.DeepEqual(paths, want) {
-		t.Fatalf("span order = %v, want %v", paths, want)
-	}
-	if counts["design/tdm"] != 3 || counts["design"] != 1 {
-		t.Fatalf("span counts wrong: %v", counts)
-	}
-}
-
-// Span End is called from worker goroutines (the characterize stages
-// fan out), so concurrent ends of sibling spans must aggregate cleanly.
-func TestSpanConcurrentEnds(t *testing.T) {
-	r := New()
-	root := r.StartSpan("p")
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			root.Child("c").End()
-		}()
-	}
-	wg.Wait()
-	root.End()
-	snap := r.Snapshot()
-	for _, sp := range snap.Spans {
-		if sp.Path == "p/c" && sp.Count != 16 {
-			t.Fatalf("p/c count = %d, want 16", sp.Count)
-		}
 	}
 }
 
@@ -116,9 +63,6 @@ func TestSnapshotStripTimings(t *testing.T) {
 	r.Counter("jobs").Add(2)
 	r.Gauge("busy_ns").Add(12345)
 	r.Histogram("lat").Observe(3 * time.Millisecond)
-	sp := r.StartSpan("work")
-	time.Sleep(time.Millisecond)
-	sp.End()
 
 	s := r.Snapshot().StripTimings()
 	if s.Counters["jobs"] != 2 {
@@ -131,9 +75,6 @@ func TestSnapshotStripTimings(t *testing.T) {
 	if h.Count != 1 || h.SumNs != 0 || h.P50Ns != 0 || h.P95Ns != 0 || h.P99Ns != 0 {
 		t.Fatalf("histogram timing survived: %+v", h)
 	}
-	if len(s.Spans) != 1 || s.Spans[0].WallNs != 0 || s.Spans[0].Count != 1 {
-		t.Fatalf("span timing survived: %+v", s.Spans)
-	}
 }
 
 // Stripped snapshots of two registries that observed the same work must
@@ -145,9 +86,6 @@ func TestStrippedSnapshotsEqualAcrossRuns(t *testing.T) {
 		h := r.Histogram("lat")
 		h.Observe(sleep)
 		h.Observe(2 * sleep)
-		sp := r.StartSpan("root")
-		sp.Child("leaf").End()
-		sp.End()
 		return r.Snapshot()
 	}
 	a, b := run(time.Microsecond), run(50*time.Microsecond)
@@ -160,7 +98,7 @@ func TestStrippedSnapshotsEqualAcrossRuns(t *testing.T) {
 }
 
 // The disabled (nil) registry must be free on the hot path: no
-// allocations for counter adds, histogram observes, or span open/end.
+// allocations for counter adds or histogram observes.
 func TestDisabledRegistryZeroAlloc(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
@@ -168,9 +106,6 @@ func TestDisabledRegistryZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		h.Observe(time.Millisecond)
-		sp := r.StartSpan("a")
-		sp.Child("b").End()
-		sp.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-registry hot path allocates %.1f allocs/op, want 0", allocs)

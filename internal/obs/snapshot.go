@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "encoding/json"
 
 // HistogramSnapshot is the point-in-time summary of one latency
 // histogram. Count is deterministic (it counts events, not time); the
@@ -16,29 +13,18 @@ type HistogramSnapshot struct {
 	P99Ns int64 `json:"p99_ns"`
 }
 
-// SpanSnapshot is the aggregate of one span path. Paths encode the
-// parent/child tree ("design/characterize-xy" nests under "design") and
-// sort lexically, which places every parent immediately before its
-// children — the deterministic ordering the span section relies on.
-type SpanSnapshot struct {
-	Path   string `json:"path"`
-	Count  int64  `json:"count"`
-	WallNs int64  `json:"wall_ns"`
-}
-
 // Snapshot is a stable-JSON view of a registry at one instant. Map keys
-// marshal sorted (encoding/json) and spans are emitted in path order,
-// so two snapshots of identical registries render byte-identical JSON.
+// marshal sorted (encoding/json), so two snapshots of identical
+// registries render byte-identical JSON.
 //
-// The determinism contract splits the fields in two: Counters,
-// histogram Counts and span Counts are pure functions of the work
-// performed; Gauges and every *_ns field measure the execution itself.
+// The determinism contract splits the fields in two: Counters and
+// histogram Counts are pure functions of the work performed; Gauges
+// and every *_ns field measure the execution itself.
 // StripTimings keeps exactly the first group.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      []SpanSnapshot               `json:"spans,omitempty"`
 }
 
 // Snapshot captures the registry's current state. A nil registry
@@ -66,16 +52,12 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Histograms[name] = h.Snapshot()
 		}
 	}
-	for path, st := range r.spans {
-		s.Spans = append(s.Spans, SpanSnapshot{Path: path, Count: st.count, WallNs: int64(st.wall)})
-	}
-	sort.Slice(s.Spans, func(a, b int) bool { return s.Spans[a].Path < s.Spans[b].Path })
 	return s
 }
 
 // StripTimings returns a copy of the snapshot with every
-// non-deterministic field removed: gauges are dropped, histogram and
-// span *_ns fields are zeroed, counters and counts are kept. Two runs
+// non-deterministic field removed: gauges are dropped, histogram *_ns
+// fields are zeroed, counters and counts are kept. Two runs
 // at identical options and seed produce equal stripped snapshots for
 // any worker count — the property the manifest diff and the
 // determinism tests assert.
@@ -89,9 +71,6 @@ func (s Snapshot) StripTimings() Snapshot {
 		for name, h := range s.Histograms {
 			out.Histograms[name] = HistogramSnapshot{Count: h.Count}
 		}
-	}
-	for _, sp := range s.Spans {
-		out.Spans = append(out.Spans, SpanSnapshot{Path: sp.Path, Count: sp.Count})
 	}
 	return out
 }

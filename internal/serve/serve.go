@@ -266,10 +266,10 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: open cache: %w", err)
 		}
 	}
-	// One registry observes everything: the shared store's cache
-	// instrumentation and (via Options.Obs on every request) per-build
-	// stage metrics. Per-request registries would race — the store
-	// holds a single observer, swapped on each build.
+	// One registry observes everything: the shared store's metric
+	// names and occupancy gauges, and (via Options.Obs on every
+	// request) each build's stage outcomes, so /metrics totals the
+	// whole cache.
 	cache.Observe(reg)
 	for _, name := range []string{cRequests, cOK, cBadRequest, cShed, cTimeouts, cFailed, cPanics} {
 		reg.Counter(name)

@@ -253,24 +253,31 @@ func TestRunRowOrderIndependentOfArrival(t *testing.T) {
 	}
 }
 
-// TestRunOpensOneSpanPerNode: every executed node gets one span under
-// the build's root; given and skipped nodes get none.
-func TestRunOpensOneSpanPerNode(t *testing.T) {
+// TestRunTimesEachExecutedNodeOnce: every executed node counts one
+// outcome into the build's registry and times its execution once into
+// its stage histogram; given and skipped nodes record nothing, a hit
+// records no execution, and the build's end publishes the occupancy
+// gauges into the same registry.
+func TestRunTimesEachExecutedNodeOnce(t *testing.T) {
 	skipped := sumNode("skipped", 3, nil, "given")
 	skipped.Skip = func(int) bool { return true }
 	g := MustGraph(sumNode("given", 1, nil), sumNode("ran", 2, nil, "given"), skipped)
-	reg := obs.New()
-	root := reg.StartSpan("design")
-	if _, err := g.Run(context.Background(), NewStore(), root, 0, 1, Given{Name: "given", Key: "k", Val: 1}); err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	var paths []string
-	for _, sp := range reg.Snapshot().Spans {
-		paths = append(paths, sp.Path)
-	}
-	if want := []string{"design", "design/ran"}; !reflect.DeepEqual(paths, want) {
-		t.Errorf("span paths = %v, want %v", paths, want)
+	s := NewStore()
+	for _, want := range []struct{ hits, misses int64 }{{0, 1}, {1, 0}} {
+		reg := obs.New()
+		if _, err := g.Run(context.Background(), s, reg, 0, 1, Given{Name: "given", Key: "k", Val: 1}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if h, m := snap.Counters["stage/hits"], snap.Counters["stage/misses"]; h != want.hits || m != want.misses {
+			t.Errorf("hits %d misses %d, want %d and %d", h, m, want.hits, want.misses)
+		}
+		if n := int64(len(snap.Histograms)); n != want.misses || snap.Histograms["stage/ran"].Count != want.misses {
+			t.Errorf("histograms %v, want stage/ran timed %d times and nothing else", snap.Histograms, want.misses)
+		}
+		if got := snap.Gauges["stage/cache_entries"]; got != 1 {
+			t.Errorf("stage/cache_entries gauge = %d, want 1", got)
+		}
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 // it. Inputs must name earlier declarations, which makes every graph
 // acyclic and topologically sorted by construction.
 type Node[B any] struct {
-	// Name is the node's key domain, stats row, span and error name.
+	// Name is the node's key domain, stats row, histogram and error
+	// name.
 	Name string
 	// Inputs name the nodes whose keys open this node's key, in order.
 	Inputs []string
@@ -169,10 +170,12 @@ func (g *Graph[B]) Downstream(name string) []string {
 // declaration order, unless every one of its keys is already a
 // completed artifact in memory: then it runs inline in declaration
 // order, as fanning out hits would cost more than it saves. Each
-// executed node runs through s.Do under a span named after it beneath
-// root, and any failure, ctx ending between waves included, comes back
-// as an *Error naming the node.
-func (g *Graph[B]) Run(ctx context.Context, s *Store, root *obs.Span, b B, workers int, given ...Given) ([]any, error) {
+// executed node runs through s.Do, which counts its outcome into r, and
+// any failure, ctx ending between waves included, comes back as an
+// *Error naming the node. When the build ends, r receives the store's
+// occupancy gauges (Store.Observe); a nil r records nothing.
+func (g *Graph[B]) Run(ctx context.Context, s *Store, r *obs.Registry, b B, workers int, given ...Given) ([]any, error) {
+	defer s.Observe(r)
 	keys, in := make([]Key, len(g.nodes)), make([]any, len(g.nodes))
 	key := func(i int) {
 		n := &g.nodes[i]
@@ -194,9 +197,7 @@ func (g *Graph[B]) Run(ctx context.Context, s *Store, root *obs.Span, b B, worke
 		if n.Parallel {
 			w = parallel.Workers(workers)
 		}
-		span := root.Child(n.Name)
-		v, _, err := s.Do(ctx, n.Name, keys[i], w, n.Codec, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
-		span.End()
+		v, _, err := s.Do(ctx, r, n.Name, keys[i], w, n.Codec, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
 		if err != nil {
 			return &Error{Stage: n.Name, Err: err}
 		}

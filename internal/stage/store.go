@@ -142,14 +142,8 @@ type Store struct {
 	// backend is the optional warm tier, fixed at construction.
 	backend Backend
 
-	diskHits     atomic.Int64
 	diskMisses   atomic.Int64
 	decodeErrors atomic.Int64
-
-	// obsv is the optional observability registry. Swapped atomically
-	// so Observe is safe concurrently with in-flight Do calls; a nil
-	// registry (the default) disables emission at zero cost.
-	obsv atomic.Pointer[obs.Registry]
 
 	// wrap is the optional ExecWrapper (chaos injection).
 	wrap atomic.Pointer[ExecWrapper]
@@ -204,16 +198,26 @@ func (s *Store) Wrap(w ExecWrapper) {
 	s.wrap.Store(&w)
 }
 
-// Observe routes the store's cache instrumentation into r: the
-// "stage/hits", "stage/misses", "stage/errors", "stage/panics",
-// "stage/evictions" and "stage/singleflight_waits" counters, the
-// "stage/cache_bytes" and "stage/cache_entries" gauges and a per-stage
-// execution-latency histogram ("stage/<name>"). Pass nil to disable.
+// Observe registers the store's metric names in r and publishes its
+// occupancy gauges ("stage/cache_bytes", "stage/cache_entries" and the
+// warm tier's "stage/disk_*" and "stage/gc_evictions") as they stand.
+// It keeps no reference to r: the store's events reach a registry only
+// through the one each Do call is handed, so concurrent builds count
+// into their own registries. Graph.Run calls it for its registry once
+// a build ends. A nil r is a no-op.
+//
+// The counters are "stage/hits", "stage/misses", "stage/errors",
+// "stage/panics", "stage/evictions", "stage/singleflight_waits",
+// "stage/disk_hits", "stage/disk_misses" and "stage/decode_errors";
+// Do also times each execution into a "stage/<name>" histogram.
 // Counters except singleflight_waits and evictions are deterministic
 // for sequential pipelines; singleflight_waits counts
 // scheduling-dependent concurrent-duplicate suppression, and evictions
 // depend on artifact arrival order under concurrency.
 func (s *Store) Observe(r *obs.Registry) {
+	if r == nil {
+		return
+	}
 	// Pre-register the counters so every snapshot carries the full
 	// set at 0 — the schema does not depend on which events occurred.
 	r.Counter("stage/hits")
@@ -229,21 +233,9 @@ func (s *Store) Observe(r *obs.Registry) {
 	r.Counter("stage/disk_hits")
 	r.Counter("stage/disk_misses")
 	r.Counter("stage/decode_errors")
-	s.obsv.Store(r)
-	s.publishGauges(r)
-}
-
-// publishGauges refreshes the store's occupancy gauges.
-func (s *Store) publishGauges(r *obs.Registry) {
-	if r == nil {
-		return
-	}
 	r.Gauge("stage/cache_bytes").Set(s.totalBytes.Load())
 	r.Gauge("stage/cache_entries").Set(s.totalEntries.Load())
-	var bs BackendStats
-	if s.backend != nil {
-		bs = s.backend.Stats()
-	}
+	bs := s.BackendStats()
 	r.Gauge("stage/disk_bytes").Set(bs.Bytes)
 	r.Gauge("stage/disk_entries").Set(int64(bs.Entries))
 	r.Gauge("stage/gc_evictions").Set(bs.GCEvictions)
@@ -330,16 +322,16 @@ func (s *Store) evictLocked(sh *shard) int {
 }
 
 // Do returns the artifact for key, executing fn to produce it on a
-// cache miss. The boolean reports whether the artifact came from the
-// cache. workers is recorded as the stage's worker budget (purely
-// instrumentation — it never affects the artifact). codec charges the
+// cache miss, and counts the outcome into r (nil counts nothing). The
+// boolean reports whether the artifact came from the cache. workers is
+// recorded as the stage's worker budget (purely instrumentation — it
+// never affects the artifact). codec charges the
 // artifact to the memory budget and carries it to and from the warm
 // tier; a zero Codec keeps the artifact memory-only, charged by its key
 // alone. Errors are returned to every concurrent waiter but never
 // cached; a panicking fn is recovered into a *PanicError with the same
 // contract.
-func (s *Store) Do(ctx context.Context, name string, key Key, workers int, codec Codec, fn func(context.Context) (any, error)) (any, bool, error) {
-	r := s.obsv.Load()
+func (s *Store) Do(ctx context.Context, r *obs.Registry, name string, key Key, workers int, codec Codec, fn func(context.Context) (any, error)) (any, bool, error) {
 	s.statsMu.Lock()
 	s.statLocked(name).Runs++
 	s.statsMu.Unlock()
@@ -389,7 +381,6 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, codec
 		if evicted > 0 {
 			r.Counter("stage/evictions").Add(int64(evicted))
 		}
-		s.publishGauges(r)
 		return v, true, nil
 	}
 
@@ -435,7 +426,6 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, codec
 		s.diskStore(r, name, key, *enc)
 		putBuf(enc)
 	}
-	s.publishGauges(r)
 	r.Histogram("stage/" + name).Observe(dur)
 	return v, false, nil
 }
@@ -518,7 +508,6 @@ func (s *Store) diskLoad(r *obs.Registry, name string, key Key, codec Codec) (an
 		r.Counter("stage/disk_misses").Inc()
 		return nil, 0, false
 	}
-	s.diskHits.Add(1)
 	r.Counter("stage/disk_hits").Inc()
 	r.Histogram("stage/disk_read").Observe(time.Since(start))
 	return v, int64(len(data) + len(key)), true
@@ -619,8 +608,17 @@ func (s *Store) Bytes() int64 { return s.totalBytes.Load() }
 // Evictions returns how many artifacts the budget has evicted.
 func (s *Store) Evictions() int64 { return s.evictions.Load() }
 
-// DiskHits returns how many invocations the warm tier served.
-func (s *Store) DiskHits() int64 { return s.diskHits.Load() }
+// DiskHits returns how many invocations the warm tier served, summed
+// over the stats rows.
+func (s *Store) DiskHits() int64 {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	var n int64
+	for _, st := range s.stats {
+		n += int64(st.DiskHits)
+	}
+	return n
+}
 
 // DiskMisses returns how many warm-tier probes missed (including
 // decode failures).

@@ -7,8 +7,10 @@ import (
 
 // ManifestSchema versions the manifest JSON layout; bump it on any
 // field change so downstream tooling can reject shapes it does not
-// understand.
-const ManifestSchema = 1
+// understand. Version 2 dropped the observability snapshot's "spans"
+// section: a build's wall time is the "build/design" histogram, and
+// each stage execution is timed once, into "stage/<name>".
+const ManifestSchema = 2
 
 // ManifestEnv records the bench-relevant execution environment of a
 // run: identical designs measured under different toolchains or CPU

@@ -206,7 +206,7 @@ func DesignDeviceCtx(ctx context.Context, dev *xmon.Device, opts Options) (*Desi
 	return fromPipeline(p)
 }
 
-// ObsRegistry collects metrics, latency histograms and design spans.
+// ObsRegistry collects counters, gauges and latency histograms.
 // Create one with NewObservability, set it as Options.Obs to capture a
 // build's stage instrumentation, and pass it to Observe to also route
 // the process-global subsystem counters (worker pool, calibration
@@ -217,9 +217,9 @@ func DesignDeviceCtx(ctx context.Context, dev *xmon.Device, opts Options) (*Desi
 type ObsRegistry = obs.Registry
 
 // ObsSnapshot is a point-in-time export of an ObsRegistry: counters,
-// gauges, histogram quantiles and the design span tree, in a stable
-// JSON schema. StripTimings() reduces it to the deterministic subset —
-// two snapshots of identical designs at identical seeds strip to equal
+// gauges and histogram counts and quantiles, in a stable JSON schema.
+// StripTimings() reduces it to the deterministic subset — two
+// snapshots of identical designs at identical seeds strip to equal
 // values regardless of Workers or machine speed.
 type ObsSnapshot = obs.Snapshot
 
@@ -229,8 +229,10 @@ func NewObservability() *ObsRegistry { return obs.New() }
 // Observe installs r as the process-global observer of the pipeline's
 // subsystems (worker pool, calibration fault accounting, crosstalk
 // fit, quantum simulators). Pass nil to uninstall. Per-build stage
-// metrics flow through Options.Obs instead, so concurrent builds can
-// keep separate registries while sharing the process-global one.
+// metrics flow through Options.Obs instead: every build hands its own
+// registry to the stage store, so concurrent builds on one
+// SharedCache keep separate registries while sharing the
+// process-global one.
 func Observe(r *ObsRegistry) { experiments.Observe(r) }
 
 // StageReport is the per-stage instrumentation snapshot of a Designer:
@@ -401,10 +403,14 @@ func (c *SharedCache) Designer(ch *Chip) *Designer {
 // store across every designer and request.
 func (c *SharedCache) StageReport() StageReport { return c.dc.Report() }
 
-// Observe routes the shared store's cache instrumentation (hit, miss,
-// eviction and panic counters, occupancy gauges, per-stage latency
-// histograms) into r. Pass the same registry as Options.Obs on requests
-// so per-build and store-wide instrumentation land in one place.
+// Observe registers the shared store's metric names in r (hit, miss,
+// eviction and panic counters, occupancy gauges) and publishes its
+// occupancy gauges now, so r's snapshot carries the full schema before
+// any request runs. It keeps no reference to r: the store's events
+// reach a registry only as the Options.Obs of the build that caused
+// them, which also republishes the gauges when it ends. Pass the same
+// registry as Options.Obs on every request to collect the whole cache
+// in one place.
 func (c *SharedCache) Observe(r *ObsRegistry) { c.dc.Store().Observe(r) }
 
 // Stats reports the shared store's occupancy, both tiers.
