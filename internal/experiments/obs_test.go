@@ -34,9 +34,9 @@ func designSnapshot(t *testing.T, workers int) obs.Snapshot {
 }
 
 // The observability determinism contract: every counter and histogram
-// count of a design is a pure function of (chip,
-// options, seed) — the worker budget moves only timings and gauges,
-// which StripTimings removes.
+// count of a design is a pure function of (chip, options, seed) — the
+// worker budget moves only timings and gauges, which StripTimings
+// removes.
 func TestDesignSnapshotWorkerInvariant(t *testing.T) {
 	seq := designSnapshot(t, 1)
 	par := designSnapshot(t, 4)
@@ -124,7 +124,11 @@ func TestConcurrentBuildsCountIntoOwnRegistries(t *testing.T) {
 		_, err := dc.Designer(chip.Square(3, 3)).Redesign(Options{Seed: 1, Obs: ra})
 		errA <- err
 	}()
-	<-entered
+	select {
+	case <-entered:
+	case err := <-errA:
+		t.Fatalf("build A ended before its partition stage: %v", err)
+	}
 	_, errB := dc.Designer(chip.Square(3, 4)).Redesign(Options{Seed: 2, Obs: rb})
 	close(release)
 	if err := <-errA; err != nil {
