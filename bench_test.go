@@ -706,13 +706,13 @@ func BenchmarkDiskStoreHit(b *testing.B) {
 	ctx := context.Background()
 	key := stage.NewKey("bench-disk").Int(1).Done()
 	exec := func(context.Context) (any, error) { return payload, nil }
-	if _, _, err := st.Do(ctx, nil, "bench", key, 1, codec, exec); err != nil {
+	if _, _, err := st.Do(ctx, "bench", key, 1, codec, exec); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, cached, err := st.Do(ctx, nil, "bench", key, 1, codec, exec)
+		v, cached, err := st.Do(ctx, "bench", key, 1, codec, exec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -133,13 +133,11 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return retErr
 	}
 
-	// The manifest needs the full observability capture: a per-build
-	// registry on Options.Obs plus the process-global subsystem
-	// counters routed into it.
+	// The manifest needs the full observability capture: the build's
+	// registry on Options.Obs collects its stage and package counters.
 	var reg *youtiao.ObsRegistry
 	if *manifestPath != "" {
 		reg = youtiao.NewObservability()
-		youtiao.Observe(reg)
 		opts.Obs = reg
 	}
 

@@ -22,6 +22,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/graphx"
 	"repro/internal/mlfit"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/xmon"
 )
@@ -90,7 +91,12 @@ func Fit(c *chip.Chip, samples []xmon.Sample, cfg FitConfig) (*Model, error) {
 
 // FitCtx is Fit with cooperative cancellation: the grid search checks
 // ctx between ordinal classes of weight candidates and returns
-// ctx.Err() once it fires.
+// ctx.Err() once it fires. The fit counts into the registry ctx
+// carries: "crosstalk/fits", "crosstalk/fit_candidates",
+// "crosstalk/fit_classes" (the CV forests grown: one per ordinal class
+// plus one per candidate the midpoint check re-runs alone) and
+// "crosstalk/trimmed_samples", all pure functions of the samples and
+// the FitConfig, and its fan-outs count as parallel calls.
 func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitConfig) (*Model, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("crosstalk: no samples")
@@ -98,10 +104,13 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 	if cfg.Folds < 2 {
 		return nil, fmt.Errorf("crosstalk: need at least 2 folds, got %d", cfg.Folds)
 	}
+	r := obs.FromContext(ctx)
+	untrimmed := len(samples)
 	samples, err := trimOutliers(samples, cfg.TrimOutlierFraction)
 	if err != nil {
 		return nil, err
 	}
+	r.Counter("crosstalk/trimmed_samples").Add(int64(untrimmed - len(samples)))
 	kind := samples[0].Kind
 	for _, s := range samples {
 		if s.Kind != kind {
@@ -109,7 +118,10 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 		}
 	}
 
-	top := c.Graph().AllMultiPathDistancesWorkers(cfg.Workers)
+	top, err := c.Graph().AllMultiPathDistancesWorkers(ctx, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
 	y := make([]float64, len(samples))
 	phys := make([]float64, len(samples))
 	topo := make([]float64, len(samples))
@@ -152,11 +164,9 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 		cols[ci] = equivColumn(flat[ci*n:(ci+1)*n:(ci+1)*n], phys, topo, cand.wp, cand.wt)
 	}
 	classes := mlfit.OrdinalClasses(cols)
-	o := observer.Load()
-	if o != nil {
-		o.fits.Inc()
-		o.candidates.Add(int64(len(cands)))
-	}
+	r.Counter("crosstalk/fits").Inc()
+	r.Counter("crosstalk/fit_candidates").Add(int64(len(cands)))
+	grownClasses := r.Counter("crosstalk/fit_classes")
 	// One plan (fold split and bootstrap draws) serves every class.
 	plan, err := mlfit.NewCVPlan(n, cfg.Folds, cfg.Forest, cfg.Forest.Seed)
 	if err != nil {
@@ -173,9 +183,7 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 		for j, ci := range class {
 			mses[ci] = cm[j]
 		}
-		if o != nil {
-			o.classes.Add(int64(grown))
-		}
+		grownClasses.Add(int64(grown))
 		return nil
 	})
 	if err != nil {
@@ -252,9 +260,6 @@ func trimOutliers(samples []xmon.Sample, fraction float64) ([]xmon.Sample, error
 			kept = append(kept, s)
 		}
 	}
-	if o := observer.Load(); o != nil {
-		o.trimmed.Add(int64(drop))
-	}
 	return kept, nil
 }
 
@@ -266,9 +271,6 @@ func (m *Model) PredictDistance(dEquiv float64) float64 {
 	}
 	p := m.forest.Predict([]float64{dEquiv})
 	m.predCache.Store(dEquiv, p)
-	if o := observer.Load(); o != nil {
-		o.forestWalks.Add(1)
-	}
 	return p
 }
 
@@ -354,6 +356,9 @@ func compareBits(a, b float64) int {
 	return cmp.Compare(a, b) // one NaN, below every number
 }
 
+// NumQubits returns the qubit count of the bound chip.
+func (p *Predictor) NumQubits() int { return p.n }
+
 // EquivDistance returns d_equiv(i,j) under the model's fitted weights.
 func (p *Predictor) EquivDistance(i, j int) float64 {
 	if i == j {
@@ -367,22 +372,15 @@ func (p *Predictor) Predict(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	if o := observer.Load(); o != nil {
-		o.predictions.Inc()
-	}
 	return p.Model.PredictDistance(p.EquivDistance(i, j))
 }
 
 // Pairs returns Predict as a function for callers that read many
 // pairs, many times, such as the TDM grouping and the frequency
 // allocation. It returns Predict's values, read from the pair table
-// without the memo's hashing. Its calls are not counted one by one:
-// Pairs counts the n(n-1)/2 predictions of one Matrix, once.
+// without the memo's hashing.
 func (p *Predictor) Pairs() func(i, j int) float64 {
 	n := p.n
-	if o := observer.Load(); o != nil {
-		o.predictions.Add(int64(n * (n - 1) / 2))
-	}
 	pair, pred := p.pair, p.pred
 	return func(i, j int) float64 {
 		if i == j {
@@ -431,11 +429,6 @@ func (p *Predictor) Matrix() [][]float64 {
 			m[i][j] = v
 			m[j][i] = v
 		}
-	}
-	// Each unordered pair counts as one prediction, as if predicted
-	// through Predict.
-	if o := observer.Load(); o != nil {
-		o.predictions.Add(int64(n * (n - 1) / 2))
 	}
 	return m
 }

@@ -27,7 +27,7 @@ func TestFitWorkerCountInvariant(t *testing.T) {
 	testkit.SeedMatrix(t, []int64{1, 2, 3}, func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		dev := xmon.NewDevice(c, xmon.DefaultParams(), rng)
-		samples := dev.MeasureSeeded(xmon.XY, 0.05, seed, 1)
+		samples := measure(t, dev, xmon.XY, 0.05, seed)
 
 		testkit.WorkerInvariant(t, 1, []int{4}, func(workers int) fitResult {
 			cfg := fastFitConfig()

@@ -41,7 +41,7 @@ func TestFitGolden(t *testing.T) {
 		{xmon.ZZ, "2e5f055727664d4e4016d5e6f86fb5d406ea0f34f95acc85007628d54fd86a01"},
 	} {
 		dev := xmon.NewDevice(c, xmon.DefaultParams(), rand.New(rand.NewSource(7)))
-		samples := dev.MeasureSeeded(tc.kind, 0.05, 13, 1)
+		samples := measure(t, dev, tc.kind, 0.05, 13)
 		m, err := Fit(c, samples, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func fitCatalogChip(t *testing.T, topology string, qubits int, kind xmon.Crossta
 		t.Fatal(err)
 	}
 	dev := xmon.NewDevice(c, xmon.DefaultParams(), rand.New(rand.NewSource(7)))
-	m, err := Fit(c, dev.MeasureSeeded(kind, 0.05, 13, 1), cfg)
+	m, err := Fit(c, measure(t, dev, kind, 0.05, 13), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

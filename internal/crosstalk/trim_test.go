@@ -13,7 +13,7 @@ import (
 func calibSamples(t *testing.T, c *chip.Chip) []xmon.Sample {
 	t.Helper()
 	dev := xmon.NewDevice(c, xmon.DefaultParams(), rand.New(rand.NewSource(9)))
-	return dev.MeasureSeeded(xmon.XY, 0.02, 11, 1)
+	return measure(t, dev, xmon.XY, 0.02, 11)
 }
 
 func TestTrimOutliersDeterministicAndOrdered(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/faults"
 	"repro/internal/fdm"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/stage"
 	"repro/internal/stage/cas"
@@ -93,14 +94,14 @@ type build struct {
 // get returns artifact i of a run, asserted to its stage's type.
 func get[T any](in []any, i int) T { return in[i].(T) }
 
-// runGraph executes PipelineStageGraph for b through store, counting
-// the build's stage outcomes into b's registry and timing the whole
-// build into its histogram hist ("build/design", "build/attach-models").
-// Every obs call is nil-safe, so the disabled path costs a handful of
-// nil checks.
+// runGraph executes PipelineStageGraph for b through store on ctx
+// carrying b's registry, so the stage outcomes and every package
+// counter the stages drive land in it, and times the whole build into
+// its histogram hist ("build/design", "build/attach-models"). Every obs
+// call is nil-safe, so the disabled path costs a handful of nil checks.
 func runGraph(ctx context.Context, store *stage.Store, hist string, b *build, given ...stage.Given) ([]any, error) {
 	start := time.Now()
-	in, err := PipelineStageGraph.Run(ctx, store, b.opts.Obs, b, b.opts.Workers, given...)
+	in, err := PipelineStageGraph.Run(obs.NewContext(ctx, b.opts.Obs), store, b, b.opts.Workers, given...)
 	b.opts.Obs.Histogram(hist).Observe(time.Since(start))
 	return in, err
 }

@@ -1,31 +1,21 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/crosstalk"
-	"repro/internal/faults"
-	"repro/internal/fdm"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/quantum"
-	"repro/internal/route"
 	"repro/internal/stage"
 )
 
-// Observe installs r as the process-global observer of every
-// instrumented package the pipeline drives: the worker pool, the
-// calibration fault accounting, the crosstalk fit, the quantum
-// simulators, the routing arena and the anneal's sparse neighbor
-// structure. Pass nil to uninstall. Per-build instrumentation (stage
-// outcome counters, stage and build latency histograms) is wired
-// separately through Options.Obs, which follows the build rather than
-// the process.
-func Observe(r *obs.Registry) {
-	parallel.Observe(r)
-	faults.Observe(r)
-	crosstalk.Observe(r)
-	quantum.Observe(r)
-	route.Observe(r)
-	fdm.Observe(r)
+// pairs returns p's pair lookup (crosstalk.Predictor.Pairs) and counts
+// the n(n-1)/2 predictions of one matrix as "crosstalk/predictions"
+// into the registry ctx carries. The predictor is a cached artifact
+// shared across builds, so the stage that reads it does the counting.
+func pairs(ctx context.Context, p *crosstalk.Predictor) func(i, j int) float64 {
+	n := int64(p.NumQubits())
+	obs.FromContext(ctx).Counter("crosstalk/predictions").Add(n * (n - 1) / 2)
+	return p.Pairs()
 }
 
 // Digest returns a stable hex digest of every normalized option that

@@ -14,13 +14,11 @@ import (
 
 // designSnapshot runs a full faulted design at the given worker count
 // with a fresh registry capturing both the per-build stage metrics and
-// the process-global subsystem counters, and returns the stripped
-// (deterministic-subset) snapshot.
+// the package counters of the work its stages execute, and returns the
+// stripped (deterministic-subset) snapshot.
 func designSnapshot(t *testing.T, workers int) obs.Snapshot {
 	t.Helper()
 	reg := obs.New()
-	Observe(reg)
-	defer Observe(nil)
 	opts := Options{
 		Seed:    3,
 		Workers: workers,
@@ -46,8 +44,10 @@ func TestDesignSnapshotWorkerInvariant(t *testing.T) {
 	if seq.Counters["stage/misses"] == 0 {
 		t.Error("stage/misses stayed 0 across a cold design")
 	}
-	if seq.Counters["faults/pairs"] == 0 {
-		t.Error("faults/pairs stayed 0 across a faulted calibration campaign")
+	for _, name := range []string{"faults/pairs", "crosstalk/fits", "crosstalk/predictions", "parallel/tasks"} {
+		if seq.Counters[name] == 0 {
+			t.Errorf("%s stayed 0 across a cold faulted design", name)
+		}
 	}
 	if h := seq.Histograms["build/design"]; h.Count != 1 || h.SumNs != 0 {
 		t.Errorf("build/design histogram = %+v, want one build with its timing stripped", h)
@@ -99,12 +99,40 @@ func TestOptionsDigestExcludesExecutionKnobs(t *testing.T) {
 	}
 }
 
+// packageCounters are the package counters a cold build's stages drive:
+// the fit, the calibration campaign and the worker pool.
+var packageCounters = []string{"crosstalk/fits", "faults/pairs", "parallel/tasks"}
+
+// soloCounters designs ch alone, on a fresh cache, and returns the
+// packageCounters its registry received.
+func soloCounters(t *testing.T, ch *chip.Chip, seed int64) map[string]int64 {
+	t.Helper()
+	r := obs.New()
+	if _, err := NewDesignCache().Designer(ch).Redesign(Options{Seed: seed, Obs: r}); err != nil {
+		t.Fatal(err)
+	}
+	c := r.Snapshot().Counters
+	out := make(map[string]int64, len(packageCounters))
+	for _, name := range packageCounters {
+		if c[name] == 0 {
+			t.Fatalf("%s = 0 after a cold design of %s", name, ch.Name)
+		}
+		out[name] = c[name]
+	}
+	return out
+}
+
 // Concurrent builds on one shared cache each count their own stage
-// outcomes into the registry they carry. Build A is held inside its
-// partition stage until build B, a different chip on the same store,
-// has finished; every stage outcome of A (before and after B) must
-// still land in A's registry, and B's in B's.
+// outcomes and package counters into the registry they carry. Build A
+// is held inside its partition stage until build B, a different chip
+// on the same store, has finished; every stage outcome of A (before
+// and after B) must still land in A's registry, and B's in B's, and
+// each build's package counters must equal what the same build counts
+// when it runs alone.
 func TestConcurrentBuildsCountIntoOwnRegistries(t *testing.T) {
+	chipA, chipB := chip.Square(3, 3), chip.Square(3, 4)
+	want := map[string]map[string]int64{"A": soloCounters(t, chipA, 1), "B": soloCounters(t, chipB, 2)}
+
 	dc := NewDesignCache()
 	entered, release := make(chan struct{}), make(chan struct{})
 	var held atomic.Bool
@@ -121,7 +149,7 @@ func TestConcurrentBuildsCountIntoOwnRegistries(t *testing.T) {
 	ra, rb := obs.New(), obs.New()
 	errA := make(chan error, 1)
 	go func() {
-		_, err := dc.Designer(chip.Square(3, 3)).Redesign(Options{Seed: 1, Obs: ra})
+		_, err := dc.Designer(chipA).Redesign(Options{Seed: 1, Obs: ra})
 		errA <- err
 	}()
 	select {
@@ -129,7 +157,7 @@ func TestConcurrentBuildsCountIntoOwnRegistries(t *testing.T) {
 	case err := <-errA:
 		t.Fatalf("build A ended before its partition stage: %v", err)
 	}
-	_, errB := dc.Designer(chip.Square(3, 4)).Redesign(Options{Seed: 2, Obs: rb})
+	_, errB := dc.Designer(chipB).Redesign(Options{Seed: 2, Obs: rb})
 	close(release)
 	if err := <-errA; err != nil {
 		t.Fatal(err)
@@ -144,6 +172,11 @@ func TestConcurrentBuildsCountIntoOwnRegistries(t *testing.T) {
 		if got := c["stage/hits"] + c["stage/misses"] + c["stage/disk_hits"]; got != executed {
 			t.Errorf("build %s's registry counted %d stage outcomes (%d hits, %d misses), want %d",
 				name, got, c["stage/hits"], c["stage/misses"], executed)
+		}
+		for counter, v := range want[name] {
+			if c[counter] != v {
+				t.Errorf("build %s's registry counted %s = %d, want %d as when it runs alone", name, counter, c[counter], v)
+			}
 		}
 	}
 }

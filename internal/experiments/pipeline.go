@@ -94,13 +94,13 @@ type Options struct {
 	// outcome counters of its own stage invocations (a shared store
 	// counts each build into the registry that build carries), one
 	// latency histogram per executed stage ("stage/<name>"), the
-	// build's wall time ("build/design") and the store's occupancy
-	// gauges as the build ends. It is pure observation — normalized()
-	// leaves it untouched, no artifact key digests it (Digest excludes
-	// it alongside Workers), and the designed system is bit-identical
-	// with or without it. Package-level counters (worker pool,
-	// calibration faults, fit, simulators) are process-global; route
-	// them into the same registry with Observe.
+	// build's wall time ("build/design"), the store's occupancy gauges
+	// as the build ends, and the package counters of the work its
+	// stages execute (worker pool, calibration faults, fit,
+	// predictions). It rides on the build's context (obs.NewContext).
+	// It is pure observation — normalized() leaves it untouched, no
+	// artifact key digests it (Digest excludes it alongside Workers),
+	// and the designed system is bit-identical with or without it.
 	Obs *obs.Registry
 }
 

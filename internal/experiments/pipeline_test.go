@@ -3,6 +3,7 @@ package experiments
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/chip"
@@ -151,9 +152,11 @@ func TestAttachModelsRunsOnlyGroupingStages(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Errorf("attached-model design invalid: %v", err)
 	}
+	// The stage and build histograms; the worker pool's call_wall
+	// grows with any stage that fans out.
 	var ran []string
 	for name, h := range reg.Snapshot().Histograms {
-		if h.Count > before[name].Count {
+		if h.Count > before[name].Count && !strings.HasPrefix(name, "parallel/") {
 			ran = append(ran, name)
 		}
 	}

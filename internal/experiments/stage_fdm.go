@@ -47,12 +47,11 @@ func runFDMGroup(ctx context.Context, b *build, in []any) (any, error) {
 
 // runAllocate runs the greedy two-level frequency allocation. It reads
 // only the FDM grouping and the XY predictor, both already in its key,
-// and reads XY crosstalk through the predictor's pair table
-// (crosstalk.Predictor.Pairs): Predict's values, counted as one matrix
-// of predictions per execution.
-func runAllocate(_ context.Context, _ *build, in []any) (any, error) {
+// and reads XY crosstalk through the predictor's pair table (pairs):
+// Predict's values, counted as one matrix of predictions per execution.
+func runAllocate(ctx context.Context, _ *build, in []any) (any, error) {
 	return fdm.Allocate(get[*fdm.Grouping](in, nFDMGroup),
-		get[*characterization](in, nCharacterizeXY).Pred.Pairs(), fdm.DefaultAllocOptions())
+		pairs(ctx, get[*characterization](in, nCharacterizeXY).Pred), fdm.DefaultAllocOptions())
 }
 
 // annealParams keys the simulated-annealing refinement after the
@@ -63,11 +62,11 @@ func annealParams(b *build, k *stage.KeyBuilder) { k.Int(b.opts.AnnealSteps).Int
 // annealing, reading XY crosstalk through the pair table as allocate
 // does. fdm.Anneal returns a fresh plan, so the cached input stays
 // immutable.
-func runAnneal(_ context.Context, b *build, in []any) (any, error) {
+func runAnneal(ctx context.Context, b *build, in []any) (any, error) {
 	opts := fdm.DefaultAnnealOptions()
 	opts.Steps = b.opts.AnnealSteps
 	opts.Seed = b.opts.Seed
 	out, _, _, err := fdm.Anneal(get[*fdm.FrequencyPlan](in, nAllocate), get[*fdm.Grouping](in, nFDMGroup),
-		get[*characterization](in, nCharacterizeXY).Pred.Pairs(), opts)
+		pairs(ctx, get[*characterization](in, nCharacterizeXY).Pred), opts)
 	return out, err
 }

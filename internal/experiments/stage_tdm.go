@@ -43,12 +43,12 @@ func (tg *tdmGates) noisy(a int) []int32 { return tg.Noisy[tg.NoisyStart[a]:tg.N
 // direct lines. The lists are checked against the ZZ predictor on
 // every local qubit's pairs, once per execution, where the grouping
 // itself checks one qubit per region on every run.
-func runTDMGates(_ context.Context, _ *build, in []any) (any, error) {
+func runTDMGates(ctx context.Context, _ *build, in []any) (any, error) {
 	c := get[*xmon.Device](in, nFabricate).Chip
 	plan := get[*faults.Plan](in, nFaults)
 	zz := get[*characterization](in, nCharacterizeZZ).Pred
 	tg := prepareTDMGates(c, plan, get[*partition.Partition](in, nPartition), zz)
-	if err := tg.checkNoisy(zz); err != nil {
+	if err := tg.checkNoisy(pairs(ctx, zz)); err != nil {
 		return nil, err
 	}
 	return tg, nil
@@ -90,10 +90,10 @@ func prepareTDMGates(c *chip.Chip, plan *faults.Plan, part *partition.Partition,
 	return tg
 }
 
-// checkNoisy checks the noisy lists against zz on the pairs of every
-// local qubit of every region (tdm.CheckNoisy).
-func (tg *tdmGates) checkNoisy(zz *crosstalk.Predictor) error {
-	cfg := tdm.DefaultConfig(zz.Pairs())
+// checkNoisy checks the noisy lists against the ZZ crosstalk zz on the
+// pairs of every local qubit of every region (tdm.CheckNoisy).
+func (tg *tdmGates) checkNoisy(zz func(i, j int) float64) error {
+	cfg := tdm.DefaultConfig(zz)
 	cfg.Noisy = tg.noisy
 	for ri, devs := range tg.Regions {
 		if err := tdm.CheckNoisy(tg.Gates, devs, cfg); err != nil {
@@ -115,14 +115,13 @@ func tdmParams(b *build, k *stage.KeyBuilder) {
 // runTDM groups qubits and couplers onto shared readout/Z lines,
 // region by region, from the tdm-gates artifact; stuck-lossy devices
 // close each region's plan as dedicated direct lines. The grouping
-// reads ZZ crosstalk through zz's uncounted pair lookup
-// (crosstalk.Predictor.Pairs), which counts as one matrix of
-// predictions per execution, and its noisy qubit pairs from the
-// tdm-gates lists.
+// reads ZZ crosstalk through the predictor's pair table (pairs), which
+// counts as one matrix of predictions per execution, and its noisy
+// qubit pairs from the tdm-gates lists.
 func runTDM(ctx context.Context, b *build, in []any) (any, error) {
 	opts := b.opts
 	tg := get[*tdmGates](in, nTDMGates)
-	cfg := tdm.DefaultConfig(get[*characterization](in, nCharacterizeZZ).Pred.Pairs())
+	cfg := tdm.DefaultConfig(pairs(ctx, get[*characterization](in, nCharacterizeZZ).Pred))
 	cfg.Noisy = tg.noisy
 	cfg.Theta = opts.Theta
 	cfg.SparseQubitZ = opts.SparseQubitZ

@@ -44,7 +44,7 @@ func TestChaosRates(t *testing.T) {
 	const n = 500
 	var oks, fails, panics int
 	for i := 0; i < n; i++ {
-		_, _, err := s.Do(ctx, nil, "stage", chaosKey(i), 1, stage.Codec{}, func(context.Context) (any, error) {
+		_, _, err := s.Do(ctx, "stage", chaosKey(i), 1, stage.Codec{}, func(context.Context) (any, error) {
 			return i, nil
 		})
 		var pe *stage.PanicError
@@ -83,7 +83,7 @@ func TestChaosSlowRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := s.Do(ctx, nil, "slow", chaosKey(0), 1, stage.Codec{}, func(context.Context) (any, error) {
+	_, _, err := s.Do(ctx, "slow", chaosKey(0), 1, stage.Codec{}, func(context.Context) (any, error) {
 		return nil, nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -118,12 +118,12 @@ func TestOutlierScaleOverride(t *testing.T) {
 }
 
 // TestObserveRoutesCampaignCounters: a faulty campaign must fold its
-// stats into the registered counters; detaching must stop the flow; and
-// the counter values must equal the returned CampaignStats exactly.
+// stats into the registry its context carries; a context without it
+// must not; and the counter values must equal the returned
+// CampaignStats exactly.
 func TestObserveRoutesCampaignCounters(t *testing.T) {
 	reg := obs.New()
-	Observe(reg)
-	defer Observe(nil)
+	ctx := obs.NewContext(context.Background(), reg)
 
 	c := chip.Square(5, 5)
 	dev := xmon.NewDevice(c, xmon.DefaultParams(), rand.New(rand.NewSource(1)))
@@ -132,7 +132,7 @@ func TestObserveRoutesCampaignCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := Measure(context.Background(), dev, xmon.XY, 0.02, 5, 2, 3, plan)
+	_, stats, err := Measure(ctx, dev, xmon.XY, 0.02, 5, 2, 3, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +155,20 @@ func TestObserveRoutesCampaignCounters(t *testing.T) {
 
 	// The fault-free path records too (pairs only).
 	before := reg.Snapshot().Counters["faults/pairs"]
-	if _, ffStats, err := Measure(context.Background(), dev, xmon.XY, 0.02, 6, 1, 0, nil); err != nil {
+	if _, ffStats, err := Measure(ctx, dev, xmon.XY, 0.02, 6, 1, 0, nil); err != nil {
 		t.Fatal(err)
 	} else if got := reg.Snapshot().Counters["faults/pairs"] - before; got != int64(ffStats.Pairs) {
 		t.Errorf("fault-free campaign recorded %d pairs, stats say %d", got, ffStats.Pairs)
 	}
 
-	// Detached: no further accounting, and obsRecord must not panic.
-	Observe(nil)
+	// Without the registry: no further accounting, and obsRecord must
+	// not panic.
 	prev := reg.Snapshot().Counters["faults/pairs"]
 	if _, _, err := Measure(context.Background(), dev, xmon.XY, 0.02, 7, 1, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["faults/pairs"]; got != prev {
-		t.Errorf("detached observer still accumulated: %d -> %d", prev, got)
+		t.Errorf("a campaign without the registry still accumulated: %d -> %d", prev, got)
 	}
 }
 

@@ -350,10 +350,13 @@ func Measure(ctx context.Context, dev *xmon.Device, kind xmon.CrosstalkKind, noi
 	}
 	n := dev.Chip.NumQubits()
 	if plan == nil || !plan.Spec.Enabled() {
-		samples := dev.MeasureSeeded(kind, noiseRel, seed, workers)
+		samples, err := dev.MeasureSeeded(ctx, kind, noiseRel, seed, workers)
+		if err != nil {
+			return nil, stats, err
+		}
 		stats.Pairs = len(samples)
-		obsRecord(stats)
-		return samples, stats, ctx.Err()
+		obsRecord(ctx, stats)
+		return samples, stats, nil
 	}
 
 	// Pair enumeration keeps the i<j order of MeasureSeeded over ALL
@@ -436,6 +439,6 @@ func Measure(ctx context.Context, dev *xmon.Device, kind xmon.CrosstalkKind, noi
 		return nil, stats, fmt.Errorf("faults: calibration campaign lost all %d pairs to dropouts (retry budget %d)",
 			len(tasks), retryBudget)
 	}
-	obsRecord(stats)
+	obsRecord(ctx, stats)
 	return samples, stats, nil
 }

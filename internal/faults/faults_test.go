@@ -104,7 +104,10 @@ func TestCouplerUsable(t *testing.T) {
 // samples — so fault-free pipelines are unchanged by the faults layer.
 func TestMeasureFaultFreeParity(t *testing.T) {
 	dev := testDevice(t, 4, 4, 3)
-	want := dev.MeasureSeeded(xmon.XY, 0.05, 99, 1)
+	want, err := dev.MeasureSeeded(context.Background(), xmon.XY, 0.05, 99, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, plan := range map[string]*Plan{"nil": nil} {
 		got, stats, err := Measure(context.Background(), dev, xmon.XY, 0.05, 99, 4, 3, plan)
 		if err != nil {
@@ -238,7 +241,10 @@ func TestMeasureOutliersAreLarge(t *testing.T) {
 	if stats.Outliers == 0 {
 		t.Fatal("20% outlier rate injected none")
 	}
-	clean := dev.MeasureSeeded(xmon.XY, 0.05, 13, 1)
+	clean, err := dev.MeasureSeeded(context.Background(), xmon.XY, 0.05, 13, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cleanMax float64
 	for _, s := range clean {
 		if s.Value > cleanMax {

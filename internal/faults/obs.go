@@ -1,54 +1,25 @@
 package faults
 
 import (
-	"sync/atomic"
+	"context"
 
 	"repro/internal/obs"
 )
 
-// campaignObs caches the resolved calibration-campaign counters. All of
-// them mirror CampaignStats fields, which are deterministic in (chip,
-// Spec, seed) and invariant in the worker count — so they satisfy obs's
-// counter contract and survive manifest diffs.
-type campaignObs struct {
-	pairs       *obs.Counter
-	skippedDead *obs.Counter
-	dropouts    *obs.Counter
-	retried     *obs.Counter
-	lostPairs   *obs.Counter
-	outliers    *obs.Counter
-}
-
-var observer atomic.Pointer[campaignObs]
-
-// Observe routes campaign accounting into r; nil disables it. Process-
-// global, like parallel.Observe: Measure is called deep inside keyed
-// stages with no registry in scope.
-func Observe(r *obs.Registry) {
+// obsRecord folds one finished campaign's stats into the registry ctx
+// carries, if any. Every counter mirrors a CampaignStats field, which
+// is deterministic in (chip, Spec, seed) and invariant in the worker
+// count — so they satisfy obs's counter contract and survive manifest
+// diffs.
+func obsRecord(ctx context.Context, s CampaignStats) {
+	r := obs.FromContext(ctx)
 	if r == nil {
-		observer.Store(nil)
 		return
 	}
-	observer.Store(&campaignObs{
-		pairs:       r.Counter("faults/pairs"),
-		skippedDead: r.Counter("faults/skipped_dead"),
-		dropouts:    r.Counter("faults/dropouts"),
-		retried:     r.Counter("faults/retried"),
-		lostPairs:   r.Counter("faults/lost_pairs"),
-		outliers:    r.Counter("faults/outliers"),
-	})
-}
-
-// record folds one finished campaign's stats into the counters.
-func obsRecord(s CampaignStats) {
-	o := observer.Load()
-	if o == nil {
-		return
-	}
-	o.pairs.Add(int64(s.Pairs))
-	o.skippedDead.Add(int64(s.SkippedDead))
-	o.dropouts.Add(int64(s.Dropouts))
-	o.retried.Add(int64(s.Retried))
-	o.lostPairs.Add(int64(s.LostPairs))
-	o.outliers.Add(int64(s.Outliers))
+	r.Counter("faults/pairs").Add(int64(s.Pairs))
+	r.Counter("faults/skipped_dead").Add(int64(s.SkippedDead))
+	r.Counter("faults/dropouts").Add(int64(s.Dropouts))
+	r.Counter("faults/retried").Add(int64(s.Retried))
+	r.Counter("faults/lost_pairs").Add(int64(s.LostPairs))
+	r.Counter("faults/outliers").Add(int64(s.Outliers))
 }

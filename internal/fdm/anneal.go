@@ -96,7 +96,6 @@ func Anneal(plan *FrequencyPlan, g *Grouping, xt CrosstalkFunc, opts AnnealOptio
 			}
 			nbrOf[q] = arena[start:len(arena):len(arena)]
 		}
-		annealNeighborStats(len(ids), total)
 	}
 
 	// qubitCost isolates the objective terms touching one qubit so

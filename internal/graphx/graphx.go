@@ -11,6 +11,7 @@ package graphx
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math"
 
@@ -222,14 +223,16 @@ func (g *Graph) MultiPathDistance(u, v int) float64 {
 // function of the graph, so the worker count cannot change a single
 // entry (every row is written only by its own source's task).
 func (g *Graph) AllMultiPathDistances() [][]float64 {
-	return g.AllMultiPathDistancesWorkers(0)
+	m, _ := g.AllMultiPathDistancesWorkers(context.Background(), 0)
+	return m
 }
 
 // AllMultiPathDistancesWorkers is AllMultiPathDistances with an
-// explicit worker budget (<= 0: runtime.GOMAXPROCS(0), 1: sequential). The
-// rows share one flat n*n backing array, and each worker reuses one
-// BFSScratch across all its sources.
-func (g *Graph) AllMultiPathDistancesWorkers(workers int) [][]float64 {
+// explicit worker budget (<= 0: runtime.GOMAXPROCS(0), 1: sequential),
+// counted into the registry ctx carries; it returns ctx's error once
+// ctx ends. The rows share one flat n*n backing array, and each worker
+// reuses one BFSScratch across all its sources.
+func (g *Graph) AllMultiPathDistancesWorkers(ctx context.Context, workers int) ([][]float64, error) {
 	m := make([][]float64, g.n)
 	flat := make([]float64, g.n*g.n)
 	nWorkers := parallel.Resolve(workers, g.n)
@@ -237,12 +240,16 @@ func (g *Graph) AllMultiPathDistancesWorkers(workers int) [][]float64 {
 	for w := range scratch {
 		scratch[w] = NewBFSScratch(g.n)
 	}
-	parallel.ForEachWorker(workers, g.n, func(worker, u int) {
+	err := parallel.ForEachCtxWorker(ctx, workers, g.n, func(worker, u int) error {
 		row := flat[u*g.n : (u+1)*g.n : (u+1)*g.n]
 		g.MultiPathDistancesFrom(u, scratch[worker], row)
 		m[u] = row
+		return nil
 	})
-	return m
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // MultiPathDistancesFrom fills row, of length n, with the multi-path

@@ -1,6 +1,7 @@
 package graphx
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -345,8 +346,14 @@ func TestAllMultiPathDistancesWorkerCountInvariance(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(5+rng.Intn(60), rng)
-		seq := g.AllMultiPathDistancesWorkers(1)
-		par := g.AllMultiPathDistancesWorkers(4)
+		seq, err := g.AllMultiPathDistancesWorkers(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := g.AllMultiPathDistancesWorkers(context.Background(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for u := range seq {
 			for v := range seq[u] {
 				sv, pv := seq[u][v], par[u][v]

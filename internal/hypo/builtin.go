@@ -306,7 +306,10 @@ func runTrimRecovery(ctx context.Context, seed int64) (Measurement, error) {
 	var m Measurement
 	c := chip.Square(4, 4)
 	dev := xmon.NewDevice(c, xmon.DefaultParams(), rand.New(rand.NewSource(seed)))
-	clean := dev.MeasureSeeded(xmon.XY, 0.02, seed, 1)
+	clean, err := dev.MeasureSeeded(ctx, xmon.XY, 0.02, seed, 1)
+	if err != nil {
+		return m, err
+	}
 
 	spec := faults.Spec{OutlierRate: 0.05}
 	plan, err := faults.New(c, spec, seed)
@@ -383,19 +386,18 @@ func runCacheHitRate(ctx context.Context, seed int64) (Measurement, error) {
 }
 
 // runManifestStrip measures H5: two fully independent runs — fresh
-// designer, fresh registry, process-global observation rerouted — at
-// identical options must strip to byte-identical manifests even though
-// their CreatedAt, wall times and latency quantiles differ.
+// designer, fresh registry on Options.Obs collecting the stage and
+// package counters — at identical options must strip to byte-identical
+// manifests even though their CreatedAt, wall times and latency
+// quantiles differ.
 func runManifestStrip(ctx context.Context, seed int64) (Measurement, error) {
 	var m Measurement
 	var blobs [][]byte
 	for run := 0; run < 2; run++ {
 		reg := youtiao.NewObservability()
-		youtiao.Observe(reg)
 		opts := youtiao.Options{Seed: seed, Workers: 1, Obs: reg, Faults: youtiao.UniformFaults(0.02)}
 		designer := youtiao.NewDesigner(builtinChip())
 		res, err := designer.RedesignCtx(ctx, opts)
-		youtiao.Observe(nil)
 		if err != nil {
 			return m, fmt.Errorf("run %d: %w", run, err)
 		}

@@ -8,9 +8,9 @@
 //
 //   - Disabled is free. Every metric type and the Registry itself are
 //     nil-safe: methods on a nil receiver are no-ops that neither
-//     allocate nor synchronize, so hot paths (state-vector kernels,
-//     worker-pool dispatch) instrument unconditionally and pay only a
-//     nil check when observability is off.
+//     allocate nor synchronize. A build's registry rides on its
+//     context (NewContext), so an instrumented call pays one ctx.Value
+//     lookup and a nil check when observability is off.
 //
 //   - Counters are deterministic, timing is not. Counter values are
 //     pure functions of the work performed — invariant in the worker
@@ -25,6 +25,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -101,9 +102,11 @@ func (g *Gauge) Load() int64 {
 // no-op, so a single `Options.Obs *obs.Registry` field (nil by default)
 // switches the whole instrumentation layer.
 //
-// Metric lookups take a mutex and are meant for setup-time resolution:
-// resolve `r.Counter("pkg/op")` once and hold the *Counter in the hot
-// path (see internal/parallel's package observer for the pattern).
+// A build's registry travels on its context.Context (NewContext,
+// FromContext), so every package counts into the registry of the build
+// that called it; no registry is process-global. Metric lookups take a
+// mutex: resolve `r.Counter("pkg/op")` once per call and hold the
+// *Counter in the hot loop.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -166,4 +169,23 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// ctxKey is the context key of the registry NewContext attaches.
+type ctxKey struct{}
+
+// NewContext returns ctx carrying r. With a nil r it returns ctx
+// itself, allocating nothing.
+func NewContext(ctx context.Context, r *Registry) context.Context {
+	if r == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ctxKey{}, r)
+}
+
+// FromContext returns the registry ctx carries, or nil, the disabled
+// registry, when it carries none.
+func FromContext(ctx context.Context) *Registry {
+	r, _ := ctx.Value(ctxKey{}).(*Registry)
+	return r
 }

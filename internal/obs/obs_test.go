@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -109,6 +110,28 @@ func TestDisabledRegistryZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-registry hot path allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// A registry rides on a context; a nil one leaves the context as it
+// is, and finding none in it costs no allocation.
+func TestContextCarriesRegistry(t *testing.T) {
+	ctx := context.Background()
+	r := New()
+	if got := FromContext(NewContext(ctx, r)); got != r {
+		t.Fatalf("FromContext(NewContext(ctx, r)) = %p, want %p", got, r)
+	}
+	if NewContext(ctx, nil) != ctx {
+		t.Fatal("NewContext with a nil registry wrapped the context")
+	}
+	if FromContext(ctx) != nil {
+		t.Fatal("a bare context carries a registry")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		FromContext(NewContext(ctx, nil)).Counter("x").Inc()
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled context path allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -1,75 +1,39 @@
 package parallel
 
 import (
-	"sync/atomic"
+	"context"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// poolObs caches the resolved metrics of the observing registry so the
-// dispatch hot path pays one atomic pointer load and no map lookups.
-// With no observer installed the load returns nil and every ForEach
-// variant runs its historical zero-allocation path untouched — not even
-// time.Now is called.
+// poolObs holds the metrics one ForEachCtx-family call records into,
+// resolved from the registry its context carries. With no registry the
+// call runs its unobserved path untouched: not even time.Now is called.
 type poolObs struct {
-	// calls counts ForEach-family invocations and tasks the total task
-	// fan-out. Both are deterministic: pipeline code sizes its fan-outs
-	// by the problem, never by the worker count, so the values are
-	// invariant in Workers (obs's counter contract).
-	calls *obs.Counter
-	tasks *obs.Counter
 	// wall histograms the per-call wall time (queue + execution of the
 	// whole batch, as seen by the caller).
 	wall *obs.Histogram
 	// busyNs accumulates per-worker busy time; busyNs / (wall ·
-	// maxWorkers) is the pool occupancy. maxWorkers records the largest
-	// resolved worker count observed. Both are timing/capacity gauges,
-	// excluded from canonical snapshots.
-	busyNs     *obs.Gauge
-	maxWorkers *obs.Gauge
-	// rngPooled counts generators allocated into Rands pools and
-	// rngReseeds the task reseeds served from them — every reseed is
-	// one ~5 KB TaskRand allocation avoided. Gauges (execution/capacity
-	// detail): both scale with the resolved worker count, which the
-	// deterministic counter section must not see.
-	rngPooled  *obs.Gauge
-	rngReseeds *obs.Gauge
+	// max_workers) is the pool occupancy. A timing gauge, excluded from
+	// canonical snapshots.
+	busyNs *obs.Gauge
 }
 
-var observer atomic.Pointer[poolObs]
-
-// Observe routes the package's worker-pool instrumentation into r; nil
-// disables it again. The observer is process-global (ForEach has no
-// configuration struct to thread a registry through) and takes effect
-// for calls that start after it is installed.
-func Observe(r *obs.Registry) {
+// obsBegin records the start of one call over n tasks on w resolved
+// workers into ctx's registry: "parallel/calls" and "parallel/tasks"
+// (deterministic: pipeline code sizes its fan-outs by the problem,
+// never by the worker count) and the "parallel/max_workers" gauge.
+// Returns (nil, zero time) when ctx carries no registry.
+func obsBegin(ctx context.Context, n, w int) (*poolObs, time.Time) {
+	r := obs.FromContext(ctx)
 	if r == nil {
-		observer.Store(nil)
-		return
-	}
-	observer.Store(&poolObs{
-		calls:      r.Counter("parallel/calls"),
-		tasks:      r.Counter("parallel/tasks"),
-		wall:       r.Histogram("parallel/call_wall"),
-		busyNs:     r.Gauge("parallel/worker_busy_ns"),
-		maxWorkers: r.Gauge("parallel/max_workers"),
-		rngPooled:  r.Gauge("parallel/rng_pooled"),
-		rngReseeds: r.Gauge("parallel/rng_scratch_reuse"),
-	})
-}
-
-// obsBegin records the start of one ForEach-family call over n tasks on
-// w resolved workers. Returns (nil, zero time) when observation is off.
-func obsBegin(n, w int) (*poolObs, time.Time) {
-	o := observer.Load()
-	if o == nil {
 		return nil, time.Time{}
 	}
-	o.calls.Inc()
-	o.tasks.Add(int64(n))
-	o.maxWorkers.Max(int64(w))
-	return o, time.Now()
+	r.Counter("parallel/calls").Inc()
+	r.Counter("parallel/tasks").Add(int64(n))
+	r.Gauge("parallel/max_workers").Max(int64(w))
+	return &poolObs{wall: r.Histogram("parallel/call_wall"), busyNs: r.Gauge("parallel/worker_busy_ns")}, time.Now()
 }
 
 // end closes the call record opened by obsBegin.

@@ -49,13 +49,10 @@ func ForEach(workers, n int, fn func(i int)) {
 	if w > n {
 		w = n
 	}
-	o, start := obsBegin(n, w)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
-		o.busy(start)
-		o.end(start)
 		return
 	}
 	var next atomic.Int64
@@ -64,10 +61,6 @@ func ForEach(workers, n int, fn func(i int)) {
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			if o != nil {
-				ws := time.Now()
-				defer o.busy(ws)
-			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -78,7 +71,6 @@ func ForEach(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-	o.end(start)
 }
 
 // Resolve returns the worker count ForEach and friends actually use
@@ -110,13 +102,10 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 		return
 	}
 	w := Resolve(workers, n)
-	o, start := obsBegin(n, w)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
-		o.busy(start)
-		o.end(start)
 		return
 	}
 	var next atomic.Int64
@@ -125,10 +114,6 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 	for g := 0; g < w; g++ {
 		go func(worker int) {
 			defer wg.Done()
-			if o != nil {
-				ws := time.Now()
-				defer o.busy(ws)
-			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -139,7 +124,6 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 		}(g)
 	}
 	wg.Wait()
-	o.end(start)
 }
 
 // ForEachErrWorker is ForEachWorker for fallible tasks, with the same
@@ -187,70 +171,15 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 // lowest-index error selection and the determinism contract, is
 // exactly that of ForEachErr.
 //
+// ForEachCtx and ForEachCtxWorker are the pool calls that count: they
+// record the call into the registry ctx carries (obs.FromContext), if
+// any; the other variants record nothing.
+//
 // Tasks that want finer-grained promptness (long-running fn bodies)
 // should check ctx themselves; ForEachCtx only guarantees promptness
 // at task granularity.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	o, start := obsBegin(n, w)
-	errs := make([]error, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				o.end(start)
-				return err
-			}
-			errs[i] = fn(i)
-		}
-		o.busy(start)
-		o.end(start)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		done := ctx.Done()
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				if o != nil {
-					ws := time.Now()
-					defer o.busy(ws)
-				}
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-		o.end(start)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ForEachCtxWorker(ctx, workers, n, func(_, i int) error { return fn(i) })
 }
 
 // ForEachCtxWorker is ForEachCtx that additionally hands fn the id of
@@ -266,56 +195,73 @@ func ForEachCtxWorker(ctx context.Context, workers, n int, fn func(worker, i int
 		return nil
 	}
 	w := Resolve(workers, n)
-	o, start := obsBegin(n, w)
-	errs := make([]error, n)
+	o, start := obsBegin(ctx, n, w)
 	if w <= 1 {
+		var first error
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				o.end(start)
 				return err
 			}
-			errs[i] = fn(0, i)
+			if err := fn(0, i); err != nil && first == nil {
+				first = err
+			}
 		}
 		o.busy(start)
 		o.end(start)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		done := ctx.Done()
-		for g := 0; g < w; g++ {
-			go func(worker int) {
-				defer wg.Done()
-				if o != nil {
-					ws := time.Now()
-					defer o.busy(ws)
-				}
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = fn(worker, i)
-				}
-			}(g)
-		}
-		wg.Wait()
-		o.end(start)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+		return first
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	var first firstErr
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	done := ctx.Done()
+	for g := 0; g < w; g++ {
+		go func(worker int) {
+			defer wg.Done()
+			if o != nil {
+				ws := time.Now()
+				defer o.busy(ws)
+			}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := fn(worker, i); err != nil {
+					first.set(i, err)
+				}
+			}
+		}(g)
 	}
-	return nil
+	wg.Wait()
+	o.end(start)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return first.err
+}
+
+// firstErr keeps the error of the lowest failing task index of a
+// concurrent batch: the error sequential execution would have met
+// first.
+type firstErr struct {
+	mu  sync.Mutex
+	i   int
+	err error
+}
+
+func (f *firstErr) set(i int, err error) {
+	f.mu.Lock()
+	if f.err == nil || i < f.i {
+		f.i, f.err = i, err
+	}
+	f.mu.Unlock()
 }
 
 // golden is the 64-bit golden-ratio increment of the SplitMix64

@@ -33,9 +33,6 @@ func NewRands(w int) *Rands {
 		rs.srcs[i] = newSeededSource(0)
 		rs.rands[i] = rand.New(rs.srcs[i])
 	}
-	if o := observer.Load(); o != nil {
-		o.rngPooled.Add(int64(w))
-	}
 	return rs
 }
 
@@ -51,9 +48,6 @@ func (rs *Rands) Task(worker int, master int64, task uint64) *rand.Rand {
 // split) and returns it, for callers that pre-split their streams.
 func (rs *Rands) Seeded(worker int, seed int64) *rand.Rand {
 	rs.srcs[worker].Seed(seed)
-	if o := observer.Load(); o != nil {
-		o.rngReseeds.Add(1)
-	}
 	return rs.rands[worker]
 }
 

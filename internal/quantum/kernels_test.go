@@ -350,3 +350,22 @@ func TestGenericApply1QMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// The gate path — gate application and Pauli injection, the hottest
+// loop of a trajectory — must stay zero-alloc.
+func TestGatePathZeroAlloc(t *testing.T) {
+	s, err := NewState(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := circuit.Gate{Name: circuit.RX, Qubits: []int{2}, Param: 0.3}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Apply(g); err != nil {
+			t.Fatal(err)
+		}
+		s.applyPauli(0, 1)
+		s.applyPauli(2, 3)
+	}); allocs != 0 {
+		t.Errorf("gate path allocates %.1f per run, want 0", allocs)
+	}
+}

@@ -105,7 +105,6 @@ func (nm *NoiseModel) MonteCarloFidelity(sched *schedule.Schedule, nQubits int, 
 	if err != nil {
 		return 0, err
 	}
-	obsTrajectories(cfg.Trajectories)
 	var sum float64
 	for _, f := range fids {
 		sum += f
@@ -189,7 +188,6 @@ func (nm *NoiseModel) applyNoisySlot(sc *trajScratch, slot schedule.Slot, t1Ns f
 // anti-diagonal/diagonal kernels — Pauli injection is the hottest gate
 // of the trajectory loop and never needs the general 2×2 kernel.
 func (s *State) applyPauli(which, q int) {
-	obsGateOp()
 	switch which {
 	case 0:
 		s.applyAntiDiag1Q(q, 1, 1)

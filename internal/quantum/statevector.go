@@ -90,7 +90,6 @@ func (s *State) CopyFrom(t *State) error {
 // Apply executes one basis gate (RX, RY, RZ, CZ). Measure gates are
 // ignored here; use MeasureAll / MeasureQubit explicitly.
 func (s *State) Apply(g circuit.Gate) error {
-	obsGateOp()
 	switch g.Name {
 	case circuit.RX:
 		s.applyRX(g.Qubits[0], math.Cos(g.Param/2), math.Sin(g.Param/2))
@@ -144,7 +143,6 @@ func Simulate(c *circuit.Circuit) (*State, error) {
 // branch would fill the register with Inf/NaN); if both branches are
 // dead the state is unusable and an error is returned.
 func (s *State) MeasureQubit(q int, rng *rand.Rand) (int, error) {
-	obsMeasurement()
 	p0, p1 := s.branchNorms(q)
 	outcome := 0
 	if rng.Float64() < p1 {
@@ -177,7 +175,6 @@ func isAliveNorm(p float64) bool {
 // probability/collapse/renormalize passes. The state is left exactly
 // on the sampled basis state, so no renormalization is needed.
 func (s *State) MeasureAll(rng *rand.Rand) ([]int, error) {
-	obsMeasurement()
 	N := len(s.amp)
 	total := s.Norm()
 	if !isAliveNorm(total) {

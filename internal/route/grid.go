@@ -163,9 +163,6 @@ func (g *Grid) ensureScratch() {
 	s := &g.scr
 	if len(s.gen) == g.w*g.h {
 		s.reuses++
-		if o := observer.Load(); o != nil {
-			o.scratchReuse.Add(1)
-		}
 		return
 	}
 	n := g.w * g.h
@@ -175,9 +172,6 @@ func (g *Grid) ensureScratch() {
 	s.zoneGen = make([]uint32, n)
 	s.genCur = 0
 	s.zoneCur = 0
-	if o := observer.Load(); o != nil {
-		o.scratchAllocs.Add(1)
-	}
 }
 
 // nextGen invalidates the visited/cost arrays in O(1). On the (rare)
@@ -364,9 +358,6 @@ func (g *Grid) astar(src, dst cell, exempt []int16, allowCross bool) []cell {
 	expanded := 0
 	s := &g.scr
 	s.searches++
-	if o := observer.Load(); o != nil {
-		o.searches.Add(1)
-	}
 	s.nextGen()
 	h := func(c cell) float64 {
 		return float64(abs(c.X-dst.X) + abs(c.Y-dst.Y))

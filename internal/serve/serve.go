@@ -268,8 +268,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// One registry observes everything: the shared store's metric
 	// names and occupancy gauges, and (via Options.Obs on every
-	// request) each build's stage outcomes, so /metrics totals the
-	// whole cache.
+	// request) each build's stage outcomes and package counters, so
+	// /metrics totals the whole cache and the work behind it.
 	cache.Observe(reg)
 	for _, name := range []string{cRequests, cOK, cBadRequest, cShed, cTimeouts, cFailed, cPanics} {
 		reg.Counter(name)

@@ -99,6 +99,22 @@ func TestDesignHappyPath(t *testing.T) {
 	}
 }
 
+// TestColdRequestCountsPackageCounters: a request's build carries the
+// server's registry, so the package counters of the work it executes —
+// the fit, the calibration campaign, the worker pool — reach
+// Server.Registry() and /metrics without any process-global setup.
+func TestColdRequestCountsPackageCounters(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	if rec := post(srv.Handler(), "/v1/design", `{"topology": "square", "qubits": 9, "seed": 5}`); rec.Code != 200 {
+		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	for _, name := range []string{"crosstalk/fits", "faults/pairs", "parallel/tasks"} {
+		if got := srv.Registry().Counter(name).Load(); got <= 0 {
+			t.Errorf("%s = %d after a cold request, want > 0", name, got)
+		}
+	}
+}
+
 // TestDesignRejectsBadRequests: malformed bodies, unknown fields, bad
 // topologies and out-of-range sizes are 400s and count as bad requests,
 // never reaching the pipeline.

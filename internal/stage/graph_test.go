@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // rendezvous returns a pair of callbacks that each block until the
@@ -62,7 +61,7 @@ func TestRunWavesFromDeclarationOrder(t *testing.T) {
 		sumNode("e", 5, e1, "a"),      // joins [d e]
 	)
 	s := NewStore()
-	in, err := g.Run(context.Background(), s, nil, 0, 2)
+	in, err := g.Run(context.Background(), s, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestRunSequentialAtOneWorker(t *testing.T) {
 		}, Codec: textCodec}
 	}
 	g := MustGraph(node("a"), node("b", "a"), node("c", "a"), node("d", "b"), node("e"))
-	if _, err := g.Run(context.Background(), NewStore(), nil, 0, 1); err != nil {
+	if _, err := g.Run(context.Background(), NewStore(), 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"a", "b", "c", "d", "e"}; !reflect.DeepEqual(order, want) {
@@ -137,7 +136,7 @@ func TestRunGivenAndSkipped(t *testing.T) {
 	)
 	s := NewStore()
 	givenKey := NewKey("external").Done()
-	in, err := g.Run(context.Background(), s, nil, 1, 2, Given{Name: "src", Key: givenKey, Val: 100})
+	in, err := g.Run(context.Background(), s, 1, 2, Given{Name: "src", Key: givenKey, Val: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestRunNamesFailingNode(t *testing.T) {
 		sumNode("d", 4, func() { after = true }, "b"),
 	)
 	for _, workers := range []int{1, 2} {
-		_, err := g.Run(context.Background(), NewStore(), nil, 0, workers)
+		_, err := g.Run(context.Background(), NewStore(), 0, workers)
 		var e *Error
 		if !errors.As(err, &e) || e.Stage != "b" || !errors.Is(err, boom) {
 			t.Errorf("workers %d: err = %v, want *Error naming b wrapping boom", workers, err)
@@ -193,7 +192,7 @@ func TestRunCancelBetweenWaves(t *testing.T) {
 		sumNode("a", 1, cancel),
 		sumNode("b", 2, func() { reached = true }, "a"),
 	)
-	_, err := g.Run(ctx, NewStore(), nil, 0, 1)
+	_, err := g.Run(ctx, NewStore(), 0, 1)
 	var e *Error
 	if !errors.As(err, &e) || e.Stage != "b" || !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want *Error naming b wrapping context.Canceled", err)
@@ -211,7 +210,7 @@ func TestRunPanicReachesCaller(t *testing.T) {
 		sumNode("b", 2, func() { panic("kaboom") }, "a"),
 		sumNode("c", 3, nil, "a"),
 	)
-	_, err := g.Run(context.Background(), NewStore(), nil, 0, 2)
+	_, err := g.Run(context.Background(), NewStore(), 0, 2)
 	var pe *PanicError
 	var e *Error
 	if !errors.As(err, &pe) || pe.Stage != "b" || pe.Value != "kaboom" {
@@ -238,7 +237,7 @@ func TestRunRowOrderIndependentOfArrival(t *testing.T) {
 	}
 	g := MustGraph(first, sumNode("second", 2, func() { close(secondRunning) }))
 	s := NewStore()
-	if _, err := g.Run(context.Background(), s, nil, 0, 2); err != nil {
+	if _, err := g.Run(context.Background(), s, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	var names []string
@@ -265,7 +264,7 @@ func TestRunTimesEachExecutedNodeOnce(t *testing.T) {
 	s := NewStore()
 	for _, want := range []struct{ hits, misses int64 }{{0, 1}, {1, 0}} {
 		reg := obs.New()
-		if _, err := g.Run(context.Background(), s, reg, 0, 1, Given{Name: "given", Key: "k", Val: 1}); err != nil {
+		if _, err := g.Run(obs.NewContext(context.Background(), reg), s, 0, 1, Given{Name: "given", Key: "k", Val: 1}); err != nil {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
@@ -287,19 +286,18 @@ func TestRunTimesEachExecutedNodeOnce(t *testing.T) {
 // out as before.
 func TestRunAllHitWaveRunsInline(t *testing.T) {
 	reg := obs.New()
-	parallel.Observe(reg)
-	defer parallel.Observe(nil)
+	ctx := obs.NewContext(context.Background(), reg)
 	calls := reg.Counter("parallel/calls")
 	g := MustGraph(sumNode("a", 1, nil), sumNode("b", 2, nil, "a"), sumNode("c", 3, nil, "a"))
 	s := NewStore()
-	cold, err := g.Run(context.Background(), s, nil, 10, 2)
+	cold, err := g.Run(ctx, s, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("cold build fanned out %d times, want 1", got)
 	}
-	warm, err := g.Run(context.Background(), s, nil, 10, 2)
+	warm, err := g.Run(ctx, s, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +311,7 @@ func TestRunAllHitWaveRunsInline(t *testing.T) {
 		t.Errorf("hits %d misses %d, want 3 and 3", r.Hits, r.Misses)
 	}
 	// Another build misses every key, so the [b c] wave fans out again.
-	if _, err := g.Run(context.Background(), s, nil, 11, 2); err != nil {
+	if _, err := g.Run(ctx, s, 11, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 2 {

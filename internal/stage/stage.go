@@ -170,12 +170,13 @@ func (g *Graph[B]) Downstream(name string) []string {
 // declaration order, unless every one of its keys is already a
 // completed artifact in memory: then it runs inline in declaration
 // order, as fanning out hits would cost more than it saves. Each
-// executed node runs through s.Do, which counts its outcome into r, and
-// any failure, ctx ending between waves included, comes back as an
-// *Error naming the node. When the build ends, r receives the store's
-// occupancy gauges (Store.Observe); a nil r records nothing.
-func (g *Graph[B]) Run(ctx context.Context, s *Store, r *obs.Registry, b B, workers int, given ...Given) ([]any, error) {
-	defer s.Observe(r)
+// executed node runs through s.Do, which counts its outcome into the
+// registry ctx carries (obs.FromContext), and any failure, ctx ending
+// between waves included, comes back as an *Error naming the node. When
+// the build ends, that registry receives the store's occupancy gauges
+// (Store.Observe); a ctx without one records nothing.
+func (g *Graph[B]) Run(ctx context.Context, s *Store, b B, workers int, given ...Given) ([]any, error) {
+	defer s.Observe(obs.FromContext(ctx))
 	keys, in := make([]Key, len(g.nodes)), make([]any, len(g.nodes))
 	key := func(i int) {
 		n := &g.nodes[i]
@@ -197,7 +198,7 @@ func (g *Graph[B]) Run(ctx context.Context, s *Store, r *obs.Registry, b B, work
 		if n.Parallel {
 			w = parallel.Workers(workers)
 		}
-		v, _, err := s.Do(ctx, r, n.Name, keys[i], w, n.Codec, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
+		v, _, err := s.Do(ctx, n.Name, keys[i], w, n.Codec, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
 		if err != nil {
 			return &Error{Stage: n.Name, Err: err}
 		}

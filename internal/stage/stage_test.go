@@ -104,7 +104,7 @@ func TestStoreHitMissAndStats(t *testing.T) {
 	ctx := context.Background()
 	calls := 0
 	run := func() (int, bool) {
-		v, hit, err := s.Do(ctx, nil, "fit", NewKey("fit").Int(1).Done(), 4, Codec{}, func(context.Context) (any, error) {
+		v, hit, err := s.Do(ctx, "fit", NewKey("fit").Int(1).Done(), 4, Codec{}, func(context.Context) (any, error) {
 			calls++
 			return 42, nil
 		})
@@ -143,14 +143,14 @@ func TestStoreErrorsNotCached(t *testing.T) {
 	key := NewKey("flaky").Done()
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := s.Do(ctx, nil, "flaky", key, 1, Codec{}, func(context.Context) (any, error) {
+	_, _, err := s.Do(ctx, "flaky", key, 1, Codec{}, func(context.Context) (any, error) {
 		calls++
 		return 0, boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, hit, err := s.Do(ctx, nil, "flaky", key, 1, Codec{}, func(context.Context) (any, error) {
+	v, hit, err := s.Do(ctx, "flaky", key, 1, Codec{}, func(context.Context) (any, error) {
 		calls++
 		return 7, nil
 	})
@@ -182,7 +182,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := s.Do(ctx, nil, "slow", key, 1, Codec{}, func(context.Context) (any, error) {
+			v, _, err := s.Do(ctx, "slow", key, 1, Codec{}, func(context.Context) (any, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
@@ -211,7 +211,7 @@ func TestReportTextJSONAndSub(t *testing.T) {
 	s := NewStore()
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, _, err := s.Do(ctx, nil, "fit", NewKey("fit").Int(i%2).Done(), 2, Codec{}, func(context.Context) (any, error) { return i, nil }); err != nil {
+		if _, _, err := s.Do(ctx, "fit", NewKey("fit").Int(i%2).Done(), 2, Codec{}, func(context.Context) (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestReportTextJSONAndSub(t *testing.T) {
 	if before.Hits != 1 || before.Misses != 2 {
 		t.Fatalf("report totals = %d hits %d misses", before.Hits, before.Misses)
 	}
-	if _, _, err := s.Do(ctx, nil, "fit", NewKey("fit").Int(0).Done(), 2, Codec{}, func(context.Context) (any, error) { return 0, nil }); err != nil {
+	if _, _, err := s.Do(ctx, "fit", NewKey("fit").Int(0).Done(), 2, Codec{}, func(context.Context) (any, error) { return 0, nil }); err != nil {
 		t.Fatal(err)
 	}
 	delta := s.Report().Sub(before)
@@ -258,7 +258,7 @@ func TestStoreConcurrentDistinctKeys(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := fmt.Sprintf("stage-%d", i%4)
-			v, _, err := s.Do(ctx, nil, name, NewKey(name).Int(i).Done(), 1, Codec{}, func(context.Context) (any, error) { return i, nil })
+			v, _, err := s.Do(ctx, name, NewKey(name).Int(i).Done(), 1, Codec{}, func(context.Context) (any, error) { return i, nil })
 			if err != nil || v != i {
 				t.Errorf("task %d: v=%d err=%v", i, v, err)
 			}
@@ -281,7 +281,7 @@ func TestDoAttachesPprofLabels(t *testing.T) {
 
 	var gotStage, gotArtifact string
 	var okStage, okArtifact bool
-	_, _, err := s.Do(ctx, nil, "labelled", key, 1, Codec{}, func(ctx context.Context) (any, error) {
+	_, _, err := s.Do(ctx, "labelled", key, 1, Codec{}, func(ctx context.Context) (any, error) {
 		gotStage, okStage = pprof.Label(ctx, "stage")
 		gotArtifact, okArtifact = pprof.Label(ctx, "artifact")
 		return 1, nil
@@ -304,7 +304,7 @@ func TestDoAttachesPprofLabels(t *testing.T) {
 	}
 
 	// A panicking fn still resolves to a *PanicError with labels popped.
-	_, _, err = s.Do(ctx, nil, "boom", NewKey("boom").Done(), 1, Codec{}, func(context.Context) (any, error) {
+	_, _, err = s.Do(ctx, "boom", NewKey("boom").Done(), 1, Codec{}, func(context.Context) (any, error) {
 		panic("kaboom")
 	})
 	var pe *PanicError

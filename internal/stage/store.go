@@ -202,8 +202,8 @@ func (s *Store) Wrap(w ExecWrapper) {
 // occupancy gauges ("stage/cache_bytes", "stage/cache_entries" and the
 // warm tier's "stage/disk_*" and "stage/gc_evictions") as they stand.
 // It keeps no reference to r: the store's events reach a registry only
-// through the one each Do call is handed, so concurrent builds count
-// into their own registries. Graph.Run calls it for its registry once
+// through the context each Do call is handed, so concurrent builds
+// count into their own registries. Graph.Run calls it for its registry once
 // a build ends. A nil r is a no-op.
 //
 // The counters are "stage/hits", "stage/misses", "stage/errors",
@@ -322,7 +322,9 @@ func (s *Store) evictLocked(sh *shard) int {
 }
 
 // Do returns the artifact for key, executing fn to produce it on a
-// cache miss, and counts the outcome into r (nil counts nothing). The
+// cache miss, and counts the outcome into the registry ctx carries
+// (obs.FromContext; none counts nothing). fn runs on ctx, so what it
+// counts lands in the same registry. The
 // boolean reports whether the artifact came from the cache. workers is
 // recorded as the stage's worker budget (purely instrumentation — it
 // never affects the artifact). codec charges the
@@ -331,7 +333,8 @@ func (s *Store) evictLocked(sh *shard) int {
 // alone. Errors are returned to every concurrent waiter but never
 // cached; a panicking fn is recovered into a *PanicError with the same
 // contract.
-func (s *Store) Do(ctx context.Context, r *obs.Registry, name string, key Key, workers int, codec Codec, fn func(context.Context) (any, error)) (any, bool, error) {
+func (s *Store) Do(ctx context.Context, name string, key Key, workers int, codec Codec, fn func(context.Context) (any, error)) (any, bool, error) {
+	r := obs.FromContext(ctx)
 	s.statsMu.Lock()
 	s.statLocked(name).Runs++
 	s.statsMu.Unlock()

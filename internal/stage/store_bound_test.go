@@ -51,7 +51,7 @@ func TestBoundedStoreEvictsLRU(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
-		_, _, err := s.Do(ctx, nil, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
+		_, _, err := s.Do(ctx, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
 			return payload(128), nil
 		})
 		if err != nil {
@@ -89,7 +89,7 @@ func TestBoundedStoreTouchPromotes(t *testing.T) {
 	ctx := context.Background()
 	mk := func(i int) {
 		t.Helper()
-		if _, _, err := s.Do(ctx, nil, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
+		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
 			return payload(128), nil
 		}); err != nil {
 			t.Fatalf("Do %d: %v", i, err)
@@ -116,7 +116,7 @@ func TestBoundedStoreTouchPromotes(t *testing.T) {
 func TestBoundedStoreOversizedArtifact(t *testing.T) {
 	s := NewStoreWith(Config{MaxBytes: 256, Shards: 1})
 	ctx := context.Background()
-	v, hit, err := s.Do(ctx, nil, "produce", keyN(0), 1, bytesCodec, func(context.Context) (any, error) {
+	v, hit, err := s.Do(ctx, "produce", keyN(0), 1, bytesCodec, func(context.Context) (any, error) {
 		return payload(4096), nil
 	})
 	if err != nil || hit {
@@ -133,15 +133,15 @@ func TestBoundedStoreOversizedArtifact(t *testing.T) {
 	}
 }
 
-// TestBoundedStoreObsCounters routes a bounded store into a registry
-// and checks the eviction counter and occupancy gauges are published.
+// TestBoundedStoreObsCounters counts a bounded store into the registry
+// its calls' context carries and checks the eviction counter and occupancy gauges are published.
 func TestBoundedStoreObsCounters(t *testing.T) {
 	per := charge(128)
 	s := NewStoreWith(Config{MaxBytes: 2 * per, Shards: 1})
 	reg := obs.New()
-	ctx := context.Background()
+	ctx := obs.NewContext(context.Background(), reg)
 	for i := 0; i < 5; i++ {
-		if _, _, err := s.Do(ctx, reg, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
+		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
 			return payload(128), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -175,7 +175,7 @@ func TestBoundedStoreConcurrentCap(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := keyN(i % 32)
-				v, _, err := s.Do(ctx, nil, "produce", k, 1, bytesCodec, func(context.Context) (any, error) {
+				v, _, err := s.Do(ctx, "produce", k, 1, bytesCodec, func(context.Context) (any, error) {
 					return payload(64), nil
 				})
 				if err != nil {
@@ -222,7 +222,7 @@ func waitForWaiters(t *testing.T, reg *obs.Registry, want int64) {
 func TestStorePanicReachesAllWaiters(t *testing.T) {
 	s := NewStore()
 	reg := obs.New()
-	ctx := context.Background()
+	ctx := obs.NewContext(context.Background(), reg)
 	k := keyN(0)
 
 	release := make(chan struct{})
@@ -232,7 +232,7 @@ func TestStorePanicReachesAllWaiters(t *testing.T) {
 	const waiters = 8
 	errs := make(chan error, waiters+1)
 	go func() {
-		_, _, err := s.Do(ctx, reg, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
+		_, _, err := s.Do(ctx, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
 			execs.Add(1)
 			close(started)
 			<-release
@@ -246,7 +246,7 @@ func TestStorePanicReachesAllWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := s.Do(ctx, reg, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
+			_, _, err := s.Do(ctx, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
 				execs.Add(1)
 				return nil, nil
 			})
@@ -272,7 +272,7 @@ func TestStorePanicReachesAllWaiters(t *testing.T) {
 	}
 
 	// The failure is not cached: a retry executes and succeeds.
-	v, hit, err := s.Do(ctx, reg, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
+	v, hit, err := s.Do(ctx, "boom", k, 1, bytesCodec, func(context.Context) (any, error) {
 		execs.Add(1)
 		return "recovered", nil
 	})
@@ -290,7 +290,7 @@ func TestStorePanicReachesAllWaiters(t *testing.T) {
 func TestStoreFailurePropagatesToAllWaiters(t *testing.T) {
 	s := NewStore()
 	reg := obs.New()
-	ctx := context.Background()
+	ctx := obs.NewContext(context.Background(), reg)
 	k := keyN(1)
 	sentinel := errors.New("transient stage failure")
 
@@ -301,7 +301,7 @@ func TestStoreFailurePropagatesToAllWaiters(t *testing.T) {
 	const waiters = 16
 	errs := make(chan error, waiters+1)
 	go func() {
-		_, _, err := s.Do(ctx, reg, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
+		_, _, err := s.Do(ctx, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
 			execs.Add(1)
 			close(started)
 			<-release // hold the flight open until every waiter joined
@@ -316,7 +316,7 @@ func TestStoreFailurePropagatesToAllWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, hit, err := s.Do(ctx, reg, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
+			_, hit, err := s.Do(ctx, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
 				execs.Add(1)
 				return nil, errors.New("waiter executed — single flight broken")
 			})
@@ -365,7 +365,7 @@ func TestStoreFailurePropagatesToAllWaiters(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("failed artifact present in cache")
 	}
-	v, hit, err := s.Do(ctx, reg, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
+	v, hit, err := s.Do(ctx, "flaky", k, 1, bytesCodec, func(context.Context) (any, error) {
 		execs.Add(1)
 		return 42, nil
 	})
@@ -383,7 +383,7 @@ func TestUnboundedStoreNeverEvicts(t *testing.T) {
 	s := NewStore()
 	ctx := context.Background()
 	for i := 0; i < 100; i++ {
-		if _, _, err := s.Do(ctx, nil, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
+		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, bytesCodec, func(context.Context) (any, error) {
 			return payload(256), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -410,7 +410,7 @@ func TestStoreWrapIntercepts(t *testing.T) {
 			return nil, errors.New("injected")
 		}
 	})
-	_, _, err := s.Do(ctx, nil, "wrapped", keyN(7), 1, bytesCodec, func(context.Context) (any, error) {
+	_, _, err := s.Do(ctx, "wrapped", keyN(7), 1, bytesCodec, func(context.Context) (any, error) {
 		return "real", nil
 	})
 	if err == nil || err.Error() != "injected" {
@@ -420,7 +420,7 @@ func TestStoreWrapIntercepts(t *testing.T) {
 		t.Fatalf("wrapper saw (%q, %q)", sawName, sawKey)
 	}
 	s.Wrap(nil)
-	v, _, err := s.Do(ctx, nil, "wrapped", keyN(7), 1, bytesCodec, func(context.Context) (any, error) {
+	v, _, err := s.Do(ctx, "wrapped", keyN(7), 1, bytesCodec, func(context.Context) (any, error) {
 		return "real", nil
 	})
 	if err != nil || v != "real" {

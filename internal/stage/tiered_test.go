@@ -70,7 +70,7 @@ func TestTieredWriteThroughAndCrossStoreRecall(t *testing.T) {
 	key := NewKey("tiered").Int(1).Done()
 
 	a := tieredStore(backend)
-	v, cached, err := a.Do(ctx, nil, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "artifact", nil })
+	v, cached, err := a.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "artifact", nil })
 	if err != nil || cached || v != "artifact" {
 		t.Fatalf("first Do: %v, %v, %v", v, cached, err)
 	}
@@ -81,7 +81,7 @@ func TestTieredWriteThroughAndCrossStoreRecall(t *testing.T) {
 	// A second store over the same backend — a fresh process — recalls
 	// from disk without executing.
 	b := tieredStore(backend)
-	v, cached, err = b.Do(ctx, nil, "work", key, 1, stringCodec, func(context.Context) (any, error) {
+	v, cached, err = b.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) {
 		t.Error("stage executed despite warm backend")
 		return nil, errors.New("unreachable")
 	})
@@ -102,7 +102,7 @@ func TestTieredWriteThroughAndCrossStoreRecall(t *testing.T) {
 	// A decoded artifact installs in the memory tier: the next call is
 	// a plain memory hit, not a second disk read.
 	reads := backend.gets.Load()
-	if _, cached, _ := b.Do(ctx, nil, "work", key, 1, stringCodec, nil); !cached {
+	if _, cached, _ := b.Do(ctx, "work", key, 1, stringCodec, nil); !cached {
 		t.Fatal("memory tier missed after disk recall")
 	}
 	if backend.gets.Load() != reads {
@@ -117,7 +117,7 @@ func TestTieredDiskMissExecutes(t *testing.T) {
 	backend := newMemBackend()
 	s := tieredStore(backend)
 	ran := false
-	_, cached, err := s.Do(context.Background(), nil, "work", NewKey("t").Int(2).Done(), 1, stringCodec,
+	_, cached, err := s.Do(context.Background(), "work", NewKey("t").Int(2).Done(), 1, stringCodec,
 		func(context.Context) (any, error) { ran = true; return "v", nil })
 	if err != nil || cached || !ran {
 		t.Fatalf("cold Do: cached=%v ran=%v err=%v", cached, ran, err)
@@ -141,7 +141,7 @@ func TestTieredDecodeErrorIsMissAndRepairs(t *testing.T) {
 	backend.Put("work", key, []byte("stored"))
 
 	s := NewStoreWith(Config{Backend: backend})
-	v, cached, err := s.Do(ctx, nil, "work", key, 1, failing, func(context.Context) (any, error) { return "fresh", nil })
+	v, cached, err := s.Do(ctx, "work", key, 1, failing, func(context.Context) (any, error) { return "fresh", nil })
 	if err != nil || cached || v != "fresh" {
 		t.Fatalf("decode-failure Do: %v, %v, %v", v, cached, err)
 	}
@@ -160,7 +160,7 @@ func TestStageWithoutCodecStaysMemoryOnly(t *testing.T) {
 	s := tieredStore(backend)
 	runs := 0
 	do := func(st *Store) {
-		_, _, err := st.Do(context.Background(), nil, "uncodec", NewKey("t").Int(4).Done(), 1, Codec{},
+		_, _, err := st.Do(context.Background(), "uncodec", NewKey("t").Int(4).Done(), 1, Codec{},
 			func(context.Context) (any, error) { runs++; return "v", nil })
 		if err != nil {
 			t.Fatal(err)
@@ -184,7 +184,7 @@ func TestEncodeErrorSkipsWriteButServes(t *testing.T) {
 		Encode: func([]byte, any) ([]byte, error) { return nil, errors.New("unencodable") },
 		Decode: stringCodec.Decode,
 	}
-	v, _, err := s.Do(context.Background(), nil, "work", NewKey("t").Int(5).Done(), 1, unencodable,
+	v, _, err := s.Do(context.Background(), "work", NewKey("t").Int(5).Done(), 1, unencodable,
 		func(context.Context) (any, error) { return "v", nil })
 	if err != nil || v != "v" {
 		t.Fatalf("Do with failing encoder: %v, %v", v, err)
@@ -204,7 +204,7 @@ func TestDiskHitBypassesExecWrapper(t *testing.T) {
 	backend := newMemBackend()
 	key := NewKey("t").Int(6).Done()
 	a := tieredStore(backend)
-	if _, _, err := a.Do(ctx, nil, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil }); err != nil {
+	if _, _, err := a.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,7 +212,7 @@ func TestDiskHitBypassesExecWrapper(t *testing.T) {
 	b.Wrap(func(name string, key Key, fn func(context.Context) (any, error)) func(context.Context) (any, error) {
 		return func(context.Context) (any, error) { return nil, errors.New("chaos: every execution fails") }
 	})
-	v, cached, err := b.Do(ctx, nil, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
+	v, cached, err := b.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
 	if err != nil || !cached || v != "v" {
 		t.Fatalf("disk hit went through the wrapper: %v, %v, %v", v, cached, err)
 	}
@@ -224,7 +224,7 @@ func TestConcurrentCallersCoalesceOneDiskRead(t *testing.T) {
 	ctx := context.Background()
 	backend := newMemBackend()
 	key := NewKey("t").Int(7).Done()
-	tieredStore(backend).Do(ctx, nil, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
+	tieredStore(backend).Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
 	reads := backend.gets.Load()
 
 	s := tieredStore(backend)
@@ -234,7 +234,7 @@ func TestConcurrentCallersCoalesceOneDiskRead(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := s.Do(ctx, nil, "work", key, 1, stringCodec, func(context.Context) (any, error) {
+			v, _, err := s.Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) {
 				return nil, errors.New("must not execute")
 			})
 			if err != nil || v != "v" {
@@ -256,11 +256,11 @@ func TestReportCountsDiskHits(t *testing.T) {
 	ctx := context.Background()
 	backend := newMemBackend()
 	key := NewKey("t").Int(8).Done()
-	tieredStore(backend).Do(ctx, nil, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
+	tieredStore(backend).Do(ctx, "work", key, 1, stringCodec, func(context.Context) (any, error) { return "v", nil })
 
 	s := tieredStore(backend)
 	before := s.Report()
-	s.Do(ctx, nil, "work", key, 1, stringCodec, nil)
+	s.Do(ctx, "work", key, 1, stringCodec, nil)
 	rep := s.Report()
 	if rep.DiskHits != 1 {
 		t.Fatalf("report DiskHits = %d, want 1", rep.DiskHits)
@@ -280,7 +280,7 @@ func TestBackendStatsAccessors(t *testing.T) {
 	if s.Backend() != Backend(backend) {
 		t.Fatal("Backend() accessor lost the backend")
 	}
-	s.Do(context.Background(), nil, "work", NewKey("t").Int(9).Done(), 1, stringCodec,
+	s.Do(context.Background(), "work", NewKey("t").Int(9).Done(), 1, stringCodec,
 		func(context.Context) (any, error) { return "v", nil })
 	if bs := s.BackendStats(); bs.Entries != 1 || bs.Bytes == 0 {
 		t.Fatalf("BackendStats: %+v", bs)

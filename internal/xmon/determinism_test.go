@@ -1,6 +1,7 @@
 package xmon
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestMeasureSeededWorkerCountInvariant(t *testing.T) {
 	testkit.SeedMatrix(t, []int64{1, 2, 3}, func(t *testing.T, seed int64) {
 		for _, kind := range []CrosstalkKind{XY, ZZ} {
 			testkit.WorkerInvariant(t, 1, []int{4}, func(workers int) []Sample {
-				return d.MeasureSeeded(kind, 0.05, seed, workers)
+				return measureSeeded(t, d, kind, 0.05, seed, workers)
 			})
 		}
 	})
@@ -29,7 +30,7 @@ func TestMeasureSeededWorkerCountInvariant(t *testing.T) {
 func TestMeasureSeededPairOrderMatchesMeasure(t *testing.T) {
 	d := NewDevice(chip.Square(4, 4), DefaultParams(), rand.New(rand.NewSource(2)))
 	ref := d.Measure(XY, 0, rand.New(rand.NewSource(9)))
-	got := d.MeasureSeeded(XY, 0, 9, 4)
+	got := measureSeeded(t, d, XY, 0, 9, 4)
 	if len(got) != len(ref) {
 		t.Fatalf("%d vs %d samples", len(got), len(ref))
 	}
@@ -50,8 +51,8 @@ func TestMeasureSeededPairOrderMatchesMeasure(t *testing.T) {
 // a constant).
 func TestMeasureSeededSeedSensitivity(t *testing.T) {
 	d := NewDevice(chip.Square(4, 4), DefaultParams(), rand.New(rand.NewSource(3)))
-	a := d.MeasureSeeded(XY, 0.05, 1, 4)
-	b := d.MeasureSeeded(XY, 0.05, 2, 4)
+	a := measureSeeded(t, d, XY, 0.05, 1, 4)
+	b := measureSeeded(t, d, XY, 0.05, 2, 4)
 	same := 0
 	for p := range a {
 		if a[p].Value == b[p].Value {
@@ -61,4 +62,14 @@ func TestMeasureSeededSeedSensitivity(t *testing.T) {
 	if same == len(a) {
 		t.Error("seeds 1 and 2 produced identical campaigns")
 	}
+}
+
+// measureSeeded runs d's seeded campaign on a background context.
+func measureSeeded(t *testing.T, d *Device, kind CrosstalkKind, noiseRel float64, seed int64, workers int) []Sample {
+	t.Helper()
+	samples, err := d.MeasureSeeded(context.Background(), kind, noiseRel, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return samples
 }

@@ -15,6 +15,7 @@
 package xmon
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -231,8 +232,9 @@ func (d *Device) Measure(kind CrosstalkKind, noiseRel float64, rng *rand.Rand) [
 // its pair index, so the campaign can fan out over any number of
 // workers and still return bit-identical samples (see
 // internal/parallel). workers <= 0 selects runtime.GOMAXPROCS(0), 1 runs
-// sequentially.
-func (d *Device) MeasureSeeded(kind CrosstalkKind, noiseRel float64, seed int64, workers int) []Sample {
+// sequentially. The fan-out counts into the registry ctx carries, and
+// the campaign returns ctx's error once ctx ends.
+func (d *Device) MeasureSeeded(ctx context.Context, kind CrosstalkKind, noiseRel float64, seed int64, workers int) ([]Sample, error) {
 	n := d.Chip.NumQubits()
 	samples := make([]Sample, n*(n-1)/2)
 	p := 0
@@ -243,7 +245,7 @@ func (d *Device) MeasureSeeded(kind CrosstalkKind, noiseRel float64, seed int64,
 		}
 	}
 	rands := parallel.NewRands(parallel.Resolve(workers, len(samples)))
-	parallel.ForEachWorker(workers, len(samples), func(worker, p int) {
+	err := parallel.ForEachCtxWorker(ctx, workers, len(samples), func(worker, p int) error {
 		s := &samples[p]
 		rng := rands.Task(worker, seed, uint64(p))
 		v := d.Crosstalk(kind, s.I, s.J)
@@ -252,8 +254,12 @@ func (d *Device) MeasureSeeded(kind CrosstalkKind, noiseRel float64, seed int64,
 			v = 0
 		}
 		s.Value = v
+		return nil
 	})
-	return samples
+	if err != nil {
+		return nil, err
+	}
+	return samples, nil
 }
 
 // MeasurePair measures the crosstalk of one qubit pair with the same

@@ -8,12 +8,11 @@ import (
 
 // buildManifest runs one fully-observed design and assembles its
 // manifest the way cmd/youtiao does, with a caller-chosen timestamp
-// and worker count.
+// and worker count. The build carries its registry on Options.Obs
+// alone, which collects the package counters too.
 func buildManifest(t *testing.T, createdAt string, workers int) *Manifest {
 	t.Helper()
 	reg := NewObservability()
-	Observe(reg)
-	defer Observe(nil)
 	opts := Options{Seed: 5, Workers: workers, Obs: reg}
 	d := NewDesigner(NewSquareChip(4, 4))
 	res, err := d.Redesign(opts)
@@ -59,6 +58,11 @@ func TestManifestStripTimingsReproducible(t *testing.T) {
 	asObs, _ := json.Marshal(as.Obs)
 	if !bytes.Equal(csObs, asObs) {
 		t.Errorf("stripped obs snapshot differs across worker counts:\n%s\n----\n%s", asObs, csObs)
+	}
+	for _, name := range []string{"crosstalk/fits", "faults/pairs", "parallel/tasks"} {
+		if as.Obs.Counters[name] == 0 {
+			t.Errorf("manifest counter %s = 0 after a cold design", name)
+		}
 	}
 }
 

@@ -98,7 +98,8 @@ echo "serve-smoke: burst outcome: $ok ok, $shed shed, $other other"
 
 echo "serve-smoke: scraping /metrics"
 curl -s "$BASE/metrics" > "$TMP/metrics.json"
-for counter in serve/requests serve/ok serve/shed serve/bad_request stage/misses stage/evictions; do
+for counter in serve/requests serve/ok serve/shed serve/bad_request stage/misses stage/evictions \
+    crosstalk/fits faults/pairs parallel/tasks; do
     grep -q "\"$counter\"" "$TMP/metrics.json" || fail "/metrics missing $counter"
 done
 python3 - "$TMP/metrics.json" "$ok" "$shed" <<'EOF'
@@ -110,6 +111,10 @@ assert counters["serve/ok"] >= ok + 1, counters
 assert counters["serve/shed"] == shed, counters
 assert counters["serve/bad_request"] == 1, counters
 assert counters["stage/misses"] > 0, counters
+# The request builds carry the server's registry, so the package
+# counters of the work they executed arrive too.
+for name in ("crosstalk/fits", "faults/pairs", "parallel/tasks"):
+    assert counters[name] > 0, (name, counters)
 EOF
 
 echo "serve-smoke: SIGTERM drain"

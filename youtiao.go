@@ -207,10 +207,10 @@ func DesignDeviceCtx(ctx context.Context, dev *xmon.Device, opts Options) (*Desi
 }
 
 // ObsRegistry collects counters, gauges and latency histograms.
-// Create one with NewObservability, set it as Options.Obs to capture a
-// build's stage instrumentation, and pass it to Observe to also route
-// the process-global subsystem counters (worker pool, calibration
-// faults, model fit, simulators) into it. Registry.Snapshot() returns
+// Create one with NewObservability and set it as Options.Obs: the build
+// carries it on its context, so its stage outcomes and the counters of
+// the work its stages execute (worker pool, calibration faults, model
+// fit, predictions) land in it and in no other. Registry.Snapshot() returns
 // a stable-schema ObsSnapshot; Registry.Handler() serves it over HTTP
 // (mount it at /debug/youtiao). A nil registry disables everything at
 // zero cost.
@@ -226,14 +226,11 @@ type ObsSnapshot = obs.Snapshot
 // NewObservability returns an empty metrics registry.
 func NewObservability() *ObsRegistry { return obs.New() }
 
-// Observe installs r as the process-global observer of the pipeline's
-// subsystems (worker pool, calibration fault accounting, crosstalk
-// fit, quantum simulators). Pass nil to uninstall. Per-build stage
-// metrics flow through Options.Obs instead: every build hands its own
-// registry to the stage store, so concurrent builds on one
-// SharedCache keep separate registries while sharing the
-// process-global one.
-func Observe(r *ObsRegistry) { experiments.Observe(r) }
+// Observe does nothing; it is kept for callers written against the
+// process-global observers it used to install.
+//
+// Deprecated: every counter follows its build's Options.Obs.
+func Observe(*ObsRegistry) {}
 
 // StageReport is the per-stage instrumentation snapshot of a Designer:
 // runs, cache hits/misses, worker budget and cumulative wall time per
