@@ -28,7 +28,7 @@ COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal
 SIMSCALE ?= 4
 SIMDURATION ?= 300s
 
-.PHONY: build vet perfbench-vet fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full clean
+.PHONY: build vet perfbench-vet fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full ab clean
 
 # Generated run products (bench logs, coverage profiles, manifests) all
 # land under $(OUT), which is ignored wholesale; the committed
@@ -188,6 +188,20 @@ experiments-smoke:
 experiments-full:
 	$(GO) run ./cmd/hypo -run deterministic -out hypotheses
 	$(GO) run ./cmd/hypo -run statistical -seeds 1,2,3,4,5 -out hypotheses
+
+# Alternating-pair comparison of the end-to-end benchmark (perfbench)
+# between BASE and the working tree: tools/ab checks BASE out with
+# `git worktree` under .bench_build/, runs PAIRS pairs per workload
+# with the first side swapped each pair, and prints each metric's
+# medians and quartiles, the change's wins and a verdict against the
+# bounds in BENCHMARK.json. Each run lasts BENCHMARK.json's
+# run_seconds.
+BASE ?= HEAD
+PAIRS ?= 10
+WORKLOADS ?= cold-design,tenant-churn,warm-restart
+SEED ?= 1
+ab:
+	$(GO) run ./tools/ab -base $(BASE) -pairs $(PAIRS) -workloads $(WORKLOADS) -seed $(SEED)
 
 verify: build vet test bench-smoke
 

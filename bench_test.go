@@ -701,18 +701,18 @@ func BenchmarkDiskStoreHit(b *testing.B) {
 	})
 	codec := stage.Codec{
 		Encode: func(dst []byte, v any) ([]byte, error) { return append(dst, v.([]byte)...), nil },
-		Decode: func(data []byte) (any, error) { return bytes.Clone(data), nil },
+		Decode: func(data []byte, _ []any) (any, error) { return bytes.Clone(data), nil },
 	}
 	ctx := context.Background()
 	key := stage.NewKey("bench-disk").Int(1).Done()
 	exec := func(context.Context) (any, error) { return payload, nil }
-	if _, _, err := st.Do(ctx, "bench", key, 1, codec, exec); err != nil {
+	if _, _, err := st.Do(ctx, "bench", key, 1, codec, nil, exec); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, cached, err := st.Do(ctx, "bench", key, 1, codec, exec)
+		v, cached, err := st.Do(ctx, "bench", key, 1, codec, nil, exec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,6 +63,9 @@ func (e *Enc) Str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// Append appends b unframed, for a record that delimits itself.
+func (e *Enc) Append(b []byte) { e.buf = append(e.buf, b...) }
+
 // Raw appends length-prefixed raw bytes.
 func (e *Enc) Raw(b []byte) {
 	e.U32(uint32(len(b)))
@@ -134,6 +137,9 @@ func (d *Dec) Err() error { return d.err }
 
 // Remaining returns the number of unread bytes.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
+
+// Rest returns the unread bytes, aliasing the input, without reading them.
+func (d *Dec) Rest() []byte { return d.buf[d.off:] }
 
 func (d *Dec) fail(what string) {
 	if d.err == nil {

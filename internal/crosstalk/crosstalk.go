@@ -70,16 +70,23 @@ type Model struct {
 	Kind    xmon.CrosstalkKind
 	Weights chip.EquivWeights
 	CVError float64 // cross-validated MSE at the selected weights
-	forest  *mlfit.Forest
 
-	// predCache memoizes forest.Predict per distinct equivalent
-	// distance. The feature space is one-dimensional and chips have few
-	// distinct (d_phy, d_top) combinations, so the forest walk — the
-	// dominant cost of Matrix/PredictedValues — runs once per distinct
-	// distance instead of once per pair. A sync.Map because predictions
-	// race in from parallel regions; the forest is pure, so concurrent
-	// fills for the same key store the same value.
-	predCache sync.Map // float64 d_equiv -> float64 prediction
+	// rec is a decoded model's forest record (mlfit.ScanBinary): the
+	// forest stays encoded until the first prediction builds it, once,
+	// into forest. A fitted model has forest and no record.
+	rec    []byte
+	build  sync.Once
+	forest *mlfit.Forest
+}
+
+// trees returns the forest, building a decoded model's on first use.
+func (m *Model) trees() *mlfit.Forest {
+	m.build.Do(func() {
+		if m.forest == nil && m.rec != nil {
+			m.forest = mlfit.BuildBinary(m.rec)
+		}
+	})
+	return m.forest
 }
 
 // Fit trains the characterization model from calibration samples taken
@@ -264,14 +271,9 @@ func trimOutliers(samples []xmon.Sample, fraction float64) ([]xmon.Sample, error
 }
 
 // PredictDistance returns the model's crosstalk prediction at a raw
-// equivalent distance, memoized per distinct distance.
+// equivalent distance.
 func (m *Model) PredictDistance(dEquiv float64) float64 {
-	if v, ok := m.predCache.Load(dEquiv); ok {
-		return v.(float64)
-	}
-	p := m.forest.Predict([]float64{dEquiv})
-	m.predCache.Store(dEquiv, p)
-	return p
+	return m.trees().Predict([]float64{dEquiv})
 }
 
 // Predictor binds a model to a chip. Binding a model to a different
@@ -286,7 +288,7 @@ func (m *Model) PredictDistance(dEquiv float64) float64 {
 // squares the coordinate differences, and d_top multiplies the integer
 // hop and shortest-path counts, which are the same from either end.
 // All of it is computed in On, so a Predictor is safe for concurrent
-// use. Predict keeps the model's per-distance memo.
+// use, and no reader walks the forest.
 type Predictor struct {
 	Model *Model
 	n     int // qubit count of the bound chip
@@ -372,13 +374,12 @@ func (p *Predictor) Predict(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	return p.Model.PredictDistance(p.EquivDistance(i, j))
+	return p.pred[p.pair[i*p.n+j]]
 }
 
 // Pairs returns Predict as a function for callers that read many
 // pairs, many times, such as the TDM grouping and the frequency
-// allocation. It returns Predict's values, read from the pair table
-// without the memo's hashing.
+// allocation. It returns Predict's values.
 func (p *Predictor) Pairs() func(i, j int) float64 {
 	n := p.n
 	pair, pred := p.pair, p.pred

@@ -1,6 +1,7 @@
 package crosstalk
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/binpack"
@@ -9,26 +10,29 @@ import (
 )
 
 // AppendBinary encodes a fitted model: kind, selected weights, CV
-// error and the trained forest. The prediction memo (predCache) is a
-// lazy pure-function cache and is deliberately not persisted — a
-// decoded model refills it on first use with identical values.
+// error and the trained forest. A decoded model writes back the forest
+// record it kept, unchanged.
 func (m *Model) AppendBinary(e *binpack.Enc) {
 	e.Int(int(m.Kind))
 	e.F64(m.Weights.WPhy)
 	e.F64(m.Weights.WTop)
 	e.F64(m.CVError)
-	if m.forest == nil {
-		e.Bool(false)
-		return
+	e.Bool(m.hasForest())
+	if m.rec != nil {
+		e.Append(m.rec)
+	} else if m.forest != nil {
+		m.forest.AppendBinary(e)
 	}
-	e.Bool(true)
-	m.forest.AppendBinary(e)
 }
 
-// DecodeBinary rebuilds a model encoded by AppendBinary. A forest flag
-// other than 0 or 1, or a forest reading more than the one d_equiv
-// feature, could not have been encoded from a fitted model and is
-// rejected.
+// hasForest reports whether the model can predict.
+func (m *Model) hasForest() bool { return m.rec != nil || m.forest != nil }
+
+// DecodeBinary rebuilds a model encoded by AppendBinary. It checks the
+// forest record in full (mlfit.ScanBinary) and keeps a copy of it; the
+// first prediction builds the forest. A forest flag other than 0 or 1,
+// or a forest reading more than the one d_equiv feature, could not have
+// been encoded from a fitted model and is rejected.
 func DecodeBinary(d *binpack.Dec) (*Model, error) {
 	m := &Model{Kind: xmon.CrosstalkKind(d.Int())}
 	m.Weights.WPhy = d.F64()
@@ -42,15 +46,15 @@ func DecodeBinary(d *binpack.Dec) (*Model, error) {
 		return nil, fmt.Errorf("crosstalk: model has forest flag %d", hasForest)
 	}
 	if hasForest == 1 {
-		f, err := mlfit.DecodeBinary(d)
+		rec, nFeature, err := mlfit.ScanBinary(d)
 		if err != nil {
 			return nil, err
 		}
 		// The feature is d_equiv alone: PredictDistance passes one.
-		if f.NumFeatures() != 1 {
-			return nil, fmt.Errorf("crosstalk: forest reads %d features, want 1", f.NumFeatures())
+		if nFeature != 1 {
+			return nil, fmt.Errorf("crosstalk: forest reads %d features, want 1", nFeature)
 		}
-		m.forest = f
+		m.rec = bytes.Clone(rec)
 	}
 	return m, nil
 }
@@ -81,7 +85,7 @@ func DecodePredictor(d *binpack.Dec, m *Model) (*Predictor, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if m.forest == nil {
+	if !m.hasForest() {
 		return nil, fmt.Errorf("crosstalk: pair table bound to a model without a forest")
 	}
 	// n <= len(pair) bounds n*n well inside an int.

@@ -88,10 +88,10 @@ func TestPairLookups(t *testing.T) {
 	}
 }
 
-// TestPredictConcurrent hammers the memoized prediction path from many
-// goroutines — the FDM region grouping predicts concurrently, so the
-// cache must be race-free (run under -race) and every goroutine must
-// observe identical values.
+// TestPredictConcurrent hammers the prediction path from many
+// goroutines — the FDM region grouping predicts concurrently, so reads
+// must be race-free (run under -race) and every goroutine must observe
+// identical values.
 func TestPredictConcurrent(t *testing.T) {
 	c := chip.Square(3, 3)
 	m, _ := fitOn(t, c, 6)

@@ -88,7 +88,7 @@ func TestCharacterizationRecallReadsLikeOn(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: the written artifact misses", label)
 				}
-				v, err := codec.Decode(payload)
+				v, err := codec.Decode(payload, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -117,7 +117,7 @@ func writeVersion1(t *testing.T, path string, c *chip.Chip) {
 	for range 2 {
 		off += 2 + int(binary.LittleEndian.Uint16(data[off:]))
 	}
-	v, err := characterizeCodec.Decode(data[off+8:])
+	v, err := characterizeCodec.Decode(data[off+8:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func FuzzCharacterizationCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		v, err := codec.Decode(b)
+		v, err := codec.Decode(b, nil)
 		if err != nil {
 			return
 		}

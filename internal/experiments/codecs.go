@@ -35,7 +35,7 @@ var deviceCodec = stage.Codec{
 		dev.AppendBinary(e)
 		return e.Bytes(), nil
 	},
-	Decode: func(data []byte) (any, error) {
+	Decode: func(data []byte, _ []any) (any, error) {
 		return xmon.DecodeBinary(binpack.NewDec(data))
 	},
 }
@@ -57,7 +57,7 @@ var faultsCodec = stage.Codec{
 		plan.AppendBinary(e)
 		return e.Bytes(), nil
 	},
-	Decode: func(data []byte) (any, error) {
+	Decode: func(data []byte, _ []any) (any, error) {
 		d := binpack.NewDec(data)
 		if !d.Bool() {
 			if err := d.Err(); err != nil {
@@ -90,7 +90,7 @@ var characterizeCodec = stage.Codec{
 		e.Int(s.Outliers)
 		return e.Bytes(), nil
 	},
-	Decode: func(data []byte) (any, error) {
+	Decode: func(data []byte, _ []any) (any, error) {
 		d := binpack.NewDec(data)
 		m, err := crosstalk.DecodeBinary(d)
 		if err != nil {
@@ -136,7 +136,7 @@ var partitionCodec = stage.Codec{
 		e.Int(part.SwapCount)
 		return e.Bytes(), nil
 	},
-	Decode: func(data []byte) (any, error) {
+	Decode: func(data []byte, _ []any) (any, error) {
 		d := binpack.NewDec(data)
 		if !d.Bool() {
 			if err := d.Err(); err != nil {
@@ -163,7 +163,7 @@ var fdmCodec = stage.Codec{
 		e.Int(g.Capacity)
 		return e.Bytes(), nil
 	},
-	Decode: func(data []byte) (any, error) {
+	Decode: func(data []byte, _ []any) (any, error) {
 		d := binpack.NewDec(data)
 		g := &fdm.Grouping{Groups: d.IntMatrix(), Capacity: d.Int()}
 		if err := d.Err(); err != nil {
@@ -209,7 +209,7 @@ var freqPlanCodec = stage.Codec{
 		}
 		return e.Bytes(), nil
 	},
-	Decode: func(data []byte) (any, error) {
+	Decode: func(data []byte, _ []any) (any, error) {
 		d := binpack.NewDec(data)
 		p := &fdm.FrequencyPlan{Zones: d.Int(), CellsPerZone: d.Int(), Reused: d.Int()}
 		nf := int(d.U32())
@@ -237,6 +237,8 @@ var freqPlanCodec = stage.Codec{
 	},
 }
 
+// tdmGatesCodec leaves the chip out: a decode binds the gate analysis
+// to fabricate's, the chip runTDMGates analyzed.
 var tdmGatesCodec = stage.Codec{
 	Encode: func(dst []byte, v any) ([]byte, error) {
 		tg, err := artifact[*tdmGates](StageTDMGates, v)
@@ -244,7 +246,6 @@ var tdmGatesCodec = stage.Codec{
 			return nil, err
 		}
 		e := binpack.NewEnc(dst)
-		tg.Gates.Dev.Chip().AppendBinary(e)
 		e.U32(uint32(len(tg.Gates.Gates)))
 		for _, g := range tg.Gates.Gates {
 			e.Int(g.Q1)
@@ -259,12 +260,16 @@ var tdmGatesCodec = stage.Codec{
 		e.IntMatrix(tg.Isolated)
 		return e.Bytes(), nil
 	},
-	Decode: func(data []byte) (any, error) {
-		d := binpack.NewDec(data)
-		c, err := chip.DecodeBinary(d)
+	Decode: func(data []byte, in []any) (any, error) {
+		if len(in) <= nFabricate {
+			return nil, fmt.Errorf("tdm-gates artifact: no %s artifact to bind to", StageFabricate)
+		}
+		dev, err := artifact[*xmon.Device](StageFabricate, in[nFabricate])
 		if err != nil {
 			return nil, err
 		}
+		c := dev.Chip
+		d := binpack.NewDec(data)
 		gates := &tdm.GateInfo{Dev: tdm.NewDevices(c)}
 		ng := int(d.U32())
 		if err := d.Err(); err != nil {
@@ -320,7 +325,7 @@ var tdmCodec = stage.Codec{
 		}
 		return e.Bytes(), nil
 	},
-	Decode: func(data []byte) (any, error) {
+	Decode: func(data []byte, _ []any) (any, error) {
 		d := binpack.NewDec(data)
 		grouping := &tdm.Grouping{Theta: d.F64()}
 		nGroups := int(d.U32())

@@ -63,6 +63,17 @@ func stageCodecs(t testing.TB) map[string]stage.Codec {
 	return codecs
 }
 
+// runInputs lays a build's artifacts out by declaration index: the
+// slice Graph.Run hands to Run and to Codec.Decode.
+func runInputs(artifacts map[string]any) []any {
+	names := append([]string{StageFabricate}, PipelineStageGraph.Downstream(StageFabricate)...)
+	in := make([]any, len(names))
+	for i, name := range names {
+		in[i] = artifacts[name]
+	}
+	return in
+}
+
 // TestStageCodecsRoundTrip drives every stage's codec with the real
 // artifact its stage produces and checks the stage.Codec law:
 // re-encoding the decoded value reproduces the original bytes exactly.
@@ -76,13 +87,14 @@ func TestStageCodecsRoundTrip(t *testing.T) {
 		AnnealSteps:         50,
 		PartitionTargetSize: 9,
 	})
+	in := runInputs(artifacts)
 	for name, codec := range stageCodecs(t) {
 		v, ok := artifacts[name]
 		if !ok {
 			t.Errorf("stage %s produced no artifact under the rich options", name)
 			continue
 		}
-		if _, err := codec.RoundTrip(v); err != nil {
+		if _, err := codec.RoundTrip(v, in); err != nil {
 			t.Errorf("stage %s: %v", name, err)
 		}
 	}
@@ -97,7 +109,7 @@ func TestStageCodecsRoundTripNilArtifacts(t *testing.T) {
 	if v := artifacts[StageFaults]; v != any((*faults.Plan)(nil)) {
 		t.Fatalf("fault-free build produced %#v, not a typed-nil plan", v)
 	}
-	got, err := codecs[StageFaults].RoundTrip(artifacts[StageFaults])
+	got, err := codecs[StageFaults].RoundTrip(artifacts[StageFaults], nil)
 	if err != nil {
 		t.Fatalf("nil fault plan: %v", err)
 	}
@@ -108,7 +120,7 @@ func TestStageCodecsRoundTripNilArtifacts(t *testing.T) {
 	if v := artifacts[StagePartition]; v != any((*partition.Partition)(nil)) {
 		t.Fatalf("whole-chip build produced %#v, not a typed-nil partition", v)
 	}
-	got, err = codecs[StagePartition].RoundTrip(artifacts[StagePartition])
+	got, err = codecs[StagePartition].RoundTrip(artifacts[StagePartition], nil)
 	if err != nil {
 		t.Fatalf("nil partition: %v", err)
 	}
@@ -130,12 +142,17 @@ func TestStageCodecsRejectForeignArtifacts(t *testing.T) {
 }
 
 // Decoders must fail cleanly on malformed bytes — every decode error
-// is a cache miss, never a panic or a half-built artifact.
+// is a cache miss, never a panic or a half-built artifact — with the
+// run's inputs at hand or without them.
 func TestStageCodecsDecodeMalformed(t *testing.T) {
 	inputs := [][]byte{nil, {}, {0x01}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
+	in := runInputs(captureArtifacts(t, Options{Seed: 3}))
 	for name, codec := range stageCodecs(t) {
 		for _, data := range inputs {
-			if _, err := codec.Decode(data); err == nil {
+			if _, err := codec.Decode(data, in); err == nil {
+				t.Errorf("stage %s decoded %d garbage bytes without error", name, len(data))
+			}
+			if _, err := codec.Decode(data, nil); err == nil {
 				t.Errorf("stage %s decoded %d garbage bytes without error", name, len(data))
 			}
 		}
@@ -149,17 +166,23 @@ func equalRows(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal) 
 // TestTDMGatesCodecRoundTrip decodes the tdm-gates artifact of a
 // faulty, partitioned build: every table the tdm stage reads comes
 // back equal, noisy pairs and stuck-lossy devices included, grouping
-// from the decoded artifact gives the original grouping, and noisy
-// lists that would index outside the chip do not decode.
+// from the decoded artifact gives the original grouping, the decoded
+// gate analysis binds to fabricate's chip (the encoding carries none),
+// and noisy lists that would index outside the chip, or an artifact
+// without a device to bind to, do not decode.
 func TestTDMGatesCodecRoundTrip(t *testing.T) {
 	opts := Options{Seed: 3, Faults: faults.UniformSpec(0.05), PartitionTargetSize: 9}
 	artifacts := captureArtifacts(t, opts)
 	tg := artifacts[StageTDMGates].(*tdmGates)
-	v, err := stageCodecs(t)[StageTDMGates].RoundTrip(tg)
+	runIn := runInputs(artifacts)
+	v, err := stageCodecs(t)[StageTDMGates].RoundTrip(tg, runIn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := v.(*tdmGates)
+	if c := artifacts[StageFabricate].(*xmon.Device).Chip; got.Gates.Dev.Chip() != c {
+		t.Error("the decoded gate analysis is not bound to fabricate's chip")
+	}
 	if !reflect.DeepEqual(got.Gates.Gates, tg.Gates.Gates) || !equalRows(got.Gates.GatesOf, tg.Gates.GatesOf) ||
 		!equalRows(got.Gates.NonCoex, tg.Gates.NonCoex) || got.Gates.Dev.Count() != tg.Gates.Dev.Count() {
 		t.Error("gate tables differ after the round trip")
@@ -195,8 +218,14 @@ func TestTDMGatesCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := corrupt.Decode(data); err == nil {
+	if _, err := corrupt.Decode(data, runIn); err == nil {
 		t.Error("a noisy-list table without one offset per qubit decoded")
+	}
+	if data, err = corrupt.Encode(nil, tg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := corrupt.Decode(data, runIn[:nFabricate]); err == nil {
+		t.Error("a tdm-gates artifact decoded without a fabricate artifact")
 	}
 	nq := tg.Gates.Dev.Chip().NumQubits()
 	start := make([]int32, nq+1)
@@ -205,7 +234,7 @@ func TestTDMGatesCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := corrupt.Decode(data); err == nil {
+	if _, err := corrupt.Decode(data, runIn); err == nil {
 		t.Error("a noisy list naming a qubit off the chip decoded")
 	}
 }

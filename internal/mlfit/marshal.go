@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/binpack"
 )
@@ -34,79 +35,109 @@ func (t *Tree) appendNode(e *binpack.Enc, i int32) {
 	}
 }
 
-// DecodeBinary rebuilds a forest encoded by AppendBinary. The decoded
-// forest predicts bit-identically: node structure, split thresholds
-// and leaf values round-trip exactly. A record that decodes but could
-// not have been encoded from a trained forest — no trees, a feature
-// arity below one or differing between trees, a missing node, or a
-// split on a feature outside the arity — is rejected, so an accepted
-// forest predicts on any row of its arity.
+// DecodeBinary rebuilds a forest encoded by AppendBinary: ScanBinary,
+// then BuildBinary of the record it accepted. The decoded forest
+// predicts bit-identically: node structure, split thresholds and leaf
+// values round-trip exactly.
 func DecodeBinary(d *binpack.Dec) (*Forest, error) {
-	n := int(d.U32())
-	if err := d.Err(); err != nil {
+	rec, _, err := ScanBinary(d)
+	if err != nil {
 		return nil, err
 	}
-	if n < 1 || n > d.Remaining() {
-		return nil, fmt.Errorf("mlfit: implausible tree count %d", n)
+	return BuildBinary(rec), nil
+}
+
+// ScanBinary checks the forest record at d's position and reads it,
+// building nothing. It returns the record, aliasing d's input, and the
+// forest's feature arity. A record that could not have been encoded
+// from a trained forest — no trees, a feature arity below one or
+// differing between trees, a missing node, or a split on a feature
+// outside the arity — is rejected, so a forest built from an accepted
+// record predicts on any row of its arity.
+func ScanBinary(d *binpack.Dec) (rec []byte, nFeature int, err error) {
+	all := d.Rest()
+	s := binpack.NewDec(all)
+	n := int(s.U32())
+	if err := s.Err(); err != nil {
+		return nil, 0, err
 	}
-	f := &Forest{trees: make([]Tree, n)}
-	// Trees decode into one growing scratch slice and each copies out
-	// an exact-size node slice, as FitForest's trees do.
+	if n < 1 || n > s.Remaining() {
+		return nil, 0, fmt.Errorf("mlfit: implausible tree count %d", n)
+	}
+	for i := 0; i < n; i++ {
+		arity := s.Int()
+		if err := s.Err(); err != nil {
+			return nil, 0, err
+		}
+		if arity < 1 || i > 0 && arity != nFeature {
+			return nil, 0, fmt.Errorf("mlfit: tree %d: feature arity %d", i, arity)
+		}
+		nFeature = arity
+		// A preorder stream is complete when every split's two child
+		// slots are filled.
+		for node, open := 0, 1; open > 0; node, open = node+1, open-1 {
+			present, nd := readNode(s)
+			if err := s.Err(); err != nil {
+				return nil, 0, fmt.Errorf("mlfit: tree %d: %w", i, err)
+			}
+			if present != 1 {
+				return nil, 0, fmt.Errorf("mlfit: tree %d: node %d has presence flag %d", i, node, present)
+			}
+			if nd.feature < -1 || nd.feature >= nFeature {
+				return nil, 0, fmt.Errorf("mlfit: tree %d: node %d splits on feature %d of %d", i, node, nd.feature, nFeature)
+			}
+			if nd.feature >= 0 {
+				open += 2
+			}
+		}
+	}
+	return d.Record(len(all) - s.Remaining()), nFeature, nil
+}
+
+// BuildBinary builds the forest of a record ScanBinary accepted; any
+// other input may panic. It retains nothing of rec.
+func BuildBinary(rec []byte) *Forest {
+	d := binpack.NewDec(rec)
+	f := &Forest{trees: make([]Tree, d.U32())}
+	// Trees build into one growing scratch slice and each keeps a copy,
+	// as FitForest's trees do.
 	var scratch []treeNode
 	for i := range f.trees {
 		t := &f.trees[i]
 		t.nFeature = d.Int()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if t.nFeature < 1 || t.nFeature != f.trees[0].nFeature {
-			return nil, fmt.Errorf("mlfit: tree %d: feature arity %d", i, t.nFeature)
-		}
 		t.nodes = scratch[:0]
-		if err := t.decodeNode(d); err != nil {
-			return nil, fmt.Errorf("mlfit: tree %d: %w", i, err)
-		}
+		t.buildNode(d)
 		scratch = t.nodes
-		t.nodes = make([]treeNode, len(scratch))
-		copy(t.nodes, scratch)
+		t.nodes = slices.Clone(scratch)
 	}
-	return f, nil
+	return f
 }
 
 // nodeRecord is the encoded size of one node: the presence flag, then
 // feature, threshold and value at eight bytes each.
 const nodeRecord = 1 + 3*8
 
-// decodeNode appends one preorder-encoded subtree to t.nodes. It
-// takes each node's fields with one bounds check, reading them as
-// binpack's U8, Int and F64 would.
-func (t *Tree) decodeNode(d *binpack.Dec) error {
+// readNode reads one node's presence flag and fields with one bounds
+// check, as binpack's U8, Int and F64 would.
+func readNode(d *binpack.Dec) (uint8, treeNode) {
 	b := d.Record(nodeRecord)
 	if b == nil {
-		return d.Err()
+		return 0, treeNode{}
 	}
 	le := binary.LittleEndian
-	present := b[0]
-	nd := treeNode{
-		feature:   int(int64(le.Uint64(b[1:9]))),
-		threshold: math.Float64frombits(le.Uint64(b[9:17])),
-		value:     math.Float64frombits(le.Uint64(b[17:25])),
-	}
-	if present != 1 {
-		return fmt.Errorf("mlfit: node %d has presence flag %d", len(t.nodes), present)
-	}
-	if nd.feature < -1 || nd.feature >= t.nFeature {
-		return fmt.Errorf("mlfit: node %d splits on feature %d of %d", len(t.nodes), nd.feature, t.nFeature)
-	}
+	return b[0], treeNode{feature: int(int64(le.Uint64(b[1:9]))),
+		threshold: math.Float64frombits(le.Uint64(b[9:17])), value: math.Float64frombits(le.Uint64(b[17:25]))}
+}
+
+// buildNode appends one preorder-encoded subtree to t.nodes.
+func (t *Tree) buildNode(d *binpack.Dec) {
 	at := len(t.nodes)
+	_, nd := readNode(d)
 	t.nodes = append(t.nodes, nd)
-	if nd.feature < 0 {
-		return nil
+	if nd.feature >= 0 {
+		t.nodes[at].left = int32(len(t.nodes))
+		t.buildNode(d)
+		t.nodes[at].right = int32(len(t.nodes))
+		t.buildNode(d)
 	}
-	t.nodes[at].left = int32(len(t.nodes))
-	if err := t.decodeNode(d); err != nil {
-		return err
-	}
-	t.nodes[at].right = int32(len(t.nodes))
-	return t.decodeNode(d)
 }

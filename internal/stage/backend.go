@@ -67,28 +67,31 @@ type BackendStats struct {
 // also what the memory tier charges an artifact.
 //
 // Encode appends v's encoding to dst and returns the extended slice.
-// Decode must not retain data: the store decodes out of a pooled
-// buffer it reuses as soon as Decode returns.
+// Decode receives in, the run's artifacts by declaration index (what
+// Node.Run reads), so an artifact can leave out what its upstream holds
+// and bind to it. Decode must not retain data: the store decodes out of
+// a pooled buffer it reuses as soon as Decode returns.
 type Codec struct {
 	Encode func(dst []byte, v any) ([]byte, error)
-	Decode func(data []byte) (any, error)
+	Decode func(data []byte, in []any) (any, error)
 }
 
 // RoundTrip is the property-test harness of the codec law: it encodes
-// v, decodes a copy of the bytes, overwrites the copy, and re-encodes
-// the decoded value after a prefix, failing unless the re-encoding
-// leaves the prefix alone and matches the first byte for byte. A
-// decoded value that aliased its input would read the overwritten
-// bytes, so the harness also enforces that Decode retains nothing. It
-// returns the decoded value so tests can additionally compare semantics
-// (predictions, group structure) against the original.
-func (c Codec) RoundTrip(v any) (any, error) {
+// v, decodes a copy of the bytes against in, overwrites the copy, and
+// re-encodes the decoded value after a prefix, failing unless the
+// re-encoding leaves the prefix alone and matches the first byte for
+// byte. A decoded value that aliased its input would read the
+// overwritten bytes, so the harness also enforces that Decode retains
+// nothing. It returns the decoded value so tests can additionally
+// compare semantics (predictions, group structure) against the
+// original.
+func (c Codec) RoundTrip(v any, in []any) (any, error) {
 	first, err := c.Encode(nil, v)
 	if err != nil {
 		return nil, fmt.Errorf("encode: %w", err)
 	}
 	scratch := bytes.Clone(first)
-	decoded, err := c.Decode(scratch)
+	decoded, err := c.Decode(scratch, in)
 	if err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
 	}

@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 )
 
-// On-disk artifact format, version 2:
+// On-disk artifact format, version 3:
 //
 //	offset  size  field
 //	0       4     magic "YTCA"
@@ -29,11 +29,13 @@ import (
 // The version names the payload encodings as well as the header, since
 // a payload does not describe itself. Version 2 changed the
 // characterization payload (it carries the predictor's pair table in
-// place of the chip), so a version-1 file is dropped and its stage
-// re-executes rather than being decoded under the wrong layout.
+// place of the chip), and version 3 the tdm-gates payload (it leaves
+// out the chip, which its decoder takes from the fabricate artifact),
+// so a file of an older version is dropped and its stage re-executes
+// rather than being decoded under the wrong layout.
 const (
 	magic         = "YTCA"
-	formatVersion = 2
+	formatVersion = 3
 	headerMin     = 4 + 4 + 2 + 2 // magic + crc + version + name length
 )
 

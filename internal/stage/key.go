@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 )
 
@@ -21,32 +22,38 @@ type Key string
 // component is written with a type tag and, for variable-length data, a
 // length prefix, so distinct component sequences can never collide by
 // concatenation (e.g. "ab"+"c" vs "a"+"bc") — the property FuzzArtifactKey
-// exercises. The components are buffered and digested once, by Done:
-// the digest of the whole stream equals that of writing it piece by
-// piece into a running hash.
+// exercises. Each component goes straight into the running digest,
+// through a fixed scratch array, so a key buffers nothing that grows.
 type KeyBuilder struct {
-	buf []byte
+	h       hash.Hash
+	scratch [2 * sha256.Size]byte // a component's header or payload chunk, then the digest
 }
 
 // NewKey starts a key for the named domain (typically the stage name).
 // The domain is the first component, so equal payloads under different
 // stage names yield different keys.
 func NewKey(domain string) *KeyBuilder {
-	b := &KeyBuilder{buf: make([]byte, 0, 512)}
+	b := &KeyBuilder{h: sha256.New()}
 	return b.String(domain)
 }
 
-// tag appends a variable-length component: its type tag, its length and
+// tag writes a variable-length component: its type tag, its length and
 // the payload.
 func tag[P ~string | []byte](b *KeyBuilder, t byte, payload P) *KeyBuilder {
 	b.fixed(t, uint64(len(payload)))
-	b.buf = append(b.buf, payload...)
+	for len(payload) > 0 {
+		n := copy(b.scratch[:], payload)
+		b.h.Write(b.scratch[:n])
+		payload = payload[n:]
+	}
 	return b
 }
 
-// fixed appends a component's type tag and a 64-bit value.
+// fixed writes a component's type tag and a 64-bit value.
 func (b *KeyBuilder) fixed(t byte, v uint64) *KeyBuilder {
-	b.buf = binary.BigEndian.AppendUint64(append(b.buf, t), v)
+	b.scratch[0] = t
+	binary.BigEndian.PutUint64(b.scratch[1:9], v)
+	b.h.Write(b.scratch[:9])
 	return b
 }
 
@@ -102,8 +109,7 @@ func (b *KeyBuilder) Ints(vs []int) *KeyBuilder {
 
 // Done finalizes the key. The builder must not be reused afterwards.
 func (b *KeyBuilder) Done() Key {
-	sum := sha256.Sum256(b.buf)
 	var hexed [2 * sha256.Size]byte
-	hex.Encode(hexed[:], sum[:])
+	hex.Encode(hexed[:], b.h.Sum(b.scratch[:0]))
 	return Key(hexed[:])
 }

@@ -48,7 +48,8 @@ type Node[B any] struct {
 	// all of which its key chains.
 	Run func(ctx context.Context, b B, in []any) (any, error)
 	// Codec encodes the artifact Run produces: the memory tier charges
-	// its encoded length and the warm tier stores it. Required.
+	// its encoded length and the warm tier stores it; a disk hit
+	// decodes it against in, as Run would read it. Required.
 	Codec Codec
 }
 
@@ -198,7 +199,7 @@ func (g *Graph[B]) Run(ctx context.Context, s *Store, b B, workers int, given ..
 		if n.Parallel {
 			w = parallel.Workers(workers)
 		}
-		v, _, err := s.Do(ctx, n.Name, keys[i], w, n.Codec, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
+		v, _, err := s.Do(ctx, n.Name, keys[i], w, n.Codec, in, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
 		if err != nil {
 			return &Error{Stage: n.Name, Err: err}
 		}

@@ -324,16 +324,16 @@ func (s *Store) evictLocked(sh *shard) int {
 // Do returns the artifact for key, executing fn to produce it on a
 // cache miss, and counts the outcome into the registry ctx carries
 // (obs.FromContext; none counts nothing). fn runs on ctx, so what it
-// counts lands in the same registry. The
-// boolean reports whether the artifact came from the cache. workers is
-// recorded as the stage's worker budget (purely instrumentation — it
-// never affects the artifact). codec charges the
-// artifact to the memory budget and carries it to and from the warm
-// tier; a zero Codec keeps the artifact memory-only, charged by its key
-// alone. Errors are returned to every concurrent waiter but never
-// cached; a panicking fn is recovered into a *PanicError with the same
-// contract.
-func (s *Store) Do(ctx context.Context, name string, key Key, workers int, codec Codec, fn func(context.Context) (any, error)) (any, bool, error) {
+// counts lands in the same registry. The boolean reports whether the
+// artifact came from the cache. workers is recorded as the stage's
+// worker budget (purely instrumentation — it never affects the
+// artifact). codec charges the artifact to the memory budget and
+// carries it to and from the warm tier, where a hit decodes against
+// in (Codec.Decode); a zero Codec keeps the artifact memory-only,
+// charged by its key alone. Errors are returned to every concurrent
+// waiter but never cached; a panicking fn is recovered into a
+// *PanicError with the same contract.
+func (s *Store) Do(ctx context.Context, name string, key Key, workers int, codec Codec, in []any, fn func(context.Context) (any, error)) (any, bool, error) {
 	r := obs.FromContext(ctx)
 	s.statsMu.Lock()
 	s.statLocked(name).Runs++
@@ -373,7 +373,7 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, codec
 	// onto one execution, and a decoded artifact is installed in the
 	// memory tier like an executed one (it may be evicted and recalled
 	// again later).
-	if v, size, ok := s.diskLoad(r, name, key, codec); ok {
+	if v, size, ok := s.diskLoad(r, name, key, codec, in); ok {
 		e.val, e.size = v, size
 		close(e.ready)
 		evicted := s.install(sh, e)
@@ -489,7 +489,7 @@ func (s *Store) encode(r *obs.Registry, codec Codec, key Key, v any) (*[]byte, i
 // a backend miss or a decode failure — is a miss; decode failures
 // additionally count as decode_errors (the backend already dropped the
 // corrupt file, so the next write repairs it).
-func (s *Store) diskLoad(r *obs.Registry, name string, key Key, codec Codec) (any, int64, bool) {
+func (s *Store) diskLoad(r *obs.Registry, name string, key Key, codec Codec, in []any) (any, int64, bool) {
 	if s.backend == nil || codec.Decode == nil {
 		return nil, 0, false
 	}
@@ -503,7 +503,7 @@ func (s *Store) diskLoad(r *obs.Registry, name string, key Key, codec Codec) (an
 		return nil, 0, false
 	}
 	*buf = data
-	v, err := codec.Decode(data)
+	v, err := codec.Decode(data, in)
 	if err != nil {
 		s.decodeErrors.Add(1)
 		s.diskMisses.Add(1)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/chip"
 	"repro/internal/parallel"
@@ -92,7 +93,8 @@ type Device struct {
 	Chip   *chip.Chip
 	Params Params
 
-	// topDist caches the multi-path topological distance matrix.
+	// topDist caches the multi-path topological distance matrix, built on first Coupling.
+	topOnce sync.Once
 	topDist [][]float64
 	// disorder caches the per-pair lognormal factors so that repeated
 	// queries are consistent, like re-measuring the same chip.
@@ -108,7 +110,6 @@ func NewDevice(c *chip.Chip, p Params, rng *rand.Rand) *Device {
 	d := &Device{Chip: c, Params: p}
 	assignFrequencies(c, p, rng)
 	n := c.NumQubits()
-	d.topDist = c.Graph().AllMultiPathDistances()
 	d.disorderXY = lognormalMatrix(n, p.DisorderSigma, rng)
 	d.disorderZZ = lognormalMatrix(n, p.DisorderSigma, rng)
 	return d
@@ -168,6 +169,7 @@ func (d *Device) Coupling(kind CrosstalkKind, i, j int) float64 {
 	}
 	p := d.Params
 	phys := d.Chip.PhysicalDistance(i, j)
+	d.topOnce.Do(func() { d.topDist = d.Chip.Graph().AllMultiPathDistances() })
 	top := d.topDist[i][j]
 	if math.IsInf(top, 1) {
 		// Disconnected qubits still share the substrate; only the
