@@ -401,7 +401,7 @@ func BenchmarkFDMAllocate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	xt := p.PredXY.Pairs()
+	xt := p.PredXY.Predict
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

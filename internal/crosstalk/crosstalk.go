@@ -283,7 +283,7 @@ func (m *Model) PredictDistance(dEquiv float64) float64 {
 // The feature space is one-dimensional and a chip has few distinct
 // equivalent distances, so On lists the distinct d_equiv of the chip's
 // qubit pairs with their predictions, and indexes every pair into the
-// list: the bulk readers (Matrix, Pairs, Above) then read two arrays
+// list: the readers (Predict, Matrix, Above) then read two arrays
 // per pair, without hashing. d_equiv is symmetric bit for bit: d_phy
 // squares the coordinate differences, and d_top multiplies the integer
 // hop and shortest-path counts, which are the same from either end.
@@ -375,20 +375,6 @@ func (p *Predictor) Predict(i, j int) float64 {
 		return 0
 	}
 	return p.pred[p.pair[i*p.n+j]]
-}
-
-// Pairs returns Predict as a function for callers that read many
-// pairs, many times, such as the TDM grouping and the frequency
-// allocation. It returns Predict's values.
-func (p *Predictor) Pairs() func(i, j int) float64 {
-	n := p.n
-	pair, pred := p.pair, p.pred
-	return func(i, j int) float64 {
-		if i == j {
-			return 0
-		}
-		return pred[pair[i*n+j]]
-	}
 }
 
 // Above returns, for every qubit a, the qubits b != a whose predicted

@@ -50,7 +50,7 @@ func TestPredictorCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: re-encoding changed the record", c.Topology)
 		}
 		n := c.NumQubits()
-		want, have := p.Pairs(), got.Pairs()
+		want, have := p.Predict, got.Predict
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if math.Float64bits(got.EquivDistance(i, j)) != math.Float64bits(p.EquivDistance(i, j)) ||

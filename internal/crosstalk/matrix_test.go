@@ -50,7 +50,7 @@ func TestPairLookups(t *testing.T) {
 		p := m.On(c)
 		n := c.NumQubits()
 		top := c.Graph().AllMultiPathDistances()
-		pairs := p.Pairs()
+		pairs := p.Predict
 		// The median prediction splits the pairs into listed and not.
 		vals := p.PredictedValues()
 		slices.Sort(vals)

@@ -27,7 +27,7 @@ import (
 // median of the predictions.
 func sameReads(t *testing.T, label string, got, want *crosstalk.Predictor, n int) {
 	t.Helper()
-	gp, wp := got.Pairs(), want.Pairs()
+	gp, wp := got.Predict, want.Predict
 	gm, wm := got.Matrix(), want.Matrix()
 	if len(gm) != n || len(wm) != n {
 		t.Fatalf("%s: matrices of %d and %d rows for %d qubits", label, len(gm), len(wm), n)
@@ -102,12 +102,10 @@ func TestCharacterizationRecallReadsLikeOn(t *testing.T) {
 	}
 }
 
-// writeVersion1 rewrites the artifact file at path in the format the
-// warm tier wrote before the characterization payload carried its pair
-// table: a version-1 header (see internal/stage/cas/header.go) over the
-// payload of that format, the chip, then the model and the campaign
-// stats.
-func writeVersion1(t *testing.T, path string, c *chip.Chip) {
+// rewriteEntry rewrites the artifact file at path as a file of an older
+// format version: the header stamped with version, over the payload
+// old returns for the current one.
+func rewriteEntry(t *testing.T, path string, version uint16, old func(payload []byte) []byte) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -117,25 +115,50 @@ func writeVersion1(t *testing.T, path string, c *chip.Chip) {
 	for range 2 {
 		off += 2 + int(binary.LittleEndian.Uint16(data[off:]))
 	}
-	v, err := characterizeCodec.Decode(data[off+8:], nil)
-	if err != nil {
+	payload := old(data[off+8:])
+	out := append(slices.Clone(data[:off]), binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+	out = append(out, payload...)
+	binary.LittleEndian.PutUint16(out[8:10], version)
+	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(out[8:], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ch := v.(*characterization)
-	var e binpack.Enc
-	c.AppendBinary(&e)
-	ch.Model.AppendBinary(&e)
-	s := ch.Stats
-	for _, x := range []int{s.Pairs, s.SkippedDead, s.Dropouts, s.Retried, s.LostPairs, s.Outliers} {
-		e.Int(x)
-	}
-	old := append(slices.Clone(data[:off]), binary.LittleEndian.AppendUint64(nil, uint64(len(e.Bytes())))...)
-	old = append(old, e.Bytes()...)
-	binary.LittleEndian.PutUint16(old[8:10], 1)
-	binary.LittleEndian.PutUint32(old[4:8], crc32.Checksum(old[8:], crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// writeVersion1 rewrites the artifact file at path in the format the
+// warm tier wrote before the characterization payload carried its pair
+// table: a version-1 header (see internal/stage/cas/header.go) over the
+// payload of that format, the chip, then the model and the campaign
+// stats.
+func writeVersion1(t *testing.T, path string, c *chip.Chip) {
+	t.Helper()
+	rewriteEntry(t, path, 1, func(payload []byte) []byte {
+		v, err := characterizeCodec.Decode(payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := v.(*characterization)
+		var e binpack.Enc
+		c.AppendBinary(&e)
+		ch.Model.AppendBinary(&e)
+		s := ch.Stats
+		for _, x := range []int{s.Pairs, s.SkippedDead, s.Dropouts, s.Retried, s.LostPairs, s.Outliers} {
+			e.Int(x)
+		}
+		return e.Bytes()
+	})
+}
+
+// writeVersion2 rewrites the tdm-gates file at path in the format the
+// warm tier wrote before that payload left out its chip: a version-2
+// header over the chip, then the current payload.
+func writeVersion2(t *testing.T, path string, c *chip.Chip) {
+	t.Helper()
+	rewriteEntry(t, path, 2, func(payload []byte) []byte {
+		var e binpack.Enc
+		c.AppendBinary(&e)
+		return append(e.Bytes(), payload...)
+	})
 }
 
 // TestCharacterizationVersion1FileMisses: a characterization file
@@ -143,6 +166,23 @@ func writeVersion1(t *testing.T, path string, c *chip.Chip) {
 // cache drops it, re-executes the stage and writes it back in the
 // current format, and the design is the one the first process made.
 func TestCharacterizationVersion1FileMisses(t *testing.T) {
+	checkOldFormatMisses(t, writeVersion1, StageCharacterizeXY, StageCharacterizeZZ)
+}
+
+// TestTDMGatesVersion2FileMisses: the same for a tdm-gates file of the
+// version-2 format, whose payload starts with the chip the current
+// decoder takes from the fabricate artifact. Only tdm-gates
+// re-executes.
+func TestTDMGatesVersion2FileMisses(t *testing.T) {
+	checkOldFormatMisses(t, writeVersion2, StageTDMGates)
+}
+
+// checkOldFormatMisses designs a chip on a disk-backed cache, rewrites
+// the one artifact file of each named stage with rewrite, and checks
+// that a restarted cache drops each rewritten file without decoding
+// it, re-executes exactly those stages, recalls every other one from
+// disk, designs the same chip, and writes the current format back.
+func checkOldFormatMisses(t *testing.T, rewrite func(*testing.T, string, *chip.Chip), stages ...string) {
 	ctx := context.Background()
 	opts := persistOpts()
 	dir := t.TempDir()
@@ -158,10 +198,10 @@ func TestCharacterizationVersion1FileMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rewritten int
-	for _, name := range []string{StageCharacterizeXY, StageCharacterizeZZ} {
+	for _, name := range stages {
 		err := filepath.WalkDir(filepath.Join(dir, "v1", name), func(path string, d fs.DirEntry, err error) error {
 			if err == nil && !d.IsDir() {
-				writeVersion1(t, path, first.Device.Chip)
+				rewrite(t, path, first.Device.Chip)
 				rewritten++
 			}
 			return err
@@ -170,8 +210,8 @@ func TestCharacterizationVersion1FileMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rewritten != 2 {
-		t.Fatalf("rewrote %d characterization files, want 2", rewritten)
+	if rewritten != len(stages) {
+		t.Fatalf("rewrote %d files, want %d", rewritten, len(stages))
 	}
 
 	dc := open()
@@ -181,21 +221,21 @@ func TestCharacterizationVersion1FileMisses(t *testing.T) {
 	}
 	for _, st := range dc.Report().Stages {
 		wantMisses := 0
-		if st.Name == StageCharacterizeXY || st.Name == StageCharacterizeZZ {
+		if slices.Contains(stages, st.Name) {
 			wantMisses = 1
 		}
 		if st.Misses != wantMisses || st.DiskHits != 1-wantMisses {
 			t.Errorf("stage %s: %d executions, %d disk hits; want %d, %d", st.Name, st.Misses, st.DiskHits, wantMisses, 1-wantMisses)
 		}
 	}
-	if bs := dc.Store().BackendStats(); bs.CorruptDropped != 2 {
-		t.Errorf("dropped %d files, want the 2 version-1 files", bs.CorruptDropped)
+	if bs := dc.Store().BackendStats(); bs.CorruptDropped != int64(len(stages)) {
+		t.Errorf("dropped %d files, want the %d rewritten files", bs.CorruptDropped, len(stages))
 	}
 	if dc.Store().DecodeErrors() != 0 {
-		t.Errorf("%d version-1 payloads reached a decoder", dc.Store().DecodeErrors())
+		t.Errorf("%d old-format payloads reached a decoder", dc.Store().DecodeErrors())
 	}
 	if got, want := designFingerprint(again), designFingerprint(first); got != want || again.Calib != first.Calib {
-		t.Errorf("design after re-executing characterization differs:\n%s\nwant\n%s", got, want)
+		t.Errorf("design after re-executing %v differs:\n%s\nwant\n%s", stages, got, want)
 	}
 
 	// The re-execution wrote the current format back.
@@ -237,7 +277,7 @@ func FuzzCharacterizationCodec(f *testing.F) {
 		}
 		p := v.(*characterization).Pred
 		n := len(p.Matrix())
-		pairs := p.Pairs()
+		pairs := p.Predict
 		p.Above(0)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {

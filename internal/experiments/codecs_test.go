@@ -248,7 +248,7 @@ func TestTDMGatesChecksEveryNoisyList(t *testing.T) {
 	dev := artifacts[StageFabricate].(*xmon.Device)
 	zz := artifacts[StageCharacterizeZZ].(*characterization)
 	tg := prepareTDMGates(dev.Chip, nil, nil, zz.Pred)
-	if err := tg.checkNoisy(zz.Pred.Pairs()); err != nil {
+	if err := tg.checkNoisy(zz.Pred.Predict); err != nil {
 		t.Fatalf("lists from the predictor rejected: %v", err)
 	}
 	a := dev.Chip.NumQubits() - 1
@@ -267,7 +267,7 @@ func TestTDMGatesChecksEveryNoisyList(t *testing.T) {
 	if _, err := runTDM(context.Background(), b, in); err != nil {
 		t.Fatalf("the spot check reached qubit %d: %v", a, err)
 	}
-	err := tg.checkNoisy(zz.Pred.Pairs())
+	err := tg.checkNoisy(zz.Pred.Predict)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("Noisy(%d)", a)) {
 		t.Fatalf("check = %v, want a disagreement on Noisy(%d)", err, a)
 	}

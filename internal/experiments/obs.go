@@ -8,14 +8,14 @@ import (
 	"repro/internal/stage"
 )
 
-// pairs returns p's pair lookup (crosstalk.Predictor.Pairs) and counts
+// pairs returns p's pair lookup (crosstalk.Predictor.Predict) and counts
 // the n(n-1)/2 predictions of one matrix as "crosstalk/predictions"
 // into the registry ctx carries. The predictor is a cached artifact
 // shared across builds, so the stage that reads it does the counting.
 func pairs(ctx context.Context, p *crosstalk.Predictor) func(i, j int) float64 {
 	n := int64(p.NumQubits())
 	obs.FromContext(ctx).Counter("crosstalk/predictions").Add(n * (n - 1) / 2)
-	return p.Pairs()
+	return p.Predict
 }
 
 // Digest returns a stable hex digest of every normalized option that

@@ -3,28 +3,30 @@
 // repository root:
 //
 //	go run ./tools/ab -base <rev> [-pairs 10] [-workloads cold-design,warm-restart]
-//	    [-seed 1] [-seconds 20] [-out ab.json]
+//	    [-seed 1] [-out ab.json]
 //
 // or `make ab BASE=<rev> PAIRS=10 WORKLOADS=...`. It checks the base out
 // with `git worktree` under .bench_build/, builds and runs each side with
-// its own perfbench/run.sh, and swaps which side runs first from one
-// pair to the next, so a drift in the host's speed lands on both sides
-// alike. It reads BENCHMARK.json and writes nothing under perfbench/.
+// its own perfbench/run.sh for BENCHMARK.json's run_seconds, and swaps
+// which side runs first from one pair to the next, so a drift in the
+// host's speed lands on both sides alike. It reads BENCHMARK.json and
+// writes nothing under perfbench/.
 //
 // For each workload and metric it prints both sides' medians and
 // quartiles, how many pairs the change won (ties count for neither),
 // and a verdict:
 //
-//	unresolved  the base's IQR exceeds the metric's bound, relative to its median
+//	unresolved  the base's IQR exceeds the metric's bound, relative to its
+//	            median, and some change run reads no better than some base run
 //	worse       the change's median is worse than the base's by more than the bound
 //	gain        the change won at least 9 in 10 pairs and the medians differ
 //	            by more than the base's IQR
 //	-           none of these
 //
-// Per-layer metrics (-trace 1) have no bound; they get only the gain
-// verdict. The exit status is 1 when a run failed a check (perfbench
-// exited non-zero or reported "correct": false), 2 on a usage or setup
-// error.
+// A pair with a failed run (perfbench exited non-zero or reported
+// "correct": false) is left out of every summary, and the report says
+// how many were. The exit status is 1 when a run failed, 2 on a usage
+// or setup error.
 package main
 
 import (
@@ -46,11 +48,10 @@ import (
 type benchSpec struct {
 	RunSeconds int         `json:"run_seconds"`
 	EndToEnd   []metricDef `json:"end_to_end"`
-	PerLayer   []metricDef `json:"per_layer"`
 }
 
-// metricDef declares one metric: which direction is better, and for
-// end-to-end metrics the relative bound a regression may reach.
+// metricDef declares one end-to-end metric: which direction is better
+// and the relative bound a regression may reach.
 type metricDef struct {
 	Name   string  `json:"name"`
 	Better string  `json:"better"`
@@ -85,8 +86,6 @@ func mainErr(args []string, stdout, stderr io.Writer) int {
 	pairs := fl.Int("pairs", 10, "alternating base/change pairs per workload")
 	wl := fl.String("workloads", "cold-design,tenant-churn,warm-restart", "comma-separated perfbench workloads")
 	seed := fl.Int64("seed", 1, "workload seed")
-	seconds := fl.Int("seconds", 0, "timed-phase length (0: BENCHMARK.json's run_seconds)")
-	trace := fl.Int("trace", 0, "perfbench --trace: 0 end-to-end metrics, 1 per-layer metrics")
 	out := fl.String("out", "", "write every run's metrics to this JSON file")
 	if err := fl.Parse(args); err != nil {
 		return 2
@@ -102,9 +101,6 @@ func mainErr(args []string, stdout, stderr io.Writer) int {
 	} else if err := json.Unmarshal(data, &spec); err != nil {
 		fmt.Fprintln(stderr, "ab: BENCHMARK.json:", err)
 		return 2
-	}
-	if *seconds == 0 {
-		*seconds = spec.RunSeconds
 	}
 
 	rev, err := git("rev-parse", "--short", *base+"^{commit}")
@@ -138,7 +134,7 @@ func mainErr(args []string, stdout, stderr io.Writer) int {
 				if side == "base" {
 					dir = baseDir
 				}
-				r := runOnce(dir, w, *seed, *seconds, *trace, stderr)
+				r := runOnce(dir, w, *seed, spec.RunSeconds, stderr)
 				r.Side, r.Pair = side, p
 				failed = failed || !r.OK
 				fmt.Fprintf(stderr, "ab: %s pair %d %s: ok=%v\n", w, p, side, r.OK)
@@ -175,9 +171,9 @@ func git(args ...string) (string, error) {
 // runOnce builds and runs perfbench in the checkout at dir and parses
 // its result line. A run that cannot complete, exits non-zero or is
 // not correct is not OK; its metrics are kept when it printed them.
-func runOnce(dir, workload string, seed int64, seconds, trace int, stderr io.Writer) run {
+func runOnce(dir, workload string, seed int64, seconds int, stderr io.Writer) run {
 	cmd := exec.Command("bash", "perfbench/run.sh", "--workload", workload,
-		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", fmt.Sprint(trace))
+		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0")
 	cmd.Dir = dir
 	var stdout bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, stderr
@@ -205,23 +201,26 @@ type summary struct {
 
 // compare summarizes paired values b[i], c[i] of a metric where
 // higher (or lower) is better and bound is the relative regression
-// bound (0: none).
+// bound.
 func compare(b, c []float64, higher bool, bound float64) summary {
 	s := summary{base: quartiles(b), change: quartiles(c), pairs: len(b), verdict: "-"}
+	better := func(x, y float64) bool { return higher && x > y || !higher && x < y }
 	for i := range b {
-		if higher && c[i] > b[i] || !higher && c[i] < b[i] {
+		if better(c[i], b[i]) {
 			s.wins++
 		}
 	}
+	// separated: every change run reads better than every base run.
+	separated := higher && slices.Min(c) > slices.Max(b) || !higher && slices.Max(c) < slices.Min(b)
 	iqr, med := s.base[2]-s.base[0], s.base[1]
 	worse := s.change[1] - med
 	if higher {
 		worse = -worse
 	}
 	switch {
-	case bound > 0 && iqr > bound*math.Abs(med):
+	case iqr > bound*math.Abs(med) && !separated:
 		s.verdict = "unresolved"
-	case bound > 0 && worse > bound*math.Abs(med):
+	case worse > bound*math.Abs(med):
 		s.verdict = "worse"
 	case 10*s.wins >= 9*s.pairs && -worse > iqr:
 		s.verdict = "gain"
@@ -249,10 +248,11 @@ func quartiles(xs []float64) [3]float64 {
 }
 
 // report prints one table per workload: each metric the runs share,
-// with both sides' quartiles, the change's wins and the verdict.
+// with both sides' quartiles, the change's wins and the verdict, over
+// the pairs whose runs both succeeded.
 func report(w io.Writer, runs []run, spec benchSpec, base string, seed int64) {
 	defs := map[string]metricDef{}
-	for _, d := range append(spec.PerLayer, spec.EndToEnd...) {
+	for _, d := range spec.EndToEnd {
 		defs[d.Name] = d
 	}
 	var workloads []string
@@ -262,10 +262,16 @@ func report(w io.Writer, runs []run, spec benchSpec, base string, seed int64) {
 		}
 	}
 	for _, wl := range workloads {
+		failed := map[int]bool{}
+		for _, r := range runs {
+			if r.Workload == wl && !r.OK {
+				failed[r.Pair] = true
+			}
+		}
 		byPair := map[string]map[int]float64{}
 		var names []string
 		for _, r := range runs {
-			if r.Workload != wl {
+			if r.Workload != wl || failed[r.Pair] {
 				continue
 			}
 			for k, v := range r.Metrics {
@@ -281,6 +287,9 @@ func report(w io.Writer, runs []run, spec benchSpec, base string, seed int64) {
 		}
 		slices.Sort(names)
 		fmt.Fprintf(w, "\n%s, seed %d: base %s against the working tree\n", wl, seed, base)
+		if len(failed) > 0 {
+			fmt.Fprintf(w, "%d pairs left out: a run failed\n", len(failed))
+		}
 		tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', tabwriter.AlignRight)
 		fmt.Fprintln(tw, "metric\tbase q1\tmedian\tq3\tchange q1\tmedian\tq3\tchange/base\twins\tverdict\t")
 		for _, name := range names {
