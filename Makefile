@@ -28,7 +28,7 @@ COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal
 SIMSCALE ?= 4
 SIMDURATION ?= 300s
 
-.PHONY: build vet perfbench-vet fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full ab clean
+.PHONY: build vet perfbench-vet perfbench-check fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full ab clean
 
 # Generated run products (bench logs, coverage profiles, manifests) all
 # land under $(OUT), which is ignored wholesale; the committed
@@ -47,6 +47,13 @@ vet:
 # breaks the benchmark harness. The build discards its binary.
 perfbench-vet:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+
+# Runs the end-to-end benchmark once per workload, traced, and fails
+# when it exits non-zero: perfbench exits 1 when a check fails (request
+# and design digests, cost reduction, or tenant-churn's per-stage
+# [runs hits misses disk] counts pinned in perfbench/expected.json).
+perfbench-check:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 20 --trace 1
 
 # Fails (listing the files) when any file needs gofmt.
 fmt-check:

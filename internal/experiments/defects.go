@@ -83,6 +83,10 @@ func DefectSweepWith(ctx context.Context, designer *Designer, rates []float64, o
 		if err != nil {
 			return points, fmt.Errorf("experiments: defect sweep at rate %.3f: wiring: %w", rate, err)
 		}
+		calib, err := p.CampaignStats()
+		if err != nil {
+			return points, fmt.Errorf("experiments: defect sweep at rate %.3f: %w", rate, err)
+		}
 		alive := p.aliveQubits()
 		total := planLayerFidelity(p.Device, p.FreqPlan.Freq, alive, Fig12Layers)
 		pt := DefectPoint{
@@ -93,7 +97,7 @@ func DefectSweepWith(ctx context.Context, designer *Designer, rates []float64, o
 			CoaxLines:    plan.CoaxLines(),
 			WiringCost:   model.WiringCost(plan),
 			GateFidelity: perGate(total, Fig12Layers*len(alive)),
-			Calib:        p.Calib,
+			Calib:        calib,
 			CacheHits:    delta.Hits + delta.DiskHits,
 			CacheMisses:  delta.Misses,
 		}

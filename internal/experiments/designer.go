@@ -56,13 +56,15 @@ const (
 // re-executes the tdm stage alone, recalling the Theta-independent
 // tdm-gates analysis. The engine runs independent neighbors as one
 // wave: XY ∥ ZZ characterization, and tdm-gates alongside allocate (or
-// anneal).
+// anneal). A design reads every artifact but the ZZ characterization,
+// unless it has a fault plan, whose report reads the ZZ campaign's.
 var PipelineStageGraph = stage.MustGraph([]stage.Node[*build]{
 	nFabricate: {Name: StageFabricate, Params: fabricateParams, Run: runFabricate, Codec: deviceCodec},
 	nFaults: {Name: StageFaults, Inputs: []string{StageFabricate},
 		Params: faultsParams, Run: runFaults, Codec: faultsCodec},
-	nCharacterizeXY: characterizeNode(StageCharacterizeXY, xmon.XY, streamMeasureXY, streamSubsampleXY),
-	nCharacterizeZZ: characterizeNode(StageCharacterizeZZ, xmon.ZZ, streamMeasureZZ, streamSubsampleZZ),
+	nCharacterizeXY: characterizeNode(StageCharacterizeXY, xmon.XY, streamMeasureXY, streamSubsampleXY, nil),
+	nCharacterizeZZ: characterizeNode(StageCharacterizeZZ, xmon.ZZ, streamMeasureZZ, streamSubsampleZZ,
+		func(b *build) bool { return !b.opts.Faults.Enabled() }),
 	nPartition: {Name: StagePartition, Inputs: []string{StageFaults, StageCharacterizeXY},
 		Params: partitionParams, Run: runPartition, Codec: partitionCodec},
 	nFDMGroup: {Name: StageFDMGroup, Inputs: []string{StagePartition, StageCharacterizeXY}, Parallel: true,
@@ -99,36 +101,36 @@ func get[T any](in []any, i int) T { return in[i].(T) }
 // counter the stages drive land in it, and times the whole build into
 // its histogram hist ("build/design", "build/attach-models"). Every obs
 // call is nil-safe, so the disabled path costs a handful of nil checks.
-func runGraph(ctx context.Context, store *stage.Store, hist string, b *build, given ...stage.Given) ([]any, error) {
+func runGraph(ctx context.Context, store *stage.Store, hist string, b *build, given ...stage.Given) (*stage.Artifacts[*build], error) {
 	start := time.Now()
-	in, err := PipelineStageGraph.Run(obs.NewContext(ctx, b.opts.Obs), store, b, b.opts.Workers, given...)
+	run, err := PipelineStageGraph.Run(obs.NewContext(ctx, b.opts.Obs), store, b, b.opts.Workers, given...)
 	b.opts.Obs.Histogram(hist).Observe(time.Since(start))
-	return in, err
+	return run, err
 }
 
 // design runs the full flow for b and assembles its Pipeline.
 func design(ctx context.Context, store *stage.Store, b *build, given ...stage.Given) (*Pipeline, error) {
-	in, err := runGraph(ctx, store, "build/design", b, given...)
+	run, err := runGraph(ctx, store, "build/design", b, given...)
 	if err != nil {
 		return nil, err
 	}
+	in := run.In()
 	dev := get[*xmon.Device](in, nFabricate)
-	xy, zz := get[*characterization](in, nCharacterizeXY), get[*characterization](in, nCharacterizeZZ)
+	xy := get[*characterization](in, nCharacterizeXY)
 	p := &Pipeline{
 		Opts: b.opts, Chip: dev.Chip, Device: dev,
 		Faults:  get[*faults.Plan](in, nFaults),
-		ModelXY: xy.Model, ModelZZ: zz.Model,
-		PredXY: xy.Pred, PredZZ: zz.Pred,
+		ModelXY: xy.Model, PredXY: xy.Pred, Calib: xy.Stats,
 	}
-	p.Calib.Add(xy.Stats)
-	p.Calib.Add(zz.Stats)
-	p.setGroupings(in)
+	p.setGroupings(run)
 	return p, nil
 }
 
 // setGroupings installs the partition, grouping and allocation
-// artifacts of a run.
-func (p *Pipeline) setGroupings(in []any) {
+// artifacts of a run, and the run the ZZ accessors recall from.
+func (p *Pipeline) setGroupings(run *stage.Artifacts[*build]) {
+	in := run.In()
+	p.run = run
 	p.Partition = get[*partition.Partition](in, nPartition)
 	p.FDM = get[*fdm.Grouping](in, nFDMGroup)
 	p.FreqPlan = get[*fdm.FrequencyPlan](in, nAllocate)

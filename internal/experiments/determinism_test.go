@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/chip"
+	"repro/internal/crosstalk"
 	"repro/internal/xmon"
 )
 
@@ -14,8 +15,9 @@ import (
 // frequency plan and every TDM group — so two designs can be compared
 // byte for byte.
 func designFingerprint(p *Pipeline) string {
+	zz := mustZZ(p)
 	s := fmt.Sprintf("XY:%+v cv=%v ZZ:%+v cv=%v\n",
-		p.ModelXY.Weights, p.ModelXY.CVError, p.ModelZZ.Weights, p.ModelZZ.CVError)
+		p.ModelXY.Weights, p.ModelXY.CVError, zz.Weights, zz.CVError)
 	if p.Partition != nil {
 		s += fmt.Sprintf("partition:%v\n", p.Partition.Regions)
 	}
@@ -28,6 +30,15 @@ func designFingerprint(p *Pipeline) string {
 		s += fmt.Sprintf("tdm:%v@%v\n", g.Devices, g.Level)
 	}
 	return s
+}
+
+// mustZZ returns p's ZZ model, recalling it if need be.
+func mustZZ(p *Pipeline) *crosstalk.Model {
+	zz, _, err := p.ZZ()
+	if err != nil {
+		panic(err)
+	}
+	return zz
 }
 
 // TestPipelineWorkerCountInvariant is the end-to-end determinism

@@ -137,7 +137,7 @@ func TestBuildPipelineFaultDeterminism(t *testing.T) {
 	if p1.Calib != p4.Calib {
 		t.Errorf("campaign stats differ: %+v vs %+v", p1.Calib, p4.Calib)
 	}
-	if p1.ModelXY.Weights != p4.ModelXY.Weights || p1.ModelZZ.Weights != p4.ModelZZ.Weights {
+	if p1.ModelXY.Weights != p4.ModelXY.Weights || mustZZ(p1).Weights != mustZZ(p4).Weights {
 		t.Error("fitted model weights differ across worker counts")
 	}
 }

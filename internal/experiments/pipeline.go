@@ -183,9 +183,7 @@ type Pipeline struct {
 	Device *xmon.Device
 
 	ModelXY *crosstalk.Model
-	ModelZZ *crosstalk.Model
 	PredXY  *crosstalk.Predictor
-	PredZZ  *crosstalk.Predictor
 
 	Partition *partition.Partition
 	FDM       *fdm.Grouping
@@ -195,9 +193,43 @@ type Pipeline struct {
 
 	// Faults is the injected defect plan, nil for a fault-free build.
 	Faults *faults.Plan
-	// Calib aggregates the calibration campaign's fault accounting
-	// (dropouts, retries, lost pairs, outliers) across both channels.
+	// Calib is the XY calibration campaign's fault accounting
+	// (dropouts, retries, lost pairs, outliers); CampaignStats adds the
+	// ZZ campaign's.
 	Calib faults.CampaignStats
+
+	// run is the build the design came from. A design does not read the
+	// ZZ characterization, so it may stay there until ZZ recalls it.
+	run *stage.Artifacts[*build]
+}
+
+// ZZ returns the fitted ZZ crosstalk model and its predictor bound to
+// the chip, recalled on first use.
+func (p *Pipeline) ZZ() (*crosstalk.Model, *crosstalk.Predictor, error) {
+	ch, err := p.zz()
+	if err != nil {
+		return nil, nil, err
+	}
+	return ch.Model, ch.Pred, nil
+}
+
+// CampaignStats aggregates both channels' calibration fault
+// accounting, recalling the ZZ characterization on first use. An
+// attached ZZ model (AttachModels) brings no campaign.
+func (p *Pipeline) CampaignStats() (faults.CampaignStats, error) {
+	ch, err := p.zz()
+	if err != nil {
+		return faults.CampaignStats{}, err
+	}
+	s := p.Calib
+	s.Add(ch.Stats)
+	return s, nil
+}
+
+func (p *Pipeline) zz() (*characterization, error) {
+	v, err := p.run.Get(nCharacterizeZZ)
+	ch, _ := v.(*characterization)
+	return ch, err
 }
 
 // BuildPipeline designs the complete YOUTIAO control system for a chip.
@@ -238,22 +270,20 @@ func BuildPipelineOnDeviceCtx(ctx context.Context, dev *xmon.Device, opts Option
 // the model keys digest the attached models' fitted weights rather than
 // a measurement lineage.
 func (p *Pipeline) AttachModels(xy, zz *crosstalk.Model) error {
-	p.ModelXY, p.ModelZZ = xy, zz
-	p.PredXY = xy.On(p.Chip)
-	p.PredZZ = zz.On(p.Chip)
+	p.ModelXY, p.PredXY = xy, xy.On(p.Chip)
 	base := chipFingerprint(p.Chip)
 	// The plan is given as drawn; key it as a draw at the raw seed.
 	faultsK := stage.NewKey(StageFaults).Key(base)
 	faultsParams(&build{opts: p.Opts, seed: p.Opts.Seed}, faultsK)
-	in, err := runGraph(context.Background(), stage.NewStore(), "build/attach-models", &build{opts: p.Opts, seed: p.Opts.Seed + 13},
+	run, err := runGraph(context.Background(), stage.NewStore(), "build/attach-models", &build{opts: p.Opts, seed: p.Opts.Seed + 13},
 		stage.Given{Name: StageFabricate, Key: base, Val: p.Device},
 		stage.Given{Name: StageFaults, Key: faultsK.Done(), Val: p.Faults},
 		stage.Given{Name: StageCharacterizeXY, Key: attachedModelKey(base, "xy", xy), Val: &characterization{Model: xy, Pred: p.PredXY}},
-		stage.Given{Name: StageCharacterizeZZ, Key: attachedModelKey(base, "zz", zz), Val: &characterization{Model: zz, Pred: p.PredZZ}})
+		stage.Given{Name: StageCharacterizeZZ, Key: attachedModelKey(base, "zz", zz), Val: &characterization{Model: zz, Pred: zz.On(p.Chip)}})
 	if err != nil {
 		return err
 	}
-	p.setGroupings(in)
+	p.setGroupings(run)
 	return nil
 }
 

@@ -29,7 +29,7 @@ func TestBuildPipelineSmallChip(t *testing.T) {
 	if err := p.TDM.Validate(p.Gates); err != nil {
 		t.Errorf("TDM grouping invalid: %v", err)
 	}
-	if p.ModelXY == nil || p.ModelZZ == nil {
+	if zz, _, err := p.ZZ(); p.ModelXY == nil || zz == nil || err != nil {
 		t.Fatal("missing crosstalk models")
 	}
 	if p.ModelXY.Weights.WPhy == 0 && p.ModelXY.Weights.WTop == 0 {
@@ -143,10 +143,10 @@ func TestAttachModelsRunsOnlyGroupingStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := reg.Snapshot().Histograms
-	if err := p.AttachModels(donor.ModelXY, donor.ModelZZ); err != nil {
+	if err := p.AttachModels(donor.ModelXY, mustZZ(donor)); err != nil {
 		t.Fatal(err)
 	}
-	if p.ModelXY != donor.ModelXY || p.PredZZ.Model != donor.ModelZZ {
+	if _, pred, _ := p.ZZ(); p.ModelXY != donor.ModelXY || pred.Model != mustZZ(donor) {
 		t.Error("attached models not installed")
 	}
 	if err := p.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
@@ -44,14 +45,16 @@ func builtField(v any, name string) uintptr {
 }
 
 // TestRecalledArtifactsReadConcurrently reads a disk-recalled
-// characterization and device from 16 goroutines at once: Predict and
-// Matrix on the recalled pair table, Model.On on a second chip (which
-// builds the forest the recall kept encoded) and Device.Coupling on
-// both channels (which builds the distance table the recall left out).
-// Every value equals the eagerly built twin's, bit for bit; the recall
-// builds neither the forest nor the table, and every goroutine sees the
-// one forest and the one table built for all of them. Run it under
-// -race.
+// characterization and device from 16 goroutines at once:
+// Pipeline.ZZ and CampaignStats, which recall the ZZ characterization
+// the design left on disk, Predict and Matrix on the recalled pair tables, Model.On on a
+// second chip (which builds the forest the recall kept encoded) and
+// Device.Coupling on both channels (which builds the distance table the
+// recall left out). Every value equals the eagerly built twin's, bit for
+// bit; the design neither recalls the ZZ characterization nor builds a
+// forest or the table, the accessors recall the characterization once,
+// and every goroutine sees the one characterization, the one forest and
+// the one table built for all of them. Run it under -race.
 func TestRecalledArtifactsReadConcurrently(t *testing.T) {
 	opts := Options{Seed: 4}
 	square := func() *chip.Chip { return chip.Square(4, 4) }
@@ -65,20 +68,33 @@ func TestRecalledArtifactsReadConcurrently(t *testing.T) {
 	if rep := dc.Report(); rep.Misses != 0 {
 		t.Fatalf("the recall executed %d stages", rep.Misses)
 	}
-	dev, models := got.Device, []*crosstalk.Model{got.ModelXY, got.ModelZZ}
+	zzRuns := func() int {
+		st, _ := dc.Store().StatsFor(StageCharacterizeZZ)
+		return st.Runs
+	}
+	if n := zzRuns(); n != 0 {
+		t.Fatalf("the design loaded the ZZ characterization it does not read (%d runs)", n)
+	}
+	dev := got.Device
 	if builtField(dev, "topDist") != 0 {
 		t.Fatal("recalling the device built its distance table")
 	}
-	for _, m := range models {
-		if builtField(m, "forest") != 0 {
-			t.Fatal("recalling the characterization built its forest")
-		}
+	if builtField(got.ModelXY, "forest") != 0 {
+		t.Fatal("recalling the characterization built its forest")
 	}
 
 	second := chip.HeavyHexagon(2, 2)
 	n := dev.Chip.NumQubits()
-	preds, twins := []*crosstalk.Predictor{got.PredXY, got.PredZZ}, []*crosstalk.Predictor{twin.PredXY, twin.PredZZ}
-	wantOn := [][][]float64{twin.ModelXY.On(second).Matrix(), twin.ModelZZ.On(second).Matrix()}
+	_, twinZZ, err := twin.ZZ()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCalib, err := twin.CampaignStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twins := []*crosstalk.Predictor{twin.PredXY, twinZZ}
+	wantOn := [][][]float64{twin.ModelXY.On(second).Matrix(), twinZZ.Model.On(second).Matrix()}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	sameMatrix := func(a, b [][]float64) bool {
 		return slices.EqualFunc(a, b, func(x, y []float64) bool { return slices.EqualFunc(x, y, same) })
@@ -86,11 +102,20 @@ func TestRecalledArtifactsReadConcurrently(t *testing.T) {
 
 	const readers = 16
 	var wg sync.WaitGroup
-	seen := make([][3]uintptr, readers) // the table and both forests each reader used
+	seen := make([][4]uintptr, readers) // the ZZ model, the table and both forests each reader used
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			zz, predZZ, err := got.ZZ()
+			if err != nil || predZZ.Model != zz {
+				t.Errorf("reader %d: the ZZ predictor is not bound to the ZZ model (%v)", g, err)
+				return
+			}
+			if calib, err := got.CampaignStats(); err != nil || calib != wantCalib {
+				t.Errorf("reader %d: campaign stats %+v (%v) differ from the twin's", g, calib, err)
+			}
+			models, preds := []*crosstalk.Model{got.ModelXY, zz}, []*crosstalk.Predictor{got.PredXY, predZZ}
 			for k, kind := range []xmon.CrosstalkKind{xmon.XY, xmon.ZZ} {
 				if !sameMatrix(preds[k].Matrix(), twins[k].Matrix()) {
 					t.Errorf("reader %d: recalled %v Matrix differs from the twin's", g, kind)
@@ -109,14 +134,17 @@ func TestRecalledArtifactsReadConcurrently(t *testing.T) {
 					}
 				}
 			}
-			seen[g] = [3]uintptr{builtField(dev, "topDist"), builtField(models[0], "forest"), builtField(models[1], "forest")}
+			seen[g] = [4]uintptr{reflect.ValueOf(zz).Pointer(), builtField(dev, "topDist"), builtField(models[0], "forest"), builtField(models[1], "forest")}
 		}()
 	}
 	wg.Wait()
 	for g := range seen {
 		if seen[g] != seen[0] || slices.Contains(seen[g][:], 0) {
-			t.Fatalf("reader %d used table and forests %x, reader 0 %x: each must be built once, for all", g, seen[g], seen[0])
+			t.Fatalf("reader %d used ZZ model, table and forests %x, reader 0 %x: each must be recalled or built once, for all", g, seen[g], seen[0])
 		}
+	}
+	if st, _ := dc.Store().StatsFor(StageCharacterizeZZ); st.Runs != 1 || st.DiskHits != 1 {
+		t.Errorf("16 readers took %d loads (%d from disk) of the ZZ characterization, want 1 disk hit", st.Runs, st.DiskHits)
 	}
 }
 
@@ -247,5 +275,56 @@ func TestRecallRejectsEveryMalformedForest(t *testing.T) {
 		if got, want := designFingerprint(again), designFingerprint(first); got != want {
 			t.Errorf("%s: design after the recall differs", name)
 		}
+	}
+}
+
+// TestStalePlanRecallsZZOnDemand removes the tdm-gates file of a
+// fault-free design behind a warm cache's index. The plan still finds
+// tdm-gates on disk, so it leaves the ZZ characterization unloaded;
+// the read then misses, tdm-gates executes and recalls the ZZ
+// characterization on demand, once. The design, and the tdm-gates
+// artifact written back, are the ones the first process made.
+func TestStalePlanRecallsZZOnDemand(t *testing.T) {
+	opts := Options{Seed: 3}
+	square := func() *chip.Chip { return chip.Square(4, 4) }
+	dir := t.TempDir()
+	ref, _ := designOn(t, dir, square(), opts)
+	dc, err := OpenDesignCache(dir, stage.Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "v1", StageTDMGates, "*", "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("%d tdm-gates files (%v), want 1", len(files), err)
+	}
+	stored, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(files[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := dc.Designer(square()).RedesignCtx(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range dc.Report().Stages {
+		want := [3]int{1, 0, 1} // runs, misses, disk hits
+		if st.Name == StageTDMGates {
+			want = [3]int{1, 1, 0}
+		}
+		if got := [3]int{st.Runs, st.Misses, st.DiskHits}; got != want {
+			t.Errorf("stage %s [runs misses disk] %v, want %v", st.Name, got, want)
+		}
+	}
+	if got, want := designFingerprint(p), designFingerprint(ref); got != want {
+		t.Errorf("design after the stale plan differs:\n%s\nwant\n%s", got, want)
+	}
+	if st, _ := dc.Store().StatsFor(StageCharacterizeZZ); st.Runs != 1 {
+		t.Errorf("the ZZ characterization loaded %d times, want once", st.Runs)
+	}
+	if again, err := os.ReadFile(files[0]); err != nil || !bytes.Equal(again, stored) {
+		t.Errorf("tdm-gates written back differs from the first process's (%v)", err)
 	}
 }

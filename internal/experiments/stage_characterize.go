@@ -28,10 +28,12 @@ type characterization struct {
 // the normalized-options subset the stage reads (sample cap, retry
 // budget and the full fit search space). Workers is deliberately
 // absent — results are bit-identical for every worker count, so a
-// cached fit is valid at any parallelism.
-func characterizeNode(name string, kind xmon.CrosstalkKind, measureStream, subStream uint64) stage.Node[*build] {
+// cached fit is valid at any parallelism. unread is the node's
+// stage.Node.Unread.
+func characterizeNode(name string, kind xmon.CrosstalkKind, measureStream, subStream uint64, unread func(*build) bool) stage.Node[*build] {
 	return stage.Node[*build]{
 		Name:     name,
+		Unread:   unread,
 		Inputs:   []string{StageFabricate, StageFaults},
 		Parallel: true,
 		Params: func(b *build, k *stage.KeyBuilder) {

@@ -32,6 +32,9 @@ type Backend interface {
 	// swallowed (and surfaced in Stats) because a failed write only
 	// costs a future re-execution.
 	Put(name string, key Key, data []byte)
+	// Has reports, as cheaply as it can (no read), whether the backend
+	// holds (name, key). Get may still miss an entry Has reports.
+	Has(name string, key Key) bool
 	// Stats reports the backend's occupancy and health counters.
 	Stats() BackendStats
 }

@@ -209,6 +209,16 @@ func (s *Store) path(name string, key stage.Key) (path, rel string) {
 	return path, path[len(s.root)+1:]
 }
 
+// Has implements stage.Backend from the index alone, without a system
+// call: a file removed behind the index still shows (its Get misses),
+// and one another process wrote since Open does not.
+func (s *Store) Has(name string, key stage.Key) bool {
+	_, rel := s.path(name, key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.entries[rel] != nil
+}
+
 // Get implements stage.Backend: it appends the stored payload of
 // (name, key) to dst, or reports a miss. A file that exists but fails
 // validation is deleted (corruption never survives a read) and

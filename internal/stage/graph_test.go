@@ -61,11 +61,11 @@ func TestRunWavesFromDeclarationOrder(t *testing.T) {
 		sumNode("e", 5, e1, "a"),      // joins [d e]
 	)
 	s := NewStore()
-	in, err := g.Run(context.Background(), s, 0, 2)
+	run, err := g.Run(context.Background(), s, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []any{1, 2, 3, 4, 5}; !reflect.DeepEqual(in, want) {
+	if in, want := run.In(), []any{1, 2, 3, 4, 5}; !reflect.DeepEqual(in, want) {
 		t.Errorf("artifacts = %v, want %v", in, want)
 	}
 	ka := NewKey("a").Int(1).Done()
@@ -136,10 +136,11 @@ func TestRunGivenAndSkipped(t *testing.T) {
 	)
 	s := NewStore()
 	givenKey := NewKey("external").Done()
-	in, err := g.Run(context.Background(), s, 1, 2, Given{Name: "src", Key: givenKey, Val: 100})
+	run, err := g.Run(context.Background(), s, 1, 2, Given{Name: "src", Key: givenKey, Val: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := run.In()
 	if ran["src"] || ran["q"] || !ran["p"] || !ran["r"] {
 		t.Errorf("executed nodes = %v, want exactly p and r", ran)
 	}
@@ -304,8 +305,8 @@ func TestRunAllHitWaveRunsInline(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("all-hit build fanned out %d more times, want 0", got-1)
 	}
-	if !reflect.DeepEqual(warm, cold) {
-		t.Errorf("all-hit build = %v, want %v", warm, cold)
+	if !reflect.DeepEqual(warm.In(), cold.In()) {
+		t.Errorf("all-hit build = %v, want %v", warm.In(), cold.In())
 	}
 	if r := s.Report(); r.Hits != 3 || r.Misses != 3 {
 		t.Errorf("hits %d misses %d, want 3 and 3", r.Hits, r.Misses)

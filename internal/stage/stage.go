@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -40,6 +41,11 @@ type Node[B any] struct {
 	// Skip leaves the node out of a build: no key, nil artifact. A
 	// skipped node must have no running dependents. Nil never skips.
 	Skip func(b B) bool
+	// Unread reports that the build's result does not read this node's
+	// artifact, so the build loads it only for a consumer that executes,
+	// or when the store already holds it (Graph.Run). Nil: the result
+	// reads it.
+	Unread func(b B) bool
 	// Parallel records the build's worker budget, which the node fans
 	// out over, in its stats row instead of 1.
 	Parallel bool
@@ -85,6 +91,7 @@ func (e *Error) Unwrap() error { return e.Err }
 type Graph[B any] struct {
 	nodes  []Node[B]
 	inputs [][]int // declared inputs as node indices
+	up     [][]int // transitive inputs, ascending
 	index  map[string]int
 }
 
@@ -110,8 +117,15 @@ func NewGraph[B any](nodes ...Node[B]) (*Graph[B], error) {
 				return nil, fmt.Errorf("stage: %q input %q is not a previously declared stage", n.Name, in)
 			}
 		}
+		var up []int
+		for j := range i {
+			if slices.ContainsFunc(ins, func(k int) bool { return k == j || slices.Contains(g.up[k], j) }) {
+				up = append(up, j)
+			}
+		}
 		g.index[n.Name] = i
 		g.inputs = append(g.inputs, ins)
+		g.up = append(g.up, up)
 	}
 	return g, nil
 }
@@ -144,129 +158,231 @@ func (g *Graph[B]) Codec(name string) Codec {
 // input to that node invalidates. The node itself is not included.
 func (g *Graph[B]) Downstream(name string) []string {
 	i, ok := g.index[name]
-	if !ok {
-		return nil
-	}
-	affected := map[int]bool{i: true}
 	var out []string
-	for j := i + 1; j < len(g.nodes); j++ {
-		for _, in := range g.inputs[j] {
-			if affected[in] && !affected[j] {
-				affected[j] = true
-				out = append(out, g.nodes[j].Name)
-			}
+	for j := i + 1; ok && j < len(g.nodes); j++ {
+		if slices.Contains(g.up[j], i) {
+			out = append(out, g.nodes[j].Name)
 		}
 	}
 	return out
 }
 
-// Run executes one build through s and returns every node's artifact
-// by declaration index (nil for skipped nodes).
+// Artifacts is one build's artifacts by declaration index.
+type Artifacts[B any] struct {
+	g       *Graph[B]
+	s       *Store
+	b       B
+	workers int
+	ctx     context.Context
+	in      []any
+	nodes   []slot
+}
+
+// slot is one node's state in a build. The plan sets given, skip and
+// load; mu and done guard the on-demand load of a node it left out.
+type slot struct {
+	key               Key
+	given, skip, load bool
+	mem               held // the memory tier's entry, as first looked up
+	mu                sync.Mutex
+	done              bool
+}
+
+type held uint8
+
+const (
+	unseen held = iota
+	absent
+	inFlight // or failed
+	resident
+)
+
+// Run executes one build through s and returns its artifacts.
 //
 // A node's key is NewKey(name), then its input keys in declared order,
-// then its Params. Nodes run in waves: a wave is a maximal run of
-// consecutive declared nodes (given and skipped ones aside) with no
-// input inside the wave. A wave of two or more runs through
-// parallel.ForEachCtx capped at workers, so at workers == 1 in
-// declaration order, unless every one of its keys is already a
-// completed artifact in memory: then it runs inline in declaration
-// order, as fanning out hits would cost more than it saves. Each
-// executed node runs through s.Do, which counts its outcome into the
-// registry ctx carries (obs.FromContext), and any failure, ctx ending
-// between waves included, comes back as an *Error naming the node. When
-// the build ends, that registry receives the store's occupancy gauges
-// (Store.Observe); a ctx without one records nothing.
-func (g *Graph[B]) Run(ctx context.Context, s *Store, b B, workers int, given ...Given) ([]any, error) {
+// then its Params, so Run plans a build before loading anything. The
+// result set is every node whose Unread does not hold for b. Walking
+// back, a node in the set whose key is not present (in memory,
+// completed or in flight, or Backend.Has) brings its inputs into the
+// set; presence is looked up only for a node with an input outside it.
+// A node left outside loads only if memory holds it; otherwise nothing
+// counts it, and In leaves it nil. A node that executes first loads, as
+// Get does, every ancestor left unloaded, so a stale plan costs loads,
+// never a wrong input.
+//
+// Loaded nodes run in waves: maximal runs of consecutive loaded nodes
+// with no ancestor inside the wave. A wave of two or more runs through
+// parallel.ForEachCtx capped at workers, unless every one of its keys
+// is a completed artifact in memory: then it runs inline, in
+// declaration order. Each loaded node runs through s.Do, which counts
+// its outcome into the registry ctx carries (obs.FromContext); any
+// failure, ctx ending between waves included, comes back as an *Error
+// naming the node. When the build ends, that registry receives the
+// store's occupancy gauges (Store.Observe).
+func (g *Graph[B]) Run(ctx context.Context, s *Store, b B, workers int, given ...Given) (*Artifacts[B], error) {
 	defer s.Observe(obs.FromContext(ctx))
-	keys, in := make([]Key, len(g.nodes)), make([]any, len(g.nodes))
-	key := func(i int) {
-		n := &g.nodes[i]
-		k := NewKey(n.Name)
-		for _, j := range g.inputs[i] {
-			k.Key(keys[j])
-		}
-		if n.Params != nil {
-			n.Params(b, k)
-		}
-		keys[i] = k.Done()
-	}
-	exec := func(i int) error {
-		n := &g.nodes[i]
-		if keys[i] == "" {
-			key(i)
-		}
-		w := 1
-		if n.Parallel {
-			w = parallel.Workers(workers)
-		}
-		v, _, err := s.Do(ctx, n.Name, keys[i], w, n.Codec, in, func(ctx context.Context) (any, error) { return n.Run(ctx, b, in) })
-		if err != nil {
-			return &Error{Stage: n.Name, Err: err}
-		}
-		in[i] = v
-		return nil
-	}
+	a := &Artifacts[B]{g: g, s: s, b: b, workers: workers, ctx: ctx,
+		in: make([]any, len(g.nodes)), nodes: make([]slot, len(g.nodes))}
+	a.plan(given)
 	wave := make([]int, 0, len(g.nodes))
-	flush := func() error {
-		first := g.nodes[wave[0]].Name
-		if err := ctx.Err(); err != nil {
-			return &Error{Stage: first, Err: err}
-		}
-		// A wave of memory hits runs inline: fanning it out costs more
-		// than the hits do. The peek keys the wave in declaration order
-		// until a node misses. With no completed artifact in memory no
-		// node can hit, so a cold store's wave keys inside the fan-out.
-		hits := len(wave) > 1 && s.totalEntries.Load() > 0
-		for k := 0; hits && k < len(wave); k++ {
-			key(wave[k])
-			hits = s.resident(keys[wave[k]])
-		}
-		if len(wave) == 1 || hits {
-			for _, i := range wave {
-				if err := exec(i); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Create the wave's stats rows in declaration order before
-		// fanning out, so the report's row order never depends on which
-		// goroutine reaches Do first.
-		for _, i := range wave {
-			s.row(g.nodes[i].Name)
-		}
-		err := parallel.ForEachCtx(ctx, workers, len(wave), func(k int) error { return exec(wave[k]) })
-		if _, named := err.(*Error); err != nil && !named {
-			err = &Error{Stage: first, Err: err}
-		}
-		return err
-	}
-nodes:
-	for i, n := range g.nodes {
-		for _, gv := range given {
-			if gv.Name == n.Name {
-				keys[i], in[i] = gv.Key, gv.Val
-				continue nodes
-			}
-		}
-		if n.Skip != nil && n.Skip(b) {
+	for i := range g.nodes {
+		if sl := &a.nodes[i]; !sl.load || sl.given {
 			continue
 		}
-		for _, j := range g.inputs[i] {
-			if slices.Contains(wave, j) {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-				wave = wave[:0]
-				break
+		if slices.ContainsFunc(g.up[i], func(j int) bool { return slices.Contains(wave, j) }) {
+			if err := a.flush(wave); err != nil {
+				return nil, err
 			}
+			wave = wave[:0]
 		}
 		wave = append(wave, i)
 	}
 	if len(wave) > 0 {
-		if err := flush(); err != nil {
+		if err := a.flush(wave); err != nil {
 			return nil, err
 		}
 	}
-	return in, nil
+	return a, nil
+}
+
+// plan installs the given nodes and decides which others load (Run).
+func (a *Artifacts[B]) plan(given []Given) {
+	g := a.g
+	for i := range g.nodes {
+		n, sl := &g.nodes[i], &a.nodes[i]
+		for _, gv := range given {
+			if gv.Name == n.Name {
+				sl.key, sl.given, sl.load, a.in[i] = gv.Key, true, true, gv.Val
+			}
+		}
+		if !sl.given {
+			sl.skip = n.Skip != nil && n.Skip(a.b)
+			sl.load = !sl.skip && (n.Unread == nil || !n.Unread(a.b))
+		}
+	}
+	for i := len(g.nodes) - 1; i >= 0; i-- {
+		sl := &a.nodes[i]
+		switch {
+		case sl.skip || sl.given:
+		case !sl.load:
+			sl.load = a.lookup(i) != absent
+		case slices.ContainsFunc(g.inputs[i], func(j int) bool { return !a.nodes[j].load && !a.nodes[j].skip }) &&
+			a.lookup(i) == absent && (a.s.backend == nil || !a.s.backend.Has(g.nodes[i].Name, sl.key)):
+			for _, j := range g.inputs[i] {
+				a.nodes[j].load = !a.nodes[j].skip
+			}
+		}
+	}
+}
+
+// key returns node i's key, keying it (and any unkeyed input) first.
+func (a *Artifacts[B]) key(i int) Key {
+	sl := &a.nodes[i]
+	if sl.key == "" && !sl.skip && !sl.given {
+		n := &a.g.nodes[i]
+		k := NewKey(n.Name)
+		for _, j := range a.g.inputs[i] {
+			k.Key(a.key(j))
+		}
+		if n.Params != nil {
+			n.Params(a.b, k)
+		}
+		sl.key = k.Done()
+	}
+	return sl.key
+}
+
+// lookup returns what the memory tier holds of node i's key, looking
+// it up once per build.
+func (a *Artifacts[B]) lookup(i int) held {
+	if sl := &a.nodes[i]; sl.mem == unseen {
+		sl.mem = a.s.lookup(a.key(i))
+	}
+	return a.nodes[i].mem
+}
+
+// flush runs one wave.
+func (a *Artifacts[B]) flush(wave []int) error {
+	ctx, first := a.ctx, a.g.nodes[wave[0]].Name
+	if err := ctx.Err(); err != nil {
+		return &Error{Stage: first, Err: err}
+	}
+	// A wave of memory hits runs inline: fanning it out costs more than
+	// the hits do. With no completed artifact in memory no node can
+	// hit, so a cold store's wave keys inside the fan-out.
+	hits := len(wave) > 1 && a.s.totalEntries.Load() > 0
+	for k := 0; hits && k < len(wave); k++ {
+		hits = a.lookup(wave[k]) == resident
+	}
+	if len(wave) == 1 || hits {
+		for _, i := range wave {
+			if err := a.do(ctx, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Create the wave's stats rows in declaration order before fanning
+	// out, so the report's row order never depends on which goroutine
+	// reaches Do first.
+	for _, i := range wave {
+		a.s.row(a.g.nodes[i].Name)
+	}
+	err := parallel.ForEachCtx(ctx, a.workers, len(wave), func(k int) error { return a.do(ctx, wave[k]) })
+	if _, named := err.(*Error); err != nil && !named {
+		err = &Error{Stage: first, Err: err}
+	}
+	return err
+}
+
+// do loads node i through the store into in[i]. Should it execute, it
+// first loads the ancestors its Run reads that the plan left unloaded.
+func (a *Artifacts[B]) do(ctx context.Context, i int) (err error) {
+	n := &a.g.nodes[i]
+	w := 1
+	if n.Parallel {
+		w = parallel.Workers(a.workers)
+	}
+	a.in[i], _, err = a.s.Do(ctx, n.Name, a.key(i), w, n.Codec, a.in, func(ctx context.Context) (any, error) {
+		for _, j := range a.g.up[i] {
+			if _, err := a.get(ctx, j); err != nil {
+				return nil, err
+			}
+		}
+		return n.Run(ctx, a.b, a.in)
+	})
+	if err != nil {
+		return &Error{Stage: n.Name, Err: err}
+	}
+	return nil
+}
+
+// get returns node i's artifact, loading it once if the plan left it
+// unloaded.
+func (a *Artifacts[B]) get(ctx context.Context, i int) (any, error) {
+	sl := &a.nodes[i]
+	if sl.load || sl.skip {
+		return a.in[i], nil
+	}
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if !sl.done {
+		if err := a.do(ctx, i); err != nil {
+			return nil, err
+		}
+		sl.done = true
+	}
+	return a.in[i], nil
+}
+
+// In returns the artifacts by declaration index: nil for a skipped
+// node, and for a node the plan left unloaded until Get loads it, so
+// read such a node through Get.
+func (a *Artifacts[B]) In() []any { return a.in }
+
+// Get returns artifact i, loading it on first use if the plan left it
+// unloaded. The load counts into the build's registry but outlives the
+// build's context; a failed one is retried by the next Get.
+func (a *Artifacts[B]) Get(i int) (any, error) {
+	return a.get(context.WithoutCancel(a.ctx), i)
 }

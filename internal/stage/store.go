@@ -575,22 +575,24 @@ func (s *Store) Get(key Key) (any, bool) {
 	return e.val, true
 }
 
-// resident reports whether key names a completed artifact in the
-// memory tier, without counting a lookup or refreshing its recency.
-func (s *Store) resident(key Key) bool {
+// lookup reports what the memory tier holds of key, without counting
+// a lookup or refreshing its recency.
+func (s *Store) lookup(key Key) held {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
 	sh.mu.Unlock()
 	if !ok {
-		return false
+		return absent
 	}
 	select {
 	case <-e.ready:
-		return e.err == nil
+		if e.err == nil {
+			return resident
+		}
 	default:
-		return false
 	}
+	return inFlight
 }
 
 // Len returns the number of cached artifacts (completed or in flight).

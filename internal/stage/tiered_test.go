@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,6 +37,13 @@ func (b *memBackend) Put(name string, key Key, data []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.m[name+"/"+string(key)] = append([]byte(nil), data...)
+}
+
+func (b *memBackend) Has(name string, key Key) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	_, ok := b.m[name+"/"+string(key)]
+	return ok
 }
 
 func (b *memBackend) Stats() BackendStats {
@@ -320,4 +328,114 @@ func TestCodecRoundTripHarness(t *testing.T) {
 	if _, err := overwriting.RoundTrip("a longer artifact", nil); err == nil {
 		t.Fatal("an encoder overwriting its destination passed RoundTrip")
 	}
+}
+
+// unreadGraph is src -> aside -> use, with use also reading src: the
+// result reads src and use, not aside, which runs counts executions.
+func unreadGraph(runs map[string]int) *Graph[int] {
+	node := func(name string, inputs ...string) Node[int] {
+		return Node[int]{Name: name, Inputs: inputs, Codec: stringCodec,
+			Run: func(_ context.Context, _ int, in []any) (any, error) {
+				runs[name]++
+				v := name
+				for _, j := range inputs {
+					v += "+" + in[map[string]int{"src": 0, "aside": 1}[j]].(string)
+				}
+				return v, nil
+			}}
+	}
+	aside := node("aside", "src")
+	aside.Unread = func(int) bool { return true }
+	return MustGraph(node("src"), aside, node("use", "src", "aside"))
+}
+
+// TestRunPlansFromKeys: a build loads a node its result does not read
+// only when a consumer executes or the memory tier holds it. A fresh
+// store over a warm backend leaves it on disk, uncounted; Get recalls
+// it once; and a later build, which finds it in memory, takes it
+// through the store and counts it as before.
+func TestRunPlansFromKeys(t *testing.T) {
+	ctx := context.Background()
+	runs := map[string]int{}
+	g := unreadGraph(runs)
+	backend := newMemBackend()
+	cold, err := g.Run(ctx, tieredStore(backend), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []any{"src", "aside+src", "use+src+aside+src"}
+	if !reflect.DeepEqual(cold.In(), want) || runs["aside"] != 1 {
+		t.Fatalf("cold build = %v with %v executions, want %v and aside run once", cold.In(), runs, want)
+	}
+
+	s := tieredStore(backend)
+	warm, err := g.Run(ctx, s, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.In(); got[0] != want[0] || got[1] != nil || got[2] != want[2] {
+		t.Fatalf("disk-warm build = %v, want aside unloaded", got)
+	}
+	if _, ok := s.StatsFor("aside"); ok {
+		t.Error("the unloaded node was counted")
+	}
+	for range 2 {
+		if v, err := warm.Get(1); err != nil || v != want[1] {
+			t.Fatalf("Get = %v, %v, want %v", v, err, want[1])
+		}
+	}
+	if st, _ := s.StatsFor("aside"); st.Runs != 1 || st.DiskHits != 1 || runs["aside"] != 1 {
+		t.Errorf("two Gets: %+v, %d executions, want one disk hit", st, runs["aside"])
+	}
+
+	again, err := g.Run(ctx, s, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.StatsFor("aside"); !reflect.DeepEqual(again.In(), want) || st.Runs != 2 || st.Hits != 1 {
+		t.Errorf("memory-warm build = %v, aside %+v: want it loaded and counted as a hit", again.In(), st)
+	}
+}
+
+// TestRunStalePlanLoadsInputsOnDemand: the plan finds use in the warm
+// tier, but the entry is gone by the time the build reads it, so use
+// executes, loading the input the plan left unloaded first.
+func TestRunStalePlanLoadsInputsOnDemand(t *testing.T) {
+	ctx := context.Background()
+	runs := map[string]int{}
+	g := unreadGraph(runs)
+	backend := newMemBackend()
+	if _, err := g.Run(ctx, tieredStore(backend), 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	// A backend whose index still lists use, but whose Get misses it.
+	stale := &staleBackend{memBackend: backend, gone: "use"}
+	s := tieredStore(stale)
+	run, err := g.Run(ctx, s, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.In()[2]; got != "use+src+aside+src" || runs["use"] != 2 || runs["aside"] != 1 {
+		t.Fatalf("use = %v after %v executions, want it re-executed on the recalled aside", got, runs)
+	}
+	if st, _ := s.StatsFor("aside"); st.Runs != 1 || st.DiskHits != 1 {
+		t.Errorf("aside %+v, want one disk hit", st)
+	}
+	if v, err := run.Get(1); err != nil || v != "aside+src" {
+		t.Errorf("Get after the on-demand load = %v, %v", v, err)
+	}
+}
+
+// staleBackend is a memBackend whose Get misses the stage gone, as if
+// its file vanished behind the index.
+type staleBackend struct {
+	*memBackend
+	gone string
+}
+
+func (b *staleBackend) Get(name string, key Key, dst []byte) ([]byte, bool) {
+	if name == b.gone {
+		return dst, false
+	}
+	return b.memBackend.Get(name, key, dst)
 }

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"repro/internal/binpack"
 	"repro/internal/chip"
 	"repro/internal/parallel"
 )
@@ -93,13 +94,27 @@ type Device struct {
 	Chip   *chip.Chip
 	Params Params
 
-	// topDist caches the multi-path topological distance matrix, built on first Coupling.
-	topOnce sync.Once
+	// lazy builds, on first Coupling, topDist (the multi-path
+	// topological distance matrix) and a decoded device's disorder.
+	lazy    sync.Once
 	topDist [][]float64
 	// disorder caches the per-pair lognormal factors so that repeated
-	// queries are consistent, like re-measuring the same chip.
+	// queries are consistent, like re-measuring the same chip. A
+	// decoded device keeps both matrices encoded in rec, as checked by
+	// DecodeBinary, until lazy builds them.
 	disorderXY [][]float64
 	disorderZZ [][]float64
+	rec        []byte
+}
+
+// build fills the caches Coupling reads.
+func (d *Device) build() {
+	d.topDist = d.Chip.Graph().AllMultiPathDistances()
+	if d.rec != nil {
+		dec := binpack.NewDec(d.rec)
+		d.disorderXY = dec.FloatMatrix()
+		d.disorderZZ = dec.FloatMatrix()
+	}
 }
 
 // NewDevice fabricates a device on the given chip: assigns base
@@ -169,7 +184,7 @@ func (d *Device) Coupling(kind CrosstalkKind, i, j int) float64 {
 	}
 	p := d.Params
 	phys := d.Chip.PhysicalDistance(i, j)
-	d.topOnce.Do(func() { d.topDist = d.Chip.Graph().AllMultiPathDistances() })
+	d.lazy.Do(d.build)
 	top := d.topDist[i][j]
 	if math.IsInf(top, 1) {
 		// Disconnected qubits still share the substrate; only the

@@ -494,14 +494,18 @@ func fromPipeline(p *experiments.Pipeline) (*DesignResult, error) {
 	}
 
 	if p.Faults != nil {
+		calib, err := p.CampaignStats()
+		if err != nil {
+			return nil, err
+		}
 		res.Faults = &FaultReport{
 			DeadQubits:     p.Faults.DeadQubits(),
 			BrokenCouplers: p.Faults.BrokenCouplers(),
 			StuckLossy:     p.Faults.StuckLossyCount(),
-			CalibDropouts:  p.Calib.Dropouts,
-			CalibRetried:   p.Calib.Retried,
-			CalibLostPairs: p.Calib.LostPairs,
-			CalibOutliers:  p.Calib.Outliers,
+			CalibDropouts:  calib.Dropouts,
+			CalibRetried:   calib.Retried,
+			CalibLostPairs: calib.LostPairs,
+			CalibOutliers:  calib.Outliers,
 		}
 	}
 
