@@ -96,21 +96,15 @@ type build struct {
 // get returns artifact i of a run, asserted to its stage's type.
 func get[T any](in []any, i int) T { return in[i].(T) }
 
-// runGraph executes PipelineStageGraph for b through store on ctx
-// carrying b's registry, so the stage outcomes and every package
-// counter the stages drive land in it, and times the whole build into
-// its histogram hist ("build/design", "build/attach-models"). Every obs
-// call is nil-safe, so the disabled path costs a handful of nil checks.
-func runGraph(ctx context.Context, store *stage.Store, hist string, b *build, given ...stage.Given) (*stage.Artifacts[*build], error) {
+// design runs PipelineStageGraph for b through store on ctx carrying
+// b's registry, so the stage outcomes and every package counter the
+// stages drive land in it, times the whole build into "build/design",
+// and assembles its Pipeline. Every obs call is nil-safe, so the
+// disabled path costs a handful of nil checks.
+func design(ctx context.Context, store *stage.Store, b *build, given ...stage.Given) (*Pipeline, error) {
 	start := time.Now()
 	run, err := PipelineStageGraph.Run(obs.NewContext(ctx, b.opts.Obs), store, b, b.opts.Workers, given...)
-	b.opts.Obs.Histogram(hist).Observe(time.Since(start))
-	return run, err
-}
-
-// design runs the full flow for b and assembles its Pipeline.
-func design(ctx context.Context, store *stage.Store, b *build, given ...stage.Given) (*Pipeline, error) {
-	run, err := runGraph(ctx, store, "build/design", b, given...)
+	b.opts.Obs.Histogram("build/design").Observe(time.Since(start))
 	if err != nil {
 		return nil, err
 	}
@@ -121,24 +115,17 @@ func design(ctx context.Context, store *stage.Store, b *build, given ...stage.Gi
 		Opts: b.opts, Chip: dev.Chip, Device: dev,
 		Faults:  get[*faults.Plan](in, nFaults),
 		ModelXY: xy.Model, PredXY: xy.Pred, Calib: xy.Stats,
+		Partition: get[*partition.Partition](in, nPartition),
+		FDM:       get[*fdm.Grouping](in, nFDMGroup),
+		FreqPlan:  get[*fdm.FrequencyPlan](in, nAllocate),
+		Gates:     get[*tdmGates](in, nTDMGates).Gates,
+		TDM:       get[*tdm.Grouping](in, nTDM),
+		run:       run,
 	}
-	p.setGroupings(run)
-	return p, nil
-}
-
-// setGroupings installs the partition, grouping and allocation
-// artifacts of a run, and the run the ZZ accessors recall from.
-func (p *Pipeline) setGroupings(run *stage.Artifacts[*build]) {
-	in := run.In()
-	p.run = run
-	p.Partition = get[*partition.Partition](in, nPartition)
-	p.FDM = get[*fdm.Grouping](in, nFDMGroup)
-	p.FreqPlan = get[*fdm.FrequencyPlan](in, nAllocate)
 	if in[nAnneal] != nil {
 		p.FreqPlan = get[*fdm.FrequencyPlan](in, nAnneal)
 	}
-	p.Gates = get[*tdmGates](in, nTDMGates).Gates
-	p.TDM = get[*tdm.Grouping](in, nTDM)
+	return p, nil
 }
 
 // chipFingerprint digests everything the pipeline reads off a chip:

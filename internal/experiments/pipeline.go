@@ -214,8 +214,7 @@ func (p *Pipeline) ZZ() (*crosstalk.Model, *crosstalk.Predictor, error) {
 }
 
 // CampaignStats aggregates both channels' calibration fault
-// accounting, recalling the ZZ characterization on first use. An
-// attached ZZ model (AttachModels) brings no campaign.
+// accounting, recalling the ZZ characterization on first use.
 func (p *Pipeline) CampaignStats() (faults.CampaignStats, error) {
 	ch, err := p.zz()
 	if err != nil {
@@ -261,40 +260,6 @@ func BuildPipelineOnDevice(dev *xmon.Device, opts Options) (*Pipeline, error) {
 // cancellation, mirroring BuildPipelineCtx.
 func BuildPipelineOnDeviceCtx(ctx context.Context, dev *xmon.Device, opts Options) (*Pipeline, error) {
 	return NewDesignerOnDevice(dev).RedesignCtx(ctx, opts)
-}
-
-// AttachModels installs externally-trained crosstalk models (the
-// Figure 12 transfer scenario) and redesigns the groupings with them.
-// The redesign runs through a private store with the device, fault plan
-// and models given, so only the partition and grouping stages execute;
-// the model keys digest the attached models' fitted weights rather than
-// a measurement lineage.
-func (p *Pipeline) AttachModels(xy, zz *crosstalk.Model) error {
-	p.ModelXY, p.PredXY = xy, xy.On(p.Chip)
-	base := chipFingerprint(p.Chip)
-	// The plan is given as drawn; key it as a draw at the raw seed.
-	faultsK := stage.NewKey(StageFaults).Key(base)
-	faultsParams(&build{opts: p.Opts, seed: p.Opts.Seed}, faultsK)
-	run, err := runGraph(context.Background(), stage.NewStore(), "build/attach-models", &build{opts: p.Opts, seed: p.Opts.Seed + 13},
-		stage.Given{Name: StageFabricate, Key: base, Val: p.Device},
-		stage.Given{Name: StageFaults, Key: faultsK.Done(), Val: p.Faults},
-		stage.Given{Name: StageCharacterizeXY, Key: attachedModelKey(base, "xy", xy), Val: &characterization{Model: xy, Pred: p.PredXY}},
-		stage.Given{Name: StageCharacterizeZZ, Key: attachedModelKey(base, "zz", zz), Val: &characterization{Model: zz, Pred: zz.On(p.Chip)}})
-	if err != nil {
-		return err
-	}
-	p.setGroupings(run)
-	return nil
-}
-
-// attachedModelKey stands in for a characterize-stage key when the
-// model arrives pre-trained: it digests the model's fitted metric
-// weights and cross-validation error instead of a measurement lineage.
-func attachedModelKey(base stage.Key, channel string, m *crosstalk.Model) stage.Key {
-	return stage.NewKey("attached-model").
-		Key(base).String(channel).
-		Float64(m.Weights.WPhy).Float64(m.Weights.WTop).Float64(m.CVError).
-		Done()
 }
 
 // aliveQubits returns the qubits the fault plan left operable (all of

@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/chip"
-	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 func TestBuildPipelineSmallChip(t *testing.T) {
@@ -125,44 +120,5 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 	if len(o.Fit.WeightGrid) == 0 || o.Fit.Folds != 5 {
 		t.Errorf("fit defaults wrong: %+v", o.Fit)
-	}
-}
-
-// TestAttachModelsRunsOnlyGroupingStages: attached models arrive as
-// given nodes alongside the device and fault plan, so the redesign
-// executes partition through tdm and nothing upstream, and the result
-// still satisfies every design invariant.
-func TestAttachModelsRunsOnlyGroupingStages(t *testing.T) {
-	donor, err := BuildPipeline(chip.Square(4, 4), Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.New()
-	p, err := BuildPipeline(chip.Square(4, 4), Options{Seed: 1, Faults: faults.UniformSpec(0.05), AnnealSteps: 10, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := reg.Snapshot().Histograms
-	if err := p.AttachModels(donor.ModelXY, mustZZ(donor)); err != nil {
-		t.Fatal(err)
-	}
-	if _, pred, _ := p.ZZ(); p.ModelXY != donor.ModelXY || pred.Model != mustZZ(donor) {
-		t.Error("attached models not installed")
-	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("attached-model design invalid: %v", err)
-	}
-	// The stage and build histograms; the worker pool's call_wall
-	// grows with any stage that fans out.
-	var ran []string
-	for name, h := range reg.Snapshot().Histograms {
-		if h.Count > before[name].Count && !strings.HasPrefix(name, "parallel/") {
-			ran = append(ran, name)
-		}
-	}
-	sort.Strings(ran)
-	want := []string{"build/attach-models", "stage/allocate", "stage/anneal", "stage/fdm-group", "stage/partition", "stage/tdm", "stage/tdm-gates"}
-	if !reflect.DeepEqual(ran, want) {
-		t.Errorf("attach-models timed %v, want %v", ran, want)
 	}
 }
