@@ -96,14 +96,15 @@ type build struct {
 // get returns artifact i of a run, asserted to its stage's type.
 func get[T any](in []any, i int) T { return in[i].(T) }
 
-// design runs PipelineStageGraph for b through store on ctx carrying
-// b's registry, so the stage outcomes and every package counter the
-// stages drive land in it, times the whole build into "build/design",
-// and assembles its Pipeline. Every obs call is nil-safe, so the
-// disabled path costs a handful of nil checks.
-func design(ctx context.Context, store *stage.Store, b *build, given ...stage.Given) (*Pipeline, error) {
+// design runs PipelineStageGraph for b through store, keyed through
+// memo (nil: no memo), on ctx carrying b's registry, so the stage
+// outcomes and every package counter the stages drive land in it. It
+// times the whole build into "build/design" and assembles its Pipeline.
+// Every obs call is nil-safe, so the disabled path costs a handful of
+// nil checks.
+func design(ctx context.Context, store *stage.Store, memo *stage.Memo, b *build, given ...stage.Given) (*Pipeline, error) {
 	start := time.Now()
-	run, err := PipelineStageGraph.Run(obs.NewContext(ctx, b.opts.Obs), store, b, b.opts.Workers, given...)
+	run, err := PipelineStageGraph.Run(obs.NewContext(ctx, b.opts.Obs), store, memo, b, b.opts.Workers, given...)
 	b.opts.Obs.Histogram("build/design").Observe(time.Since(start))
 	if err != nil {
 		return nil, err
@@ -133,9 +134,11 @@ func design(ctx context.Context, store *stage.Store, b *build, given ...stage.Gi
 // equal fingerprints fabricate bit-identical devices from equal seeds,
 // which is what lets a shared DesignCache serve structurally identical
 // chips from one artifact set.
-func chipFingerprint(c *chip.Chip) stage.Key {
-	b := stage.NewKey("chip").
-		String(c.Name).String(c.Topology).
+func chipFingerprint(c *chip.Chip) stage.Key { return chipComponents(stage.NewKey("chip"), c).Done() }
+
+// chipComponents appends the chip's fingerprint components to b.
+func chipComponents(b *stage.KeyBuilder, c *chip.Chip) *stage.KeyBuilder {
+	b.String(c.Name).String(c.Topology).
 		Int(c.NumQubits()).Int(c.NumCouplers())
 	for _, q := range c.Qubits {
 		b.Int(q.ID).Float64(q.Pos.X).Float64(q.Pos.Y).Float64(q.BaseFreq).Float64(q.T1)
@@ -143,7 +146,7 @@ func chipFingerprint(c *chip.Chip) stage.Key {
 	for _, cp := range c.Couplers {
 		b.Int(cp.A).Int(cp.B)
 	}
-	return b.Done()
+	return b
 }
 
 // deviceFingerprint digests a fabricated device: its chip (whose
@@ -190,7 +193,8 @@ func runFabricate(_ context.Context, b *build, _ []any) (any, error) {
 //
 // A Designer is safe for concurrent Redesign calls (the store is
 // single-flight per artifact). Artifacts are held for the Designer's
-// lifetime; drop the Designer to release them.
+// lifetime; drop the Designer to release them. The keys of its recent
+// builds are remembered too, so a repeated option set keys nothing.
 type Designer struct {
 	chip   *chip.Chip
 	chipFP stage.Key
@@ -199,6 +203,7 @@ type Designer struct {
 	devFP stage.Key
 
 	store *stage.Store
+	memo  stage.Memo
 }
 
 // NewDesigner returns a Designer over a chip prototype. The chip is
@@ -232,10 +237,10 @@ func (d *Designer) RedesignCtx(ctx context.Context, opts Options) (*Pipeline, er
 	if d.dev != nil {
 		// Device designs split their streams off Seed+7; the offset is
 		// part of every pinned device-mode key and design.
-		return design(ctx, d.store, &build{opts: opts, seed: opts.Seed + 7},
+		return design(ctx, d.store, &d.memo, &build{opts: opts, seed: opts.Seed + 7},
 			stage.Given{Name: StageFabricate, Key: d.devFP, Val: d.dev})
 	}
-	return design(ctx, d.store, &build{opts: opts, seed: opts.Seed, chip: d.chip, chipKey: d.chipFP, clone: true})
+	return design(ctx, d.store, &d.memo, &build{opts: opts, seed: opts.Seed, chip: d.chip, chipKey: d.chipFP, clone: true})
 }
 
 // Store exposes the Designer's artifact store (for stats assertions and
@@ -254,7 +259,7 @@ func (d *Designer) Report() stage.Report { return d.store.Report() }
 type DesignCache struct {
 	mu        sync.Mutex
 	store     *stage.Store
-	designers map[stage.Key]*Designer
+	designers map[string]*Designer // by the chip fingerprint's components
 }
 
 // NewDesignCache returns an empty cache over an unbounded store.
@@ -269,7 +274,7 @@ func NewDesignCache() *DesignCache {
 func NewDesignCacheWithStore(store *stage.Store) *DesignCache {
 	return &DesignCache{
 		store:     store,
-		designers: make(map[stage.Key]*Designer),
+		designers: make(map[string]*Designer),
 	}
 }
 
@@ -292,15 +297,18 @@ func OpenDesignCache(dir string, memCfg stage.Config, diskBytes int64) (*DesignC
 // use. Designers are keyed by chip fingerprint, not pointer, so
 // structurally identical chips (a server parsing the same request twice
 // into distinct *Chip values) share one Designer — and therefore one
-// single-flight per artifact — rather than just one store.
+// single-flight per artifact — rather than just one store. The lookup
+// reads the bytes the fingerprint digests; only a new Designer hashes
+// them.
 func (dc *DesignCache) Designer(c *chip.Chip) *Designer {
-	fp := chipFingerprint(c)
+	rec := chipComponents(stage.Record("chip"), c)
+	defer rec.Release()
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
-	d, ok := dc.designers[fp]
+	d, ok := dc.designers[string(rec.Recorded())]
 	if !ok {
-		d = &Designer{chip: c, chipFP: fp, store: dc.store}
-		dc.designers[fp] = d
+		d = &Designer{chip: c, chipFP: rec.Done(), store: dc.store}
+		dc.designers[string(rec.Recorded())] = d
 	}
 	return d
 }

@@ -271,7 +271,7 @@ func TestRedesignAllHitAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		max     float64
-	}{{1, 166}, {2, 170}} {
+	}{{1, 32}, {2, 32}} {
 		d := NewDesigner(chip.Square(5, 5))
 		opts := Options{Seed: 1, Workers: tc.workers}
 		if _, err := d.Redesign(opts); err != nil {

@@ -247,7 +247,7 @@ func BuildPipeline(c *chip.Chip, opts Options) (*Pipeline, error) {
 // the chip pristine and to reuse artifacts across builds.
 func BuildPipelineCtx(ctx context.Context, c *chip.Chip, opts Options) (*Pipeline, error) {
 	opts = opts.normalized()
-	return design(ctx, stage.NewStore(), &build{opts: opts, seed: opts.Seed, chip: c, chipKey: chipFingerprint(c)})
+	return design(ctx, stage.NewStore(), nil, &build{opts: opts, seed: opts.Seed, chip: c, chipKey: chipFingerprint(c)})
 }
 
 // BuildPipelineOnDevice designs the system for an already-fabricated

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +64,7 @@ func TestRunWavesFromDeclarationOrder(t *testing.T) {
 		sumNode("e", 5, e1, "a"),      // joins [d e]
 	)
 	s := NewStore()
-	run, err := g.Run(context.Background(), s, 0, 2)
+	run, err := g.Run(context.Background(), s, nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestRunSequentialAtOneWorker(t *testing.T) {
 		}, Codec: textCodec}
 	}
 	g := MustGraph(node("a"), node("b", "a"), node("c", "a"), node("d", "b"), node("e"))
-	if _, err := g.Run(context.Background(), NewStore(), 0, 1); err != nil {
+	if _, err := g.Run(context.Background(), NewStore(), nil, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"a", "b", "c", "d", "e"}; !reflect.DeepEqual(order, want) {
@@ -136,7 +139,7 @@ func TestRunGivenAndSkipped(t *testing.T) {
 	)
 	s := NewStore()
 	givenKey := NewKey("external").Done()
-	run, err := g.Run(context.Background(), s, 1, 2, Given{Name: "src", Key: givenKey, Val: 100})
+	run, err := g.Run(context.Background(), s, nil, 1, 2, Given{Name: "src", Key: givenKey, Val: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestRunNamesFailingNode(t *testing.T) {
 		sumNode("d", 4, func() { after = true }, "b"),
 	)
 	for _, workers := range []int{1, 2} {
-		_, err := g.Run(context.Background(), NewStore(), 0, workers)
+		_, err := g.Run(context.Background(), NewStore(), nil, 0, workers)
 		var e *Error
 		if !errors.As(err, &e) || e.Stage != "b" || !errors.Is(err, boom) {
 			t.Errorf("workers %d: err = %v, want *Error naming b wrapping boom", workers, err)
@@ -193,7 +196,7 @@ func TestRunCancelBetweenWaves(t *testing.T) {
 		sumNode("a", 1, cancel),
 		sumNode("b", 2, func() { reached = true }, "a"),
 	)
-	_, err := g.Run(ctx, NewStore(), 0, 1)
+	_, err := g.Run(ctx, NewStore(), nil, 0, 1)
 	var e *Error
 	if !errors.As(err, &e) || e.Stage != "b" || !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want *Error naming b wrapping context.Canceled", err)
@@ -211,7 +214,7 @@ func TestRunPanicReachesCaller(t *testing.T) {
 		sumNode("b", 2, func() { panic("kaboom") }, "a"),
 		sumNode("c", 3, nil, "a"),
 	)
-	_, err := g.Run(context.Background(), NewStore(), 0, 2)
+	_, err := g.Run(context.Background(), NewStore(), nil, 0, 2)
 	var pe *PanicError
 	var e *Error
 	if !errors.As(err, &pe) || pe.Stage != "b" || pe.Value != "kaboom" {
@@ -222,34 +225,62 @@ func TestRunPanicReachesCaller(t *testing.T) {
 	}
 }
 
-// TestRunRowOrderIndependentOfArrival: the second node of a wave
-// reaches Store.Do first, yet the report lists the wave's rows in
-// declaration order.
+// arrivalCtx holds back the first Store.Do that reads it until a node
+// has run, so the other node of a two-node wave reaches Store.Do and
+// executes first.
+type arrivalCtx struct {
+	context.Context
+	first atomic.Bool
+	held  chan struct{} // closed once the first Store.Do caller is held
+	ran   chan struct{} // closed once a node has run
+}
+
+func (c *arrivalCtx) Value(key any) any {
+	pcs := make([]uintptr, 8)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for f, more := frames.Next(); more; f, more = frames.Next() {
+		if strings.HasSuffix(f.Function, ".(*Store).Do") {
+			if c.first.CompareAndSwap(false, true) {
+				close(c.held)
+				<-c.ran
+			}
+			break
+		}
+	}
+	return c.Context.Value(key)
+}
+
+// TestRunRowOrderIndependentOfArrival: whichever node of a wave reaches
+// Store.Do first is held until the other has run, yet the report lists
+// the wave's rows in declaration order. Over repeated builds the held
+// node is the first one about half the time.
 func TestRunRowOrderIndependentOfArrival(t *testing.T) {
-	secondRunning := make(chan struct{})
-	first := sumNode("first", 1, nil)
-	first.Params = func(b int, k *KeyBuilder) {
-		select { // key the first node only once the second is executing
-		case <-secondRunning:
-		case <-time.After(5 * time.Second):
-			t.Error("second node never started")
+	for range 20 {
+		ctx := &arrivalCtx{Context: context.Background(), held: make(chan struct{}), ran: make(chan struct{})}
+		var ran sync.Once
+		hook := func() {
+			select { // run only once the other node is held
+			case <-ctx.held:
+			case <-time.After(5 * time.Second):
+				t.Error("no node was held")
+			}
+			ran.Do(func() { close(ctx.ran) })
 		}
-		k.Int(1)
-	}
-	g := MustGraph(first, sumNode("second", 2, func() { close(secondRunning) }))
-	s := NewStore()
-	if _, err := g.Run(context.Background(), s, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, st := range s.Stats() {
-		names = append(names, st.Name)
-		if st.Runs != 1 {
-			t.Errorf("stage %s: %d runs, want 1", st.Name, st.Runs)
+		g := MustGraph(sumNode("first", 1, hook), sumNode("second", 2, hook))
+		s := NewStore()
+		if _, err := g.Run(ctx, s, nil, 0, 2); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want := []string{"first", "second"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("report rows = %v, want %v", names, want)
+		var names []string
+		for _, st := range s.Stats() {
+			names = append(names, st.Name)
+			if st.Runs != 1 {
+				t.Errorf("stage %s: %d runs, want 1", st.Name, st.Runs)
+			}
+		}
+		if want := []string{"first", "second"}; !reflect.DeepEqual(names, want) {
+			t.Fatalf("report rows = %v, want %v", names, want)
+		}
 	}
 }
 
@@ -265,7 +296,7 @@ func TestRunTimesEachExecutedNodeOnce(t *testing.T) {
 	s := NewStore()
 	for _, want := range []struct{ hits, misses int64 }{{0, 1}, {1, 0}} {
 		reg := obs.New()
-		if _, err := g.Run(obs.NewContext(context.Background(), reg), s, 0, 1, Given{Name: "given", Key: "k", Val: 1}); err != nil {
+		if _, err := g.Run(obs.NewContext(context.Background(), reg), s, nil, 0, 1, Given{Name: "given", Key: "k", Val: 1}); err != nil {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
@@ -291,14 +322,14 @@ func TestRunAllHitWaveRunsInline(t *testing.T) {
 	calls := reg.Counter("parallel/calls")
 	g := MustGraph(sumNode("a", 1, nil), sumNode("b", 2, nil, "a"), sumNode("c", 3, nil, "a"))
 	s := NewStore()
-	cold, err := g.Run(ctx, s, 10, 2)
+	cold, err := g.Run(ctx, s, nil, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("cold build fanned out %d times, want 1", got)
 	}
-	warm, err := g.Run(ctx, s, 10, 2)
+	warm, err := g.Run(ctx, s, nil, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +343,7 @@ func TestRunAllHitWaveRunsInline(t *testing.T) {
 		t.Errorf("hits %d misses %d, want 3 and 3", r.Hits, r.Misses)
 	}
 	// Another build misses every key, so the [b c] wave fans out again.
-	if _, err := g.Run(ctx, s, 11, 2); err != nil {
+	if _, err := g.Run(ctx, s, nil, 11, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 2 {

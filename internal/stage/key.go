@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"sync"
 )
 
 // Key is the deterministic artifact key of one stage execution: a
@@ -22,12 +23,18 @@ type Key string
 // component is written with a type tag and, for variable-length data, a
 // length prefix, so distinct component sequences can never collide by
 // concatenation (e.g. "ab"+"c" vs "a"+"bc") — the property FuzzArtifactKey
-// exercises. Each component goes straight into the running digest,
-// through a fixed scratch array, so a key buffers nothing that grows.
+// exercises. Each component goes through a fixed scratch array to one of
+// two sinks: straight into the running digest (NewKey), so a key buffers
+// nothing that grows, or onto a reusable buffer (Record), whose bytes
+// are exactly the ones the digest would have read.
 type KeyBuilder struct {
-	h       hash.Hash
+	h       hash.Hash // nil: the builder records
+	rec     []byte
 	scratch [2 * sha256.Size]byte // a component's header or payload chunk, then the digest
 }
+
+// recorders pools recording builders and their grown buffers.
+var recorders = sync.Pool{New: func() any { return new(KeyBuilder) }}
 
 // NewKey starts a key for the named domain (typically the stage name).
 // The domain is the first component, so equal payloads under different
@@ -37,13 +44,38 @@ func NewKey(domain string) *KeyBuilder {
 	return b.String(domain)
 }
 
+// Record starts a builder that appends the components NewKey(domain)
+// would digest to a pooled buffer: Recorded returns them, Done digests
+// them into the key NewKey would return, and Release returns the
+// builder to the pool.
+func Record(domain string) *KeyBuilder {
+	b := recorders.Get().(*KeyBuilder)
+	b.h, b.rec = nil, b.rec[:0]
+	return b.String(domain)
+}
+
+// Recorded returns a recording builder's bytes, valid until Release.
+func (b *KeyBuilder) Recorded() []byte { return b.rec }
+
+// Release returns a recording builder to the pool.
+func (b *KeyBuilder) Release() { recorders.Put(b) }
+
+// write sends one piece of a component to the builder's sink.
+func (b *KeyBuilder) write(p []byte) {
+	if b.h == nil {
+		b.rec = append(b.rec, p...)
+		return
+	}
+	b.h.Write(p)
+}
+
 // tag writes a variable-length component: its type tag, its length and
 // the payload.
 func tag[P ~string | []byte](b *KeyBuilder, t byte, payload P) *KeyBuilder {
 	b.fixed(t, uint64(len(payload)))
 	for len(payload) > 0 {
 		n := copy(b.scratch[:], payload)
-		b.h.Write(b.scratch[:n])
+		b.write(b.scratch[:n])
 		payload = payload[n:]
 	}
 	return b
@@ -53,7 +85,7 @@ func tag[P ~string | []byte](b *KeyBuilder, t byte, payload P) *KeyBuilder {
 func (b *KeyBuilder) fixed(t byte, v uint64) *KeyBuilder {
 	b.scratch[0] = t
 	binary.BigEndian.PutUint64(b.scratch[1:9], v)
-	b.h.Write(b.scratch[:9])
+	b.write(b.scratch[:9])
 	return b
 }
 
@@ -107,8 +139,13 @@ func (b *KeyBuilder) Ints(vs []int) *KeyBuilder {
 	return b
 }
 
-// Done finalizes the key. The builder must not be reused afterwards.
+// Done finalizes the key, digesting a recording's bytes. The builder
+// must not be written afterwards.
 func (b *KeyBuilder) Done() Key {
+	if b.h == nil {
+		b.h = sha256.New()
+		b.h.Write(b.rec)
+	}
 	var hexed [2 * sha256.Size]byte
 	hex.Encode(hexed[:], b.h.Sum(b.scratch[:0]))
 	return Key(hexed[:])

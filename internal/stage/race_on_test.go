@@ -1,0 +1,7 @@
+//go:build race
+
+package stage
+
+// raceEnabled reports a race-detector build, whose sync.Pool drops
+// items at random, so allocation counts of pooled paths vary.
+const raceEnabled = true

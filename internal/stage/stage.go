@@ -67,6 +67,37 @@ type Given struct {
 	Val  any
 }
 
+// memoEntries bounds a Memo: a sweep revisits a handful of option sets
+// per chip (a serving fleet's tenants send about a dozen).
+const memoEntries = 16
+
+// Memo remembers the node keys of a graph's latest memoEntries builds
+// by the bytes those keys digest (Graph.Run), replacing the oldest. The
+// zero Memo is empty; it is safe for concurrent builds of one graph.
+type Memo struct {
+	mu    sync.Mutex
+	keys  map[string][]Key
+	order [memoEntries]string // recorded bytes by insertion; next is the oldest
+	next  int
+}
+
+// put remembers keys for rec, unless it is held, in place of the
+// oldest entry.
+func (m *Memo) put(rec []byte, keys []Key) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, held := m.keys[string(rec)]; held {
+		return
+	}
+	if m.keys == nil {
+		m.keys = make(map[string][]Key)
+	}
+	delete(m.keys, m.order[m.next])
+	m.order[m.next] = string(rec)
+	m.keys[m.order[m.next]] = keys
+	m.next = (m.next + 1) % memoEntries
+}
+
 // Error names the node a graph run failed in. It wraps the cause, so
 // errors.Is / errors.As still see context errors and *PanicError.
 type Error struct {
@@ -200,15 +231,18 @@ const (
 // Run executes one build through s and returns its artifacts.
 //
 // A node's key is NewKey(name), then its input keys in declared order,
-// then its Params, so Run plans a build before loading anything. The
-// result set is every node whose Unread does not hold for b. Walking
-// back, a node in the set whose key is not present (in memory,
-// completed or in flight, or Backend.Has) brings its inputs into the
-// set; presence is looked up only for a node with an input outside it.
-// A node left outside loads only if memory holds it; otherwise nothing
-// counts it, and In leaves it nil. A node that executes first loads, as
-// Get does, every ancestor left unloaded, so a stale plan costs loads,
-// never a wrong input.
+// then its Params, so Run keys a build before loading anything: from
+// m, when m remembers the build's recorded bytes (Memo), or in one
+// pass in declaration order, which m then remembers. A nil m keys
+// every build afresh. Run then plans the build. The result set is
+// every node whose Unread does not hold for b. Walking back, a node in
+// the set whose key is not present (in memory, completed or in flight,
+// or Backend.Has) brings its inputs into the set; presence is looked
+// up only for a node with an input outside it. A node left outside
+// loads only if memory holds it; otherwise nothing counts it, and In
+// leaves it nil. A node that executes first loads, as Get does, every
+// ancestor left unloaded, so a stale plan costs loads, never a wrong
+// input.
 //
 // Loaded nodes run in waves: maximal runs of consecutive loaded nodes
 // with no ancestor inside the wave. A wave of two or more runs through
@@ -219,11 +253,11 @@ const (
 // failure, ctx ending between waves included, comes back as an *Error
 // naming the node. When the build ends, that registry receives the
 // store's occupancy gauges (Store.Observe).
-func (g *Graph[B]) Run(ctx context.Context, s *Store, b B, workers int, given ...Given) (*Artifacts[B], error) {
+func (g *Graph[B]) Run(ctx context.Context, s *Store, m *Memo, b B, workers int, given ...Given) (*Artifacts[B], error) {
 	defer s.Observe(obs.FromContext(ctx))
 	a := &Artifacts[B]{g: g, s: s, b: b, workers: workers, ctx: ctx,
 		in: make([]any, len(g.nodes)), nodes: make([]slot, len(g.nodes))}
-	a.plan(given)
+	a.plan(m, given)
 	wave := make([]int, 0, len(g.nodes))
 	for i := range g.nodes {
 		if sl := &a.nodes[i]; !sl.load || sl.given {
@@ -245,8 +279,9 @@ func (g *Graph[B]) Run(ctx context.Context, s *Store, b B, workers int, given ..
 	return a, nil
 }
 
-// plan installs the given nodes and decides which others load (Run).
-func (a *Artifacts[B]) plan(given []Given) {
+// plan installs the given nodes, keys the build and decides which
+// other nodes load (Run).
+func (a *Artifacts[B]) plan(m *Memo, given []Given) {
 	g := a.g
 	for i := range g.nodes {
 		n, sl := &g.nodes[i], &a.nodes[i]
@@ -260,6 +295,7 @@ func (a *Artifacts[B]) plan(given []Given) {
 			sl.load = !sl.skip && (n.Unread == nil || !n.Unread(a.b))
 		}
 	}
+	a.keyAll(m)
 	for i := len(g.nodes) - 1; i >= 0; i-- {
 		sl := &a.nodes[i]
 		switch {
@@ -275,28 +311,60 @@ func (a *Artifacts[B]) plan(given []Given) {
 	}
 }
 
-// key returns node i's key, keying it (and any unkeyed input) first.
-func (a *Artifacts[B]) key(i int) Key {
-	sl := &a.nodes[i]
-	if sl.key == "" && !sl.skip && !sl.given {
-		n := &a.g.nodes[i]
-		k := NewKey(n.Name)
-		for _, j := range a.g.inputs[i] {
-			k.Key(a.key(j))
+// keyAll keys every node that is neither skipped nor given, in
+// declaration order, unless m remembers the keys of the same recorded
+// bytes: per node, its skip and given flags, then its given key or
+// its Params. Those and the input keys are all a key chains, so equal
+// bytes mean equal keys.
+func (a *Artifacts[B]) keyAll(m *Memo) {
+	var rec *KeyBuilder
+	if m != nil {
+		rec = Record("build")
+		defer rec.Release()
+		for i := range a.nodes {
+			n, sl := &a.g.nodes[i], &a.nodes[i]
+			rec.Bool(sl.skip).Bool(sl.given)
+			if sl.given {
+				rec.Key(sl.key)
+			} else if !sl.skip && n.Params != nil {
+				n.Params(a.b, rec)
+			}
 		}
-		if n.Params != nil {
-			n.Params(a.b, k)
+		m.mu.Lock()
+		keys := m.keys[string(rec.Recorded())]
+		m.mu.Unlock()
+		if keys != nil {
+			for i := range a.nodes {
+				a.nodes[i].key = keys[i]
+			}
+			return
 		}
-		sl.key = k.Done()
 	}
-	return sl.key
+	keys := make([]Key, len(a.nodes))
+	for i := range a.nodes {
+		n, sl := &a.g.nodes[i], &a.nodes[i]
+		if !sl.skip && !sl.given {
+			k := NewKey(n.Name)
+			for _, j := range a.g.inputs[i] {
+				k.Key(a.nodes[j].key)
+			}
+			if n.Params != nil {
+				n.Params(a.b, k)
+			}
+			sl.key = k.Done()
+		}
+		keys[i] = sl.key
+	}
+	if m != nil {
+		m.put(rec.Recorded(), keys)
+	}
 }
 
 // lookup returns what the memory tier holds of node i's key, looking
 // it up once per build.
 func (a *Artifacts[B]) lookup(i int) held {
 	if sl := &a.nodes[i]; sl.mem == unseen {
-		sl.mem = a.s.lookup(a.key(i))
+		sl.mem = a.s.lookup(sl.key)
 	}
 	return a.nodes[i].mem
 }
@@ -309,7 +377,7 @@ func (a *Artifacts[B]) flush(wave []int) error {
 	}
 	// A wave of memory hits runs inline: fanning it out costs more than
 	// the hits do. With no completed artifact in memory no node can
-	// hit, so a cold store's wave keys inside the fan-out.
+	// hit, so a cold store's wave looks nothing up.
 	hits := len(wave) > 1 && a.s.totalEntries.Load() > 0
 	for k := 0; hits && k < len(wave); k++ {
 		hits = a.lookup(wave[k]) == resident
@@ -343,7 +411,7 @@ func (a *Artifacts[B]) do(ctx context.Context, i int) (err error) {
 	if n.Parallel {
 		w = parallel.Workers(a.workers)
 	}
-	a.in[i], _, err = a.s.Do(ctx, n.Name, a.key(i), w, n.Codec, a.in, func(ctx context.Context) (any, error) {
+	a.in[i], _, err = a.s.Do(ctx, n.Name, a.nodes[i].key, w, n.Codec, a.in, func(ctx context.Context) (any, error) {
 		for _, j := range a.g.up[i] {
 			if _, err := a.get(ctx, j); err != nil {
 				return nil, err
@@ -374,6 +442,9 @@ func (a *Artifacts[B]) get(ctx context.Context, i int) (any, error) {
 	}
 	return a.in[i], nil
 }
+
+// Key returns node i's key, empty for a skipped node.
+func (a *Artifacts[B]) Key(i int) Key { return a.nodes[i].key }
 
 // In returns the artifacts by declaration index: nil for a skipped
 // node, and for a node the plan left unloaded until Get loads it, so

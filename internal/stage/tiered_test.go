@@ -359,7 +359,7 @@ func TestRunPlansFromKeys(t *testing.T) {
 	runs := map[string]int{}
 	g := unreadGraph(runs)
 	backend := newMemBackend()
-	cold, err := g.Run(ctx, tieredStore(backend), 0, 1)
+	cold, err := g.Run(ctx, tieredStore(backend), nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestRunPlansFromKeys(t *testing.T) {
 	}
 
 	s := tieredStore(backend)
-	warm, err := g.Run(ctx, s, 0, 1)
+	warm, err := g.Run(ctx, s, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestRunPlansFromKeys(t *testing.T) {
 		t.Errorf("two Gets: %+v, %d executions, want one disk hit", st, runs["aside"])
 	}
 
-	again, err := g.Run(ctx, s, 0, 1)
+	again, err := g.Run(ctx, s, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,13 +405,13 @@ func TestRunStalePlanLoadsInputsOnDemand(t *testing.T) {
 	runs := map[string]int{}
 	g := unreadGraph(runs)
 	backend := newMemBackend()
-	if _, err := g.Run(ctx, tieredStore(backend), 0, 2); err != nil {
+	if _, err := g.Run(ctx, tieredStore(backend), nil, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	// A backend whose index still lists use, but whose Get misses it.
 	stale := &staleBackend{memBackend: backend, gone: "use"}
 	s := tieredStore(stale)
-	run, err := g.Run(ctx, s, 0, 2)
+	run, err := g.Run(ctx, s, nil, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,10 @@
 //
 // A pair with a failed run (perfbench exited non-zero or reported
 // "correct": false) is left out of every summary, and the report says
-// how many were. The exit status is 1 when a run failed, 2 on a usage
+// how many were. -out writes a JSON object: "runs", every run's
+// metrics, and "summaries", per workload and metric the compared pairs,
+// their change/base ratios (null where the base reads 0), both sides'
+// quartiles, the wins and the verdict. The exit status is 1 when a run failed, 2 on a usage
 // or setup error.
 package main
 
@@ -86,7 +89,7 @@ func mainErr(args []string, stdout, stderr io.Writer) int {
 	pairs := fl.Int("pairs", 10, "alternating base/change pairs per workload")
 	wl := fl.String("workloads", "cold-design,tenant-churn,warm-restart", "comma-separated perfbench workloads")
 	seed := fl.Int64("seed", 1, "workload seed")
-	out := fl.String("out", "", "write every run's metrics to this JSON file")
+	out := fl.String("out", "", "write every run's metrics and every summary to this JSON file")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
@@ -142,13 +145,9 @@ func mainErr(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	report(stdout, runs, spec, *base, *seed)
+	sums := report(stdout, runs, spec, *base, *seed)
 	if *out != "" {
-		data, err := json.MarshalIndent(runs, "", " ")
-		if err == nil {
-			err = os.WriteFile(*out, append(data, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := writeJSON(*out, abReport{Base: *base, Seed: *seed, Runs: runs, Summaries: sums}); err != nil {
 			fmt.Fprintln(stderr, "ab:", err)
 			return 2
 		}
@@ -157,6 +156,23 @@ func mainErr(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// abReport is what -out writes.
+type abReport struct {
+	Base      string          `json:"base"`
+	Seed      int64           `json:"seed"`
+	Runs      []run           `json:"runs"`
+	Summaries []metricSummary `json:"summaries"`
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // git runs a git command and returns its trimmed output.
@@ -192,38 +208,51 @@ func runOnce(dir, workload string, seed int64, seconds int, stderr io.Writer) ru
 	return r
 }
 
-// summary compares one metric's base and change values, pair by pair.
-type summary struct {
-	base, change [3]float64 // quartiles: q1, median, q3
-	wins, pairs  int
-	verdict      string
+// metricSummary compares one metric of one workload, pair by pair,
+// over the pairs whose runs both succeeded.
+type metricSummary struct {
+	Workload string     `json:"workload"`
+	Metric   string     `json:"metric"`
+	LeftOut  int        `json:"pairs_left_out"` // pairs with a failed run
+	Pairs    []int      `json:"pairs"`          // compared pairs, ascending
+	Ratios   []*float64 `json:"ratios"`         // change/base by compared pair; nil where the base reads 0
+	Base     [3]float64 `json:"base_quartiles"` // q1, median, q3
+	Change   [3]float64 `json:"change_quartiles"`
+	Wins     int        `json:"wins"`
+	Verdict  string     `json:"verdict"`
 }
 
 // compare summarizes paired values b[i], c[i] of a metric where
 // higher (or lower) is better and bound is the relative regression
 // bound.
-func compare(b, c []float64, higher bool, bound float64) summary {
-	s := summary{base: quartiles(b), change: quartiles(c), pairs: len(b), verdict: "-"}
+func compare(b, c []float64, higher bool, bound float64) metricSummary {
+	s := metricSummary{Base: quartiles(b), Change: quartiles(c), Verdict: "-"}
 	better := func(x, y float64) bool { return higher && x > y || !higher && x < y }
 	for i := range b {
 		if better(c[i], b[i]) {
-			s.wins++
+			s.Wins++
 		}
+		var r *float64
+		if b[i] != 0 {
+			r = new(float64)
+			*r = c[i] / b[i]
+		}
+		s.Ratios = append(s.Ratios, r)
 	}
 	// separated: every change run reads better than every base run.
 	separated := higher && slices.Min(c) > slices.Max(b) || !higher && slices.Max(c) < slices.Min(b)
-	iqr, med := s.base[2]-s.base[0], s.base[1]
-	worse := s.change[1] - med
+	iqr, med := s.Base[2]-s.Base[0], s.Base[1]
+	worse := s.Change[1] - med
 	if higher {
 		worse = -worse
 	}
 	switch {
 	case iqr > bound*math.Abs(med) && !separated:
-		s.verdict = "unresolved"
+		s.Verdict = "unresolved"
 	case worse > bound*math.Abs(med):
-		s.verdict = "worse"
-	case 10*s.wins >= 9*s.pairs && -worse > iqr:
-		s.verdict = "gain"
+		s.Verdict = "worse"
+	case 10*s.Wins >= 9*len(b) && -worse > iqr:
+		s.Verdict = "gain"
 	}
 	return s
 }
@@ -249,8 +278,10 @@ func quartiles(xs []float64) [3]float64 {
 
 // report prints one table per workload: each metric the runs share,
 // with both sides' quartiles, the change's wins and the verdict, over
-// the pairs whose runs both succeeded.
-func report(w io.Writer, runs []run, spec benchSpec, base string, seed int64) {
+// the pairs whose runs both succeeded. It returns the summaries it
+// printed.
+func report(w io.Writer, runs []run, spec benchSpec, base string, seed int64) []metricSummary {
+	var sums []metricSummary
 	defs := map[string]metricDef{}
 	for _, d := range spec.EndToEnd {
 		defs[d.Name] = d
@@ -297,20 +328,28 @@ func report(w io.Writer, runs []run, spec benchSpec, base string, seed int64) {
 			if !ok {
 				continue
 			}
+			var pairs []int
 			var b, c []float64
-			for p, bv := range byPair["base\x00"+name] {
-				if cv, ok := byPair["change\x00"+name][p]; ok {
-					b, c = append(b, bv), append(c, cv)
+			for p := range byPair["base\x00"+name] {
+				if _, ok := byPair["change\x00"+name][p]; ok {
+					pairs = append(pairs, p)
 				}
+			}
+			slices.Sort(pairs)
+			for _, p := range pairs {
+				b, c = append(b, byPair["base\x00"+name][p]), append(c, byPair["change\x00"+name][p])
 			}
 			if len(b) == 0 {
 				continue
 			}
 			s := compare(b, c, d.Better == "higher", d.Bound)
+			s.Workload, s.Metric, s.LeftOut, s.Pairs = wl, name, len(failed), pairs
+			sums = append(sums, s)
 			fmt.Fprintf(tw, "%s\t%.4g\t%.4g\t%.4g\t%.4g\t%.4g\t%.4g\t%.3f\t%d/%d\t%s\t\n", name,
-				s.base[0], s.base[1], s.base[2], s.change[0], s.change[1], s.change[2],
-				s.change[1]/s.base[1], s.wins, s.pairs, s.verdict)
+				s.Base[0], s.Base[1], s.Base[2], s.Change[0], s.Change[1], s.Change[2],
+				s.Change[1]/s.Base[1], s.Wins, len(pairs), s.Verdict)
 		}
 		tw.Flush()
 	}
+	return sums
 }
