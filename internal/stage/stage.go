@@ -376,9 +376,8 @@ func (a *Artifacts[B]) flush(wave []int) error {
 		return &Error{Stage: first, Err: err}
 	}
 	// A wave of memory hits runs inline: fanning it out costs more than
-	// the hits do. With no completed artifact in memory no node can
-	// hit, so a cold store's wave looks nothing up.
-	hits := len(wave) > 1 && a.s.totalEntries.Load() > 0
+	// the hits do.
+	hits := len(wave) > 1
 	for k := 0; hits && k < len(wave); k++ {
 		hits = a.lookup(wave[k]) == resident
 	}
