@@ -214,10 +214,16 @@ func KFoldMSE(X [][]float64, y []float64, k int, cfg ForestConfig, seed int64) (
 // foldPerm returns the seeded sample permutation whose positions
 // assign n samples to k cross-validation folds.
 func foldPerm(n, k int, seed int64) ([]int, error) {
+	return permFolds(rand.New(rand.NewSource(seed)), n, k)
+}
+
+// permFolds returns the permutation of n samples that rng draws next,
+// whose positions assign the samples to k cross-validation folds.
+func permFolds(rng *rand.Rand, n, k int) ([]int, error) {
 	if k < 2 || k > n {
 		return nil, fmt.Errorf("mlfit: k=%d invalid for %d samples", k, n)
 	}
-	return rand.New(rand.NewSource(seed)).Perm(n), nil
+	return rng.Perm(n), nil
 }
 
 // foldSplit reslices tr and te to the samples fold trains on and holds
