@@ -239,6 +239,66 @@ func TestTDMGatesCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTDMNoiseTablesConcurrentThetas runs the tdm stage from 16
+// goroutines at 8 Thetas on one recalled tdm-gates artifact, whose
+// noise tables the first run builds (run under -race): every grouping
+// equals the one a fresh decode of the artifact gives at its Theta,
+// and the artifact holds one set of tables afterwards.
+func TestTDMNoiseTablesConcurrentThetas(t *testing.T) {
+	opts := Options{Seed: 3, Faults: faults.UniformSpec(0.05), PartitionTargetSize: 9}
+	artifacts := captureArtifacts(t, opts)
+	runIn := runInputs(artifacts)
+	codec := stageCodecs(t)[StageTDMGates]
+	recall := func() *tdmGates {
+		v, err := codec.RoundTrip(artifacts[StageTDMGates], runIn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.(*tdmGates)
+	}
+	run := func(tg *tdmGates, theta float64) (any, error) {
+		b := &build{opts: opts.normalized()}
+		b.opts.Theta = theta
+		in := make([]any, PipelineStageGraph.Len())
+		in[nCharacterizeZZ], in[nTDMGates] = artifacts[StageCharacterizeZZ], tg
+		return runTDM(context.Background(), b, in)
+	}
+	const goroutines, thetas = 16, 8
+	want := make([]any, thetas)
+	for i := range want {
+		var err error
+		if want[i], err = run(recall(), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := recall()
+	got := make([]any, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = run(shared, float64(g%thetas))
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want[g%thetas]) {
+			t.Errorf("goroutine %d at Theta %d: grouping differs from a fresh recall's", g, g%thetas)
+		}
+	}
+	if len(shared.noise) != len(shared.Regions) || slices.Contains(shared.noise, nil) {
+		t.Errorf("%d noise tables for %d regions after the runs", len(shared.noise), len(shared.Regions))
+	}
+	if reflect.DeepEqual(want[0], want[thetas-1]) {
+		t.Error("the Thetas group alike; the test shows nothing")
+	}
+}
+
 // TestTDMGatesChecksEveryNoisyList drops one noisy pair from the list
 // of the last qubit that has one. The grouping's own spot check reads
 // only the first local qubit's list and accepts the corrupted lists;
