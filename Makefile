@@ -28,7 +28,7 @@ COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal
 SIMSCALE ?= 4
 SIMDURATION ?= 300s
 
-.PHONY: build vet perfbench-vet perfbench-check fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full ab clean
+.PHONY: build vet perfbench-vet perfbench-check fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full ab h1-rate clean
 
 # Generated run products (bench logs, coverage profiles, manifests) all
 # land under $(OUT), which is ignored wholesale; the committed
@@ -211,6 +211,14 @@ WORKLOADS ?= cold-design,tenant-churn,warm-restart
 SEED ?= 1
 ab:
 	$(GO) run ./tools/ab -base $(BASE) -pairs $(PAIRS) -workloads $(WORKLOADS) -seed $(SEED)
+
+# H1's false-failure rate: runs the tier-1 TestStatisticalTierConfirms
+# RUNS times on BASE and RUNS times on the working tree, alternately,
+# and prints each side's failure count with every failed seed's warm
+# speedup (scripts/h1_rate.sh).
+RUNS ?= 200
+h1-rate:
+	./scripts/h1_rate.sh $(RUNS) $(BASE)
 
 verify: build vet test bench-smoke
 
