@@ -27,8 +27,8 @@ func denseRanks(xs []float64) ([]int32, int) {
 // grower (growCtx.bag, as FitForest grows it) and with g, and fails
 // unless the two trees route and predict alike: the same nodes in the
 // same order, the same split thresholds and the same leaf values, bit
-// for bit. Internal-node values, which the bins grower leaves zero,
-// are not compared.
+// for bit. The internal-node values, which the bins grower leaves zero
+// until fillInternal, must then match too.
 func checkBinnedTree(t *testing.T, name string, g *binGrower, xs, y []float64, draw []int32, cfg TreeConfig) {
 	t.Helper()
 	rank, nrank := denseRanks(xs)
@@ -51,6 +51,33 @@ func checkBinnedTree(t *testing.T, name string, g *binGrower, xs, y []float64, d
 			t.Fatalf("%s: split %d (%v, %d, %d), row level (%v, %d, %d)", name, j, b.threshold, b.left, b.right, w.threshold, w.left, w.right)
 		}
 	}
+	g.fillInternal()
+	for j, w := range want.nodes {
+		if b := got[j]; math.Float64bits(b.value) != math.Float64bits(w.value) {
+			t.Fatalf("%s: node %d value %v after fillInternal, row level %v", name, j, b.value, w.value)
+		}
+	}
+}
+
+// checkRefit fails unless the binned refit of the column xs encodes to
+// the bytes FitForest grows on it.
+func checkRefit(t *testing.T, name string, w *CVWorkspace, xs, y []float64, cfg ForestConfig) {
+	t.Helper()
+	plan, err := NewCVPlan(len(xs), 2, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plan.Refit(w, Atoms{Cols: [][]float64{xs}, Of: identity(len(xs))}, 0, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FitForest(asRows(xs), y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forestDigest(got) != forestDigest(want) {
+		t.Fatalf("%s: the binned refit's bytes differ from FitForest's", name)
+	}
 }
 
 // identity returns the draw that takes every training row once.
@@ -67,18 +94,22 @@ func identity(m int) []int32 {
 // decides: exactly tied gains, gains a few ulps apart that the two
 // summation orders may rank differently, best gains within a few E of
 // the 1e-15 floor, signed zeros, targets whose squares overflow, and
-// random bootstrap draws of tie-heavy data. The row-level fallback
+// random bootstrap draws of tie-heavy data. On every case the binned
+// refit (CVPlan.Refit, on one workspace for all cases) also encodes to
+// FitForest's bytes, internal nodes included. The row-level fallback
 // must have run, or the certified path alone was tested.
 func TestBinnedTreeMatchesRowLevel(t *testing.T) {
 	deep := TreeConfig{MaxDepth: 8, MinLeafSize: 1}
 	rng := rand.New(rand.NewSource(17))
 	fallbacks := 0
+	var w CVWorkspace
 	check := func(name string, xs, y []float64, draw []int32, cfg TreeConfig) {
 		t.Helper()
 		_, nrank := denseRanks(xs)
 		g := newBinGrower(nrank, cfg)
 		checkBinnedTree(t, name, g, xs, y, draw, cfg)
 		fallbacks += g.fallbacks
+		checkRefit(t, name, &w, xs, y, ForestConfig{NumTrees: 3, Tree: cfg, Seed: int64(len(xs))})
 	}
 
 	// Mirrored targets give the mirrored boundaries mathematically

@@ -167,16 +167,53 @@ func TestKFoldMSESharedValidation(t *testing.T) {
 	}
 }
 
-// FuzzKFoldMSEShared checks the shared CV against per-column KFoldMSE
-// on small random columns: each input byte pair gives one sample's
-// base value (few distinct values, so ties are common) and target, and
-// the columns are monotone images of the base values — scaled, shifted
-// one ulp apart, constant or reversed — so the classes, the midpoint
-// fallback and the tie handling are all exercised. Two more columns
-// are classes of their own: one maps the base values 0 and 1 to -0
-// and +0, which tie, and one maps 15 to NaN. Seeds include exactly
-// tied gains and all-equal targets, whose splits the bins grower
-// cannot certify.
+// checkAtoms runs the ranked CV (KFoldMSEAtoms) over every ordinal
+// class of the atom columns cols, all on the workspace w, and checks
+// each column's MSE bit for bit against KFoldMSE on the column read out
+// over the samples through of. It returns the total count of CVs grown.
+func checkAtoms(t *testing.T, w *CVWorkspace, cols [][]float64, of []int32, y []float64, k int, cfg ForestConfig, seed int64) int {
+	t.Helper()
+	plan, err := NewCVPlan(len(y), k, cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mses := make([]float64, len(cols))
+	grown := 0
+	for _, class := range OrdinalClasses(cols) {
+		g, err := plan.KFoldMSEAtoms(w, Atoms{Cols: cols, Of: of}, class, y, mses)
+		if err != nil {
+			t.Fatalf("class %v: %v", class, err)
+		}
+		grown += g
+		for _, m := range class {
+			col := make([]float64, len(of))
+			for i, a := range of {
+				col[i] = cols[m][a]
+			}
+			want, err := KFoldMSE(asRows(col), y, k, cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(mses[m]) != math.Float64bits(want) {
+				t.Errorf("column %d (class %v): ranked MSE %v (%#x), KFoldMSE %v (%#x)",
+					m, class, mses[m], math.Float64bits(mses[m]), want, math.Float64bits(want))
+			}
+		}
+	}
+	return grown
+}
+
+// FuzzKFoldMSEShared checks the ranked CV (KFoldMSEAtoms) against
+// per-column KFoldMSE on small random columns: each input byte pair
+// gives one sample's base value (few distinct values, so ties are
+// common) and target; the base values present are the atoms, in order
+// of first appearance, and the columns are monotone images of them —
+// scaled, shifted one ulp apart, constant or reversed — so the classes,
+// the midpoint fallback and the tie handling are all exercised. Two
+// more columns are classes of their own: one maps the base values 0
+// and 1 to -0 and +0, which tie, and one maps 15 to NaN. One workspace
+// serves every class. Seeds include exactly tied gains and all-equal
+// targets, whose splits the bins grower cannot certify.
 func FuzzKFoldMSEShared(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 7, 0, 0, 5, 9, 1, 4, 2, 2, 6, 3, 3, 8, 4, 1, 0, 6})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
@@ -197,28 +234,118 @@ func FuzzKFoldMSEShared(f *testing.F) {
 			n = 48
 		}
 		steps := adjacentUp(1, 16)
-		cols := make([][]float64, 7)
-		for c := range cols {
-			cols[c] = make([]float64, n)
-		}
-		y := make([]float64, n)
+		atomOf := make(map[int]int32)
+		var base []int
+		of, y := make([]int32, n), make([]float64, n)
 		for i := 0; i < n; i++ {
 			v := int(data[2*i] % 16)
-			cols[0][i] = float64(v)
-			cols[1][i] = 0.1 * float64(v)
-			cols[2][i] = steps[v]
-			cols[3][i] = 2.5
-			cols[4][i] = -0.75 * float64(v)
-			cols[5][i] = math.Copysign(float64(v/2), float64(v%2)-0.5)
-			cols[6][i] = float64(v)
-			if v == 15 {
-				cols[6][i] = math.NaN()
+			a, ok := atomOf[v]
+			if !ok {
+				a = int32(len(base))
+				atomOf[v] = a
+				base = append(base, v)
 			}
-			y[i] = float64(data[2*i+1]) / 16
+			of[i], y[i] = a, float64(data[2*i+1])/16
+		}
+		cols := make([][]float64, 7)
+		for c := range cols {
+			cols[c] = make([]float64, len(base))
+		}
+		for a, v := range base {
+			cols[0][a] = float64(v)
+			cols[1][a] = 0.1 * float64(v)
+			cols[2][a] = steps[v]
+			cols[3][a] = 2.5
+			cols[4][a] = -0.75 * float64(v)
+			cols[5][a] = math.Copysign(float64(v/2), float64(v%2)-0.5)
+			cols[6][a] = float64(v)
+			if v == 15 {
+				cols[6][a] = math.NaN()
+			}
 		}
 		cfg := ForestConfig{NumTrees: 3, Tree: TreeConfig{MaxDepth: 5, MinLeafSize: 1}, Seed: int64(data[0])}
-		checkShared(t, cols, y, 5, cfg, int64(data[1]))
+		checkAtoms(t, new(CVWorkspace), cols, of, y, 5, cfg, int64(data[1]))
 	})
+}
+
+// TestCVWorkspaceReuse runs classes one after another on one
+// workspace, where per-class state would leak. A class whose
+// representative's midpoint rounds up sends its other members to CVs
+// of their own, and the next class on the workspace must not: it grows
+// one CV. A class of three ranks whose splits all fall back sizes the
+// row-level fallback's position buffer, and a later class of nine
+// ranks must regrow it. Every MSE is KFoldMSE's, bit for bit, and the
+// workspace's refit of a NaN column is FitForest's.
+func TestCVWorkspaceReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n = 60
+	base, varied, constant := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range base {
+		base[i] = float64(rng.Intn(9))
+		varied[i] = math.Sin(base[i]) + 0.2*rng.NormFloat64()
+		constant[i] = 0.1
+	}
+	mapped := func(f func(float64) float64) []float64 {
+		out := make([]float64, n)
+		for i, v := range base {
+			out[i] = f(v)
+		}
+		return out
+	}
+	steps := adjacentUp(1, 9)
+	ulps := mapped(func(v float64) float64 { return steps[int(v)] })
+	third := mapped(func(v float64) float64 { return math.Floor(v / 3) })
+	cfg := ForestConfig{NumTrees: 4, Tree: TreeConfig{MaxDepth: 6, MinLeafSize: 1}, Seed: 3}
+	type step struct {
+		name  string
+		y     []float64
+		cols  [][]float64
+		grown int
+	}
+	var w CVWorkspace
+	for _, seq := range [][]step{{
+		{"representative rounds up", varied, [][]float64{ulps, base, mapped(func(v float64) float64 { return 2 * v })}, 3},
+		{"after the round-up", varied, [][]float64{mapped(func(v float64) float64 { return -v }), mapped(func(v float64) float64 { return -3 * v })}, 1},
+	}, {
+		{"three ranks fall back", constant, [][]float64{third, mapped(func(v float64) float64 { return 2 * math.Floor(v/3) })}, 1},
+		{"nine ranks fall back", constant, [][]float64{base, mapped(math.Sqrt)}, 1},
+	}} {
+		w = CVWorkspace{}
+		for _, st := range seq {
+			plan, err := NewCVPlan(n, 5, cfg, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mses := make([]float64, len(st.cols))
+			fallbacks := w.fallbacks
+			grown, err := plan.KFoldMSEAtoms(&w, Atoms{Cols: st.cols, Of: identity(n)}, []int{0, 1, 2}[:len(st.cols)], st.y, mses)
+			if err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+			if grown != st.grown {
+				t.Errorf("%s: grew %d CVs, want %d", st.name, grown, st.grown)
+			}
+			if &st.y[0] == &constant[0] && w.fallbacks == fallbacks {
+				t.Errorf("%s: no node fell back", st.name)
+			}
+			for m, col := range st.cols {
+				want, err := KFoldMSE(asRows(col), st.y, 5, cfg, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(mses[m]) != math.Float64bits(want) {
+					t.Errorf("%s column %d: MSE %v, KFoldMSE %v", st.name, m, mses[m], want)
+				}
+			}
+		}
+	}
+	nan := mapped(func(v float64) float64 {
+		if v == 4 {
+			return math.NaN()
+		}
+		return v
+	})
+	checkRefit(t, "NaN column", &w, nan, varied, cfg)
 }
 
 // TestCVPlanDraws: for every fold, the plan's draws at the fold's

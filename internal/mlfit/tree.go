@@ -121,10 +121,10 @@ type boundary struct {
 }
 
 // growCtx is the growth arena of one FitForest or FitTree call, or of
-// a CVPlan.KFoldMSEShared call on a NaN column (other columns grow on
-// bins, see binGrower): the feature, row-index, key-list,
-// partition and boundary scratch plus the node storage, shared by every
-// node of every tree grown on at most n rows.
+// a CVPlan.KFoldMSEAtoms or CVPlan.Refit call on a NaN column (other
+// columns grow on bins, see binGrower): the feature, row-index,
+// key-list, partition and boundary scratch plus the node storage,
+// shared by every node of every tree grown on at most n rows.
 //
 // A tree sorts its keys once, at the root: keys holds one list per
 // feature, every list the tree's rows in compareKeyed order, and ys

@@ -2,6 +2,7 @@ package stage
 
 import (
 	"context"
+	"slices"
 	"testing"
 )
 
@@ -100,5 +101,48 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 	}
 	if a.nodes[2].key != want || want == "" {
 		t.Errorf("hit key %q, want %q", a.nodes[2].key, want)
+	}
+}
+
+// TestMemoMissReusesLatestPrefix: on a memo miss, the nodes whose
+// records open the latest build's alike take its keys unhashed, and
+// every key still equals a fresh build's. Node a's Params runs once
+// per build when its key is reused (the recording) and twice when it
+// is hashed.
+func TestMemoMissReusesLatestPrefix(t *testing.T) {
+	calls := 0
+	node := func(name string, params func(b int, k *KeyBuilder), inputs ...string) Node[int] {
+		n := sumNode(name, 0, nil, inputs...)
+		n.Params = params
+		return n
+	}
+	g := MustGraph(
+		node("a", func(b int, k *KeyBuilder) {
+			calls++
+			if b >= 100 { // a longer record from b = 100 on
+				k.Int(1)
+			}
+			k.Int(1)
+		}),
+		node("b", func(b int, k *KeyBuilder) { k.Int(b % 2) }, "a"),
+		node("c", func(b int, k *KeyBuilder) { k.Int(b) }, "b"),
+	)
+	s := NewStore()
+	var m Memo
+	for _, tc := range []struct{ b, calls int }{
+		{2, 2},   // cold memo: hashed
+		{4, 1},   // only c's record differs
+		{5, 1},   // b's and c's differ
+		{100, 2}, // a's record is longer: nothing reused
+		{102, 1},
+	} {
+		calls = 0
+		got := runKeys(t, g, s, &m, tc.b)
+		if calls != tc.calls {
+			t.Errorf("build %d: node a's Params ran %d times, want %d", tc.b, calls, tc.calls)
+		}
+		if want := runKeys(t, g, s, nil, tc.b); !slices.Equal(got, want) {
+			t.Errorf("build %d: keys %v, fresh keys %v", tc.b, got, want)
+		}
 	}
 }
