@@ -401,7 +401,7 @@ func levelFor(size int) DemuxLevel {
 // SortByIndex sorts device ids, in place, by ascending parallelism
 // index, ties broken by id for determinism, and returns them; idx[d] is
 // device d's index, as AllParallelismIndices lists it. It is the order
-// GroupDevices searches each level in, and GroupSorted's input order.
+// GroupDevices searches each level in, and GroupSortedNoise's input order.
 func SortByIndex(devices []int, idx []float64) []int {
 	slices.SortFunc(devices, func(a, b int) int { return byIndex(idx, a, b) })
 	return devices
